@@ -216,6 +216,8 @@ class LogStore:
         return seq
 
     def flush(self) -> int:
+        if not self.ram:
+            return 0
         records = self.ram.drain()
         for record in records:
             self.flash.append(record)
@@ -233,6 +235,11 @@ class LogStore:
 
     def unacked(self) -> Iterator[LogRecord]:
         return iter(self.flash)
+
+    def oldest_unacked(self) -> Optional[LogRecord]:
+        """The lowest-seq record still awaiting an ack, if any."""
+        records = self.flash._records
+        return records[0] if records else None
 
     def unacked_bytes(self) -> int:
         return self.flash.used_bytes

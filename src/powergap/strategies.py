@@ -228,7 +228,7 @@ class _RadioTxMixin:
         if sim.pending_requests:
             req = sim.pending_requests[0]
             return Frame(FrameKind.REPLY, req), wp.reply_airtime, ("reply", req)
-        record = next(iter(sim.store.unacked()), None)
+        record = sim.store.oldest_unacked()
         if record is not None:
             frame = Frame(FrameKind.LOG, record.seq, record.payload)
             return frame, wp.per_frame_airtime, ("log", record.seq)
@@ -253,7 +253,7 @@ class _RadioTxMixin:
         if kind == "reply":
             self.sim.answer_request(value)
             return
-        record = next(iter(self.sim.store.unacked()), None)
+        record = self.sim.store.oldest_unacked()
         payload = record.payload if record is not None and record.seq == value else b""
         ack_seq = self.sim.host.receive_log(value, payload)
         wp = self.sim.cfg.wireless
@@ -404,7 +404,7 @@ class SaveAndPrintLaterDriver(Driver):
         if sim.pending_requests:
             req = sim.pending_requests[0]
             return Frame(FrameKind.REPLY, req), ("reply", req)
-        record = next(iter(sim.store.unacked()), None)
+        record = sim.store.oldest_unacked()
         if record is not None:
             return Frame(FrameKind.LOG, record.seq, record.payload), ("log", record.seq)
         return None
@@ -418,7 +418,7 @@ class SaveAndPrintLaterDriver(Driver):
         if kind == "reply":
             self.sim.answer_request(value)
             return
-        record = next(iter(self.sim.store.unacked()), None)
+        record = self.sim.store.oldest_unacked()
         payload = record.payload if record is not None and record.seq == value else b""
         ack_seq = self.sim.host.receive_log(value, payload)
         self.sim.store.ack_through(ack_seq)
@@ -454,7 +454,7 @@ class PowerlineContinuousDriver(Driver):
             if kind == "reply":
                 sim.answer_request(value)
             else:
-                record = next(iter(sim.store.unacked()), None)
+                record = sim.store.oldest_unacked()
                 payload = (
                     record.payload if record is not None and record.seq == value else b""
                 )
@@ -472,7 +472,7 @@ class PowerlineContinuousDriver(Driver):
             frame = Frame(FrameKind.REPLY, req)
             meta = ("reply", req)
         else:
-            record = next(iter(sim.store.unacked()), None)
+            record = sim.store.oldest_unacked()
             if record is None:
                 return
             frame = Frame(FrameKind.LOG, record.seq, record.payload)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import random
 import statistics
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import IO, TYPE_CHECKING, Optional
@@ -51,6 +52,8 @@ class Segment:
     def validate(self) -> None:
         if self.length <= 0:
             raise LayoutError("segment length must be > 0")
+        if self.gap_length <= 0:
+            raise LayoutError("gap length must be > 0")
         if self.kind is SegmentKind.LANE_CHANGE:
             if len(self.gap_offsets) != 2:
                 raise LayoutError("lane-change segment needs exactly two gaps")
@@ -69,11 +72,15 @@ class TrackLayout:
     dock_position: Optional[float] = None
 
     def __post_init__(self) -> None:
-        self._gaps: list[tuple[float, float]] = []
+        # gap start/end positions in track order; a validated layout's gaps
+        # are disjoint, so both lists are sorted and can be bisected
+        self._starts: list[float] = []
+        self._ends: list[float] = []
         offset = 0.0
         for seg in self.segments:
             for g in sorted(seg.gap_offsets):
-                self._gaps.append((offset + g, offset + g + seg.gap_length))
+                self._starts.append(offset + g)
+                self._ends.append(offset + g + seg.gap_length)
             offset += seg.length
         self.total_length = offset
 
@@ -90,31 +97,37 @@ class TrackLayout:
 
     @property
     def gaps(self) -> list[tuple[float, float]]:
-        return list(self._gaps)
+        return list(zip(self._starts, self._ends))
+
+    def _gap_index(self, x: float) -> int:
+        """Index of the gap holding track position `x`, or -1."""
+        i = bisect_right(self._starts, x) - 1
+        return i if i >= 0 and x < self._ends[i] else -1
 
     def in_gap(self, position: float) -> bool:
-        x = position % self.total_length
-        return any(s <= x < e for s, e in self._gaps)
+        return self._gap_index(position % self.total_length) >= 0
 
     def _overlap_span(self, a: float, b: float) -> float:
-        # overlap of [a, b) with gaps, both within [0, total_length]
+        # overlap of [a, b) with gaps, both within [0, total_length]; only
+        # gaps ending after a and starting before b can overlap
+        starts, ends = self._starts, self._ends
         total = 0.0
-        for s, e in self._gaps:
-            lo, hi = max(a, s), min(b, e)
+        for i in range(bisect_right(ends, a), bisect_left(starts, b)):
+            lo, hi = max(a, starts[i]), min(b, ends[i])
             if hi > lo:
                 total += hi - lo
         return total
 
     def unpowered_overlap(self, start: float, dist: float) -> float:
         """Length of the path [start, start+dist) that lies in gaps."""
-        if dist <= 0 or not self._gaps:
+        if dist <= 0 or not self._starts:
             return 0.0
         L = self.total_length
         x = start % L
         total = 0.0
         whole, dist = divmod(dist, L)
         if whole:
-            total += whole * sum(e - s for s, e in self._gaps)
+            total += whole * sum(e - s for s, e in self.gaps)
         end = x + dist
         if end <= L:
             total += self._overlap_span(x, end)
@@ -133,11 +146,10 @@ class TrackLayout:
         return ahead < dist
 
     def gap_end_after(self, position: float) -> float:
-        x = position % self.total_length
-        for s, e in self._gaps:
-            if s <= x < e:
-                return e
-        raise LayoutError(f"position {position} not inside a gap")
+        i = self._gap_index(position % self.total_length)
+        if i < 0:
+            raise LayoutError(f"position {position} not inside a gap")
+        return self._ends[i]
 
 
 @dataclass
@@ -372,9 +384,9 @@ class Simulation:
         # exact unpowered time within this step
         overlap = layout.unpowered_overlap(x0, dist) if dist else 0.0
         unpowered_time = overlap / car.speed if car.speed > 0 else (dt if in_gap else 0.0)
-        current = cfg.params.current(car.power_state) + self.extra_current
         v_mid = car.capacitor_v
         if unpowered_time > 0:
+            current = cfg.params.current(car.power_state) + self.extra_current
             v_mid = discharge_current(
                 car.capacitor_v, current, unpowered_time, cfg.params.capacitance
             )

