@@ -132,7 +132,7 @@ def layouts(draw):
         if draw(st.booleans()):
             gap = draw(st.floats(0.005, length / 3))
             a = draw(st.floats(0.0, length - 2 * gap))
-            b = draw(st.floats(a + gap, length - gap))
+            b = a + gap + draw(st.floats(0.0, 1.0)) * (length - 2 * gap - a)
             offsets = (a, b) if draw(st.booleans()) else (b, a)
             segments.append(Segment(SegmentKind.LANE_CHANGE, length, offsets, gap))
         else:
