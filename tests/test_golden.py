@@ -1,8 +1,12 @@
 """Golden corpus: pinned SHA-256 digests of every shipped output.
 
 The corpus is the trace, events and metrics CSVs of every shipped
-scenario, `compare.csv` of the reference workload over all four
-strategies, and `table1.csv`.  A digest mismatch means the simulator's
+scenario, `table1.csv`, and one comparison CSV per `compare` run in
+`COMPARES`: the reference workload over all four strategies, with and
+without the transmission gate; the dockless gap-aligned case over the
+three strategies that need no dock, with and without the gate; and
+`FLOOD`, a lossy high-rate workload with host requests whose flash
+quota forces eviction.  A digest mismatch means the simulator's
 output changed.  Rewrite the digests with `python3 tests/regen_golden.py`
 only when the change is intended, and name each changed file and the
 reason in CHANGES.md.
@@ -18,6 +22,10 @@ from powergap.cli import EXIT_OK, main
 
 GOLDEN = {
     "compare.csv": "7a121d5ecb7a846259e4854a75c4017795e0970667a49d59cfd2e66b9bf321a2",
+    "compare_flood.csv": "4a89cd6a343bbacd4dc04cff7b381833a96bf140d4d9d4b12ab0e4cc0f607be6",
+    "compare_gap_aligned_c160.csv": "7fd8f4f3f263bf6809b95df6aeeadedc2ae2dcc704bd0f4f51dc936b56a18d56",
+    "compare_gap_aligned_c160_controller.csv": "c89ed52101f4deef0cedf56cba711a7a2a350b69850c78a9c30dae8dde868dbe",
+    "compare_reference_controller.csv": "7a121d5ecb7a846259e4854a75c4017795e0970667a49d59cfd2e66b9bf321a2",
     "gap_aligned_c160_events.csv": "e6dbe96537f0c6259fd061dc7d2e22d32fdfc1b9cf3ca847e5a742827f6b9f8e",
     "gap_aligned_c160_metrics.csv": "49eead1ee2cf069840138a652bd4d4113d6b8b936128c7e7037a30d24e9419b3",
     "gap_aligned_c160_trace.csv": "d7847abfed920f6a3be3da29465c34def2527462768742c324c066fc12d43b06",
@@ -55,21 +63,66 @@ GOLDEN = {
 }
 
 
+FLOOD = """\
+[track]
+segments = straight:0.51 lanechange:0.48:0.09:0.36 straight:0.51
+dock_position = 0.20
+
+[strategy]
+drain_interval = 0.4
+
+[schedule]
+requests = 0.1,0.35,0.6,0.9,1.3,1.7
+
+[workload]
+rate = 400
+payload_size = 200
+
+[wireless]
+connect_latency = 0.15
+loss_rate = 0.05
+
+[run]
+duration = 2.0
+seed = 5
+flash_capacity = 8000
+"""
+
+DOCKLESS = "stop_and_radio,powerline_continuous,wireless_continuous"
+
+#: pinned file name -> (scenario name or "flood", extra `compare` arguments)
+COMPARES = {
+    "compare.csv": ("reference_workload", []),
+    "compare_reference_controller.csv": ("reference_workload", ["--controller"]),
+    "compare_gap_aligned_c160.csv": ("gap_aligned_c160", ["--strategies", DOCKLESS]),
+    "compare_gap_aligned_c160_controller.csv": (
+        "gap_aligned_c160", ["--strategies", DOCKLESS, "--controller"]),
+    "compare_flood.csv": ("flood", []),
+}
+
+
+def _main(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = main(argv)
+    if status != EXIT_OK:
+        raise RuntimeError(f"powergap {argv[0]} exited {status}")
+
+
 def produce(out: Path) -> dict[str, str]:
     """Write the golden corpus into `out`; SHA-256 hex digest per file name."""
     root = importlib.resources.files("powergap") / "scenarios"
-    scenarios = sorted(str(p) for p in root.iterdir() if p.name.endswith(".scn"))
-    reference = next(p for p in scenarios if p.endswith("reference_workload.scn"))
-    commands = [
-        ["run", *scenarios],
-        ["compare", reference],
-        ["table1"],
-    ]
-    for argv in commands:
-        with contextlib.redirect_stdout(io.StringIO()):
-            status = main([*argv, "--out", str(out)])
-        if status != EXIT_OK:
-            raise RuntimeError(f"powergap {argv[0]} exited {status}")
+    shipped = {p.name[: -len(".scn")]: str(p) for p in root.iterdir()
+               if p.name.endswith(".scn")}
+    _main(["run", *sorted(shipped.values()), "--out", str(out)])
+    _main(["table1", "--out", str(out)])
+    stage = out / "stage"
+    stage.mkdir()
+    (stage / "flood.scn").write_text(FLOOD)
+    scenarios = {**shipped, "flood": str(stage / "flood.scn")}
+    # every compare writes compare.csv; each is moved to its pinned name
+    for name, (scenario, extra) in COMPARES.items():
+        _main(["compare", scenarios[scenario], *extra, "--out", str(stage)])
+        (stage / "compare.csv").replace(out / name)
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.glob("*.csv"))
