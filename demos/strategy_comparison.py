@@ -11,8 +11,14 @@ delivery latency against energy draw and storage pressure:
 """
 
 from powergap.energy_model import EnergyModelParams
-from powergap.strategies import StrategyKind, evaluate_strategies
-from powergap.track_world import ScenarioConfig, Segment, SegmentKind, TrackLayout
+from powergap.strategies import StrategyKind
+from powergap.track_world import (
+    ScenarioConfig,
+    Segment,
+    SegmentKind,
+    TrackLayout,
+    evaluate_strategies,
+)
 
 
 def main() -> None:

@@ -16,7 +16,6 @@ from .energy_model import (
 from .log_store import FlashRing, LogRecord, LogStore, RamBuffer, Severity
 from .scenario import ScenarioError, ScenarioSpec, load_scenario, parse_scenario
 from .strategies import (
-    DeliveryMetrics,
     EnergyBudget,
     Gate,
     HostCollector,
@@ -25,11 +24,11 @@ from .strategies import (
     OtaState,
     StrategyKind,
     controller_gate,
-    evaluate_strategies,
     run_ota_transfer,
 )
 from .track_world import (
     CarState,
+    DeliveryMetrics,
     Event,
     EventKind,
     HostRequestSchedule,
@@ -39,6 +38,7 @@ from .track_world import (
     SegmentKind,
     Simulation,
     TrackLayout,
+    evaluate_strategies,
     run_scenario,
 )
 from .transports import (

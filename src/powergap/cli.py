@@ -28,15 +28,17 @@ from .energy_model import (
     RadioMode,
 )
 from .scenario import ScenarioError, load_scenario
-from .strategies import StrategyKind, evaluate_strategies, write_comparison_csv
+from .strategies import StrategyKind
 from .track_world import (
     LayoutError,
     ScenarioConfig,
     Segment,
     SegmentKind,
     TrackLayout,
+    evaluate_strategies,
     events_to_csv,
     run_scenario,
+    write_comparison_csv,
 )
 
 EXIT_OK = 0

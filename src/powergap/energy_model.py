@@ -102,10 +102,6 @@ class EnergyModelParams:
         except KeyError:
             raise ConfigError(f"no current configured for state {state}") from None
 
-    @property
-    def brownout_voltage(self) -> float:
-        return self.nominal_voltage - self.brownout_drop
-
     @classmethod
     def calibrated(
         cls,

@@ -15,11 +15,10 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
-from .transports import crc16_ccitt
+from .transports import MAX_PAYLOAD, crc16_ccitt
 
 FLASH_MAGIC = b"PGLG"
 FLASH_VERSION = 1
-MAX_PAYLOAD = 255
 RECORD_OVERHEAD = 16  # seq(4) + timestamp(8) + severity(1) + len(1) + crc(2)
 
 
@@ -240,9 +239,6 @@ class LogStore:
         """The lowest-seq record still awaiting an ack, if any."""
         records = self.flash._records
         return records[0] if records else None
-
-    def unacked_bytes(self) -> int:
-        return self.flash.used_bytes
 
     # -- fault handling ----------------------------------------------------
 

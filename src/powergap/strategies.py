@@ -4,30 +4,35 @@ Each of the four strategies is a scheduler driving the simulated device
 from inside the single-threaded scenario loop: aperiodic wired
 (save-and-print-later at a dock), aperiodic wireless (stop-and-radio),
 continuous powerline streaming, and continuous wireless with an optional
-gap-aware transmission gate.  Firmware updates use dual image slots with
-whole-image verification so an interrupted transfer can never replace a
-good image with a corrupt one.
+gap-aware transmission gate.  All four share one stop-and-wait frame
+pump; each keeps only its policy: when to stop, connect, drain or gate.
+Firmware updates use dual image slots with whole-image verification so
+an interrupted transfer can never replace a good image with a corrupt
+one.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from .energy_model import PowerState, RadioMode
-from .track_world import ScenarioConfig, ScenarioResult, Simulation
+from .energy_model import RadioMode
 from .transports import (
     Frame,
     FrameKind,
+    LayoutError,
     Outcome,
     PowerlineChannel,
     WiredLink,
     WirelessLink,
+    frame_encode,
     powerline_pack,
 )
+
+if TYPE_CHECKING:
+    from .track_world import Simulation
 
 
 class StrategyKind(Enum):
@@ -53,28 +58,18 @@ class Gate(Enum):
 def controller_gate(budget: EnergyBudget, sim: Simulation) -> Gate:
     """Decide whether a transmission may start right now.
 
-    Defers when a gap overlaps the lookahead window, or when keying the
-    radio for the remainder of the current gap would push the total drop
-    past the budget.  Deferred sends are re-evaluated every tick.
+    Defers when the car is in a gap, when a gap overlaps the lookahead
+    window, or when the capacitor has already dropped past the budget.
+    Deferred sends are re-evaluated every tick.
     """
     car = sim.car
     layout = sim.cfg.layout
-    params = sim.cfg.params
-    in_gap = layout.in_gap(car.position)
     horizon = car.speed * budget.lookahead
-    if in_gap or (horizon > 0 and layout.unpowered_overlap(car.position, horizon) > 0):
+    if layout.in_gap(car.position) or (
+        horizon > 0 and layout.unpowered_overlap(car.position, horizon) > 0
+    ):
         return Gate.DEFER
-    tx_state = PowerState(car.power_state.clock, RadioMode.TRANSMITTING)
-    remaining = 0.0
-    if in_gap and car.speed > 0:
-        x = car.position % layout.total_length
-        remaining = (layout.gap_end_after(x) - x) / car.speed
-    predicted = (
-        params.nominal_voltage
-        - car.capacitor_v
-        + params.current(tx_state) * remaining / params.capacitance
-    )
-    if predicted > budget.max_allowed_drop:
+    if sim.cfg.params.nominal_voltage - car.capacitor_v > budget.max_allowed_drop:
         return Gate.DEFER
     return Gate.ALLOW
 
@@ -93,121 +88,82 @@ class HostCollector:
         return seq  # cumulative ack: sender is stop-and-wait, lowest first
 
 
-@dataclass
-class DeliveryMetrics:
-    appended_records: int = 0
-    delivered_records: int = 0
-    delivered_bytes: int = 0
-    mean_latency_s: float = 0.0
-    median_latency_s: float = 0.0
-    p95_latency_s: float = 0.0
-    brownout_count: int = 0
-    max_drop_v: float = 0.0
-    radio_on_s: float = 0.0
-    bytes_stored_peak: int = 0
-    requests_arrived: int = 0
-    requests_answered: int = 0
-    dropped_records: int = 0
-    evicted_records: int = 0
-    lost_unflushed: int = 0
-    backlog_growing: bool = False
-
-    def write_csv(self, fp: IO[str]) -> None:
-        writer = csv.writer(fp, lineterminator="\n")
-        names = [f.name for f in fields(self)]
-        writer.writerow(names)
-        writer.writerow([_fmt(getattr(self, n)) for n in names])
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
-
-
-COMPARISON_COLUMNS = [
-    "strategy",
-    "delivered",
-    "median_latency_s",
-    "brownouts",
-    "max_drop_v",
-    "radio_on_s",
-    "peak_storage_b",
-    "backlog_growing",
-]
-
-
-def write_comparison_csv(
-    rows: Sequence[tuple[StrategyKind, DeliveryMetrics]], fp: IO[str]
-) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(COMPARISON_COLUMNS)
-    for kind, m in rows:
-        writer.writerow(
-            [
-                kind.value,
-                m.delivered_records,
-                f"{m.median_latency_s:.6f}",
-                m.brownout_count,
-                f"{m.max_drop_v:.6f}",
-                f"{m.radio_on_s:.6f}",
-                m.bytes_stored_peak,
-                _fmt(m.backlog_growing),
-            ]
-        )
-
-
-def evaluate_strategies(
-    base_cfg: ScenarioConfig, kinds: Iterable[StrategyKind]
-) -> list[tuple[StrategyKind, DeliveryMetrics]]:
-    """Run the identical workload once per strategy; one metrics row each."""
-    from dataclasses import replace
-    from .track_world import run_scenario
-
-    rows = []
-    for kind in kinds:
-        cfg = replace(base_cfg, strategy=kind, name=f"{base_cfg.name}_{kind.value}")
-        rows.append((kind, run_scenario(cfg).metrics))
-    return rows
-
-
 # --- strategy drivers ----------------------------------------------------
 
 class Driver:
     """Scheduler hooks invoked from the scenario loop while the device
-    is up.  Volatile driver state resets on brownout."""
+    is up, around one stop-and-wait frame pump.
+
+    The pump keeps at most one frame in flight: a reply to the oldest
+    pending request first, else the oldest unacked record.  When the
+    frame reaches the host, `_finish` answers the request, or presents
+    the record, acks it and records its latency.  A link plugs in by
+    overriding `_start`, which begins sending a frame, and `_ack_lost`.
+    A timed link sets `tx_until`; the strategy's `tick` calls `_finish`
+    once it has passed.  Volatile driver state resets on brownout.
+    """
 
     def __init__(self, sim: Simulation) -> None:
         self.sim = sim
+        self.in_flight: Optional[Frame] = None  # reaches the host when its send ends
+        self.tx_until: Optional[float] = None   # end of the timed send in progress
 
     def tick(self, now: float) -> None:
         raise NotImplementedError
 
     def on_brownout(self) -> None:
-        pass
+        self.in_flight = None
+        self.tx_until = None
 
     def on_reboot(self, now: float) -> None:
         pass
 
+    def _next_frame(self) -> Optional[Frame]:
+        sim = self.sim
+        if sim.pending_requests:
+            return Frame(FrameKind.REPLY, sim.pending_requests[0])
+        record = sim.store.oldest_unacked()
+        if record is not None:
+            return Frame(FrameKind.LOG, record.seq, record.payload)
+        return None
 
-class _RadioTxMixin:
-    """Stop-and-wait frame pump over the wireless link.
+    def _start(self, now: float, frame: Frame) -> None:
+        """Begin sending `frame` over this strategy's link."""
+        raise NotImplementedError
 
-    One frame in flight at a time, lowest unacked record first, replies
-    before logs.  The radio shows Transmitting for exactly the frame
-    airtime; ack loss triggers retransmission, the host dedups.
+    def _ack_lost(self) -> bool:
+        return False
+
+    def _finish(self, now: float) -> None:
+        """End the send in progress and hand its frame to the host."""
+        self.tx_until = None
+        frame, self.in_flight = self.in_flight, None
+        if frame is None:
+            return  # lost frames stay unacked and get retransmitted
+        sim = self.sim
+        if frame.kind is FrameKind.REPLY:
+            sim.answer_request(frame.seq)
+            return
+        record = sim.store.oldest_unacked()
+        payload = record.payload if record is not None and record.seq == frame.seq else b""
+        ack_seq = sim.host.receive_log(frame.seq, payload)
+        if self._ack_lost():
+            return  # the retransmission will be deduped host-side
+        sim.store.ack_through(ack_seq)
+        sim.note_delivered(frame.seq, now)
+
+
+class _RadioDriver(Driver):
+    """The wireless link: association, frame loss, airtime and ack loss.
+
+    The radio shows Transmitting for exactly the frame airtime, whether
+    or not the frame is lost, then returns to idle-connected.
     """
 
-    sim: Simulation
-
-    def _init_radio(self) -> None:
-        self.link = WirelessLink(self.sim.cfg.wireless, self.sim.rng)
+    def __init__(self, sim: Simulation) -> None:
+        super().__init__(sim)
+        self.link = WirelessLink(sim.cfg.wireless, sim.rng)
         self.connecting_until: Optional[float] = None
-        self.tx_until: Optional[float] = None
-        self._tx_outcome: Optional[Outcome] = None
-        self._tx_meta: Optional[tuple[str, int]] = None
 
     def _begin_connect(self, now: float) -> None:
         wp = self.sim.cfg.wireless
@@ -222,268 +178,184 @@ class _RadioTxMixin:
             self.link.associated = True
         return self.link.associated
 
-    def _pick_frame(self) -> Optional[tuple[Frame, float, tuple[str, int]]]:
-        sim = self.sim
-        wp = sim.cfg.wireless
-        if sim.pending_requests:
-            req = sim.pending_requests[0]
-            return Frame(FrameKind.REPLY, req), wp.reply_airtime, ("reply", req)
-        record = sim.store.oldest_unacked()
-        if record is not None:
-            frame = Frame(FrameKind.LOG, record.seq, record.payload)
-            return frame, wp.per_frame_airtime, ("log", record.seq)
-        return None
-
-    def _start_tx(self, now: float, frame: Frame, airtime: float, meta) -> None:
-        self._tx_outcome = self.link.send_frame(frame)
-        self._tx_meta = meta
+    def _start(self, now: float, frame: Frame) -> None:
+        wp = self.sim.cfg.wireless
+        delivered = self.link.send_frame(frame) is Outcome.DELIVERED
+        self.in_flight = frame if delivered else None
+        airtime = wp.reply_airtime if frame.kind is FrameKind.REPLY else wp.per_frame_airtime
         self.tx_until = now + airtime
         self.sim.set_radio(RadioMode.TRANSMITTING)
 
-    def _complete_tx(self, now: float) -> None:
-        if self.tx_until is None or now < self.tx_until - 1e-12:
-            return
-        self.tx_until = None
+    def _finish(self, now: float) -> None:
         self.sim.set_radio(RadioMode.IDLE_CONNECTED)
-        outcome, meta = self._tx_outcome, self._tx_meta
-        self._tx_outcome = self._tx_meta = None
-        if outcome is not Outcome.DELIVERED or meta is None:
-            return  # lost frames stay unacked and get retransmitted
-        kind, value = meta
-        if kind == "reply":
-            self.sim.answer_request(value)
-            return
-        record = self.sim.store.oldest_unacked()
-        payload = record.payload if record is not None and record.seq == value else b""
-        ack_seq = self.sim.host.receive_log(value, payload)
-        wp = self.sim.cfg.wireless
-        if wp.loss_rate and self.sim.rng.random() < wp.loss_rate:
-            return  # ack lost; the retransmission will be deduped host-side
-        self.sim.store.ack_through(ack_seq)
-        self.sim.note_delivered(value, now)
+        super()._finish(now)
 
-    def _reset_radio(self) -> None:
+    def _ack_lost(self) -> bool:
+        loss_rate = self.sim.cfg.wireless.loss_rate
+        return loss_rate > 0 and self.sim.rng.random() < loss_rate
+
+    def on_brownout(self) -> None:
+        super().on_brownout()
         self.link.associated = False
         self.connecting_until = None
-        self.tx_until = None
-        self._tx_outcome = self._tx_meta = None
 
 
-class WirelessContinuousDriver(Driver, _RadioTxMixin):
-    """Radio stays associated; records stream out as they arrive."""
+class _DrainCycleDriver(Driver):
+    """Aperiodic drains: cruise until one is due, stop (`_approach`),
+    drain every pending frame, pause 0.5 s, cruise again."""
 
     def __init__(self, sim: Simulation) -> None:
         super().__init__(sim)
-        self._init_radio()
+        self.cruise_speed = sim.cfg.speed
+        self.next_drain = sim.cfg.drain_interval
+        self.overhead_until = 0.0
+        self.state = "cruise"
+
+    def _approach(self, now: float) -> None:
+        """Bring the car to a stop from which it can drain."""
+        raise NotImplementedError
+
+    def _end_drain(self) -> None:
+        pass
+
+    def _cycle(self, now: float) -> None:
+        if self.tx_until is not None:
+            if now < self.tx_until - 1e-12:
+                return
+            self._finish(now)
+        state = self.state
+        if state == "cruise":
+            if now < self.next_drain:
+                return
+            state = self.state = "stop"
+        if state == "drain":
+            frame = self._next_frame()
+            if frame is not None:
+                self._start(now, frame)
+            else:
+                self._end_drain()
+                self.overhead_until = now + 0.5
+                self.state = "overhead"
+        elif state == "overhead":
+            if now >= self.overhead_until:
+                self._cruise(now)
+        else:
+            self._approach(now)
+
+    def _cruise(self, now: float) -> None:
+        self.sim.car.speed = self.cruise_speed
+        self.next_drain = now + self.sim.cfg.drain_interval
+        self.state = "cruise"
+
+    def on_brownout(self) -> None:
+        super().on_brownout()
+        self.state = "cruise"
+
+    def on_reboot(self, now: float) -> None:
+        self._cruise(now)
+
+
+class WirelessContinuousDriver(_RadioDriver):
+    """Radio stays associated; records stream out as they arrive."""
 
     def tick(self, now: float) -> None:
-        sim = self.sim
-        sim.store.flush()  # data must survive a gap while driving
         if not self.link.associated:
             if self.connecting_until is None:
                 self._begin_connect(now)
             if not self._poll_connect(now):
                 return
-        self._complete_tx(now)
         if self.tx_until is not None:
+            if now < self.tx_until - 1e-12:
+                return
+            self._finish(now)
+        frame = self._next_frame()
+        if frame is None:
             return
-        picked = self._pick_frame()
-        if picked is None:
-            return
-        frame, airtime, meta = picked
+        sim = self.sim
         if sim.cfg.controller:
             budget = sim.cfg.budget or EnergyBudget()
             if controller_gate(budget, sim) is Gate.DEFER:
                 return
-        self._start_tx(now, frame, airtime, meta)
-
-    def on_brownout(self) -> None:
-        self._reset_radio()
+        self._start(now, frame)
 
 
-class StopAndRadioDriver(Driver, _RadioTxMixin):
+class StopAndRadioDriver(_DrainCycleDriver, _RadioDriver):
     """Drive, periodically stop anywhere outside a gap, drain by radio."""
 
-    def __init__(self, sim: Simulation) -> None:
-        super().__init__(sim)
-        self._init_radio()
-        self.cruise_speed = sim.cfg.speed
-        self.next_drain = sim.cfg.drain_interval
-        self.overhead_until = 0.0
-        self.state = "cruise"
-
     def tick(self, now: float) -> None:
+        self._cycle(now)
+
+    def _approach(self, now: float) -> None:
         sim = self.sim
-        sim.store.flush()
-        self._complete_tx(now)
-        if self.state == "cruise" and now >= self.next_drain:
-            self.state = "wait_exit"
-        if self.state == "wait_exit":
+        if self.state == "stop":
             if not sim.cfg.layout.in_gap(sim.car.position):
                 sim.car.speed = 0.0
                 self._begin_connect(now)
                 self.state = "connecting"
-        elif self.state == "connecting":
-            if self._poll_connect(now):
-                self.state = "drain"
-        elif self.state == "drain":
-            if self.tx_until is not None:
-                return
-            picked = self._pick_frame()
-            if picked is not None:
-                self._start_tx(now, *picked)
-            else:
-                sim.set_radio(RadioMode.OFF)
-                self.link.associated = False
-                self.overhead_until = now + 0.5
-                self.state = "overhead"
-        elif self.state == "overhead":
-            if now >= self.overhead_until:
-                sim.car.speed = self.cruise_speed
-                self.next_drain = now + sim.cfg.drain_interval
-                self.state = "cruise"
+        elif self._poll_connect(now):
+            self.state = "drain"
 
-    def on_brownout(self) -> None:
-        self._reset_radio()
-        self.state = "cruise"
-
-    def on_reboot(self, now: float) -> None:
-        self.sim.car.speed = self.cruise_speed
-        self.next_drain = now + self.sim.cfg.drain_interval
+    def _end_drain(self) -> None:
+        self.sim.set_radio(RadioMode.OFF)
+        self.link.associated = False
 
 
-class SaveAndPrintLaterDriver(Driver):
+class SaveAndPrintLaterDriver(_DrainCycleDriver):
     """Drive, periodically stop at the dock, drain over the wired link."""
 
     def __init__(self, sim: Simulation) -> None:
-        super().__init__(sim)
         if sim.cfg.layout.dock_position is None:
-            raise ValueError("save_and_print_later needs a dock position")
+            raise LayoutError("save_and_print_later needs a dock position")
+        super().__init__(sim)
         self.wired = WiredLink(sim.cfg.layout)
-        self.cruise_speed = sim.cfg.speed
-        self.next_drain = sim.cfg.drain_interval
-        self.overhead_until = 0.0
-        self.tx_until: Optional[float] = None
-        self._tx_meta: Optional[tuple[str, int]] = None
-        self.state = "cruise"
 
     def tick(self, now: float) -> None:
+        self._cycle(now)
+
+    def _approach(self, now: float) -> None:
         sim = self.sim
-        sim.store.flush()
-        self._complete_tx(now)
-        if self.state == "cruise" and now >= self.next_drain:
-            self.state = "seek_dock"
-        if self.state == "seek_dock":
-            start, dist = sim.last_step
-            dock = sim.cfg.layout.dock_position
-            if sim.cfg.layout.crosses(start, dist, dock):
-                sim.car.position = dock
-                sim.car.speed = 0.0
-                self.state = "drain"
-        elif self.state == "drain":
-            if self.tx_until is not None:
-                return
-            meta = self._pick()
-            if meta is None:
-                self.overhead_until = now + 0.5
-                self.state = "overhead"
-            else:
-                frame, label = meta
-                outcome = self.wired.send_frame(frame, sim.car)
-                if outcome is Outcome.DELIVERED:
-                    self._tx_meta = label
-                    self.tx_until = now + sim.cfg.wired_frame_time
-        elif self.state == "overhead":
-            if now >= self.overhead_until:
-                sim.car.speed = self.cruise_speed
-                self.next_drain = now + sim.cfg.drain_interval
-                self.state = "cruise"
+        start, dist = sim.last_step
+        dock = sim.cfg.layout.dock_position
+        if sim.cfg.layout.crosses(start, dist, dock):
+            sim.car.position = dock
+            sim.car.speed = 0.0
+            self.state = "drain"
 
-    def _pick(self) -> Optional[tuple[Frame, tuple[str, int]]]:
-        sim = self.sim
-        if sim.pending_requests:
-            req = sim.pending_requests[0]
-            return Frame(FrameKind.REPLY, req), ("reply", req)
-        record = sim.store.oldest_unacked()
-        if record is not None:
-            return Frame(FrameKind.LOG, record.seq, record.payload), ("log", record.seq)
-        return None
-
-    def _complete_tx(self, now: float) -> None:
-        if self.tx_until is None or now < self.tx_until - 1e-12:
-            return
-        self.tx_until = None
-        kind, value = self._tx_meta  # type: ignore[misc]
-        self._tx_meta = None
-        if kind == "reply":
-            self.sim.answer_request(value)
-            return
-        record = self.sim.store.oldest_unacked()
-        payload = record.payload if record is not None and record.seq == value else b""
-        ack_seq = self.sim.host.receive_log(value, payload)
-        self.sim.store.ack_through(ack_seq)
-        self.sim.note_delivered(value, now)
-
-    def on_brownout(self) -> None:
-        self.tx_until = None
-        self._tx_meta = None
-        self.state = "cruise"
-
-    def on_reboot(self, now: float) -> None:
-        self.sim.car.speed = self.cruise_speed
-        self.next_drain = now + self.sim.cfg.drain_interval
+    def _start(self, now: float, frame: Frame) -> None:
+        # a frame the dock cannot take is not in flight; the next tick retries
+        if self.wired.send_frame(frame, self.sim.car) is Outcome.DELIVERED:
+            self.in_flight = frame
+            self.tx_until = now + self.sim.cfg.wired_frame_time
 
 
 class PowerlineContinuousDriver(Driver):
-    """Stream records through track slots whenever the rails are live."""
+    """Stream records through track slots whenever the rails are live.
+
+    A frame is done when its last slot is delivered.  The back-channel
+    ack rides the track control protocol and is never lost.
+    """
 
     def __init__(self, sim: Simulation) -> None:
         super().__init__(sim)
         self.channel = PowerlineChannel()
 
     def tick(self, now: float) -> None:
-        sim = self.sim
-        sim.store.flush()
-        for _value, tag in self.channel.tick(now, sim.car.powered):
-            if tag is None:
-                continue
-            meta, is_last = tag
-            if not is_last:
-                continue
-            kind, value = meta
-            if kind == "reply":
-                sim.answer_request(value)
-            else:
-                record = sim.store.oldest_unacked()
-                payload = (
-                    record.payload if record is not None and record.seq == value else b""
-                )
-                # the back-channel ack rides the track control protocol
-                ack_seq = sim.host.receive_log(value, payload)
-                sim.store.ack_through(ack_seq)
-                sim.note_delivered(value, now)
-        if not self.channel.queue:
-            self._enqueue_next()
+        for _value, last in self.channel.tick(now, self.sim.car.powered):
+            if last:
+                self._finish(now)
+        if self.in_flight is None:
+            frame = self._next_frame()
+            if frame is not None:
+                self._start(now, frame)
 
-    def _enqueue_next(self) -> None:
-        sim = self.sim
-        if sim.pending_requests:
-            req = sim.pending_requests[0]
-            frame = Frame(FrameKind.REPLY, req)
-            meta = ("reply", req)
-        else:
-            record = sim.store.oldest_unacked()
-            if record is None:
-                return
-            frame = Frame(FrameKind.LOG, record.seq, record.payload)
-            meta = ("log", record.seq)
-        from .transports import frame_encode
-
+    def _start(self, now: float, frame: Frame) -> None:
         slots = powerline_pack(frame_encode(frame))
         for i, slot in enumerate(slots):
-            self.channel.enqueue(slot.payload, (meta, i == len(slots) - 1))
+            self.channel.enqueue(slot.payload, i == len(slots) - 1)
+        self.in_flight = frame
 
     def on_brownout(self) -> None:
+        super().on_brownout()
         self.channel.queue.clear()  # in-flight transfer state is volatile
 
 

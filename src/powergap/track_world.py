@@ -5,6 +5,8 @@ two short unpowered gaps.  While powered the capacitor sits at the rail
 voltage; inside a gap it discharges according to the active power state.
 Gap occupancy is integrated exactly within each fixed step, so measured
 drops do not depend on how gap edges align with the step grid.
+`evaluate_strategies` runs one workload under several strategies and
+`write_comparison_csv` tabulates their delivery metrics.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import csv
 import random
 import statistics
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import IO, TYPE_CHECKING, Optional
+from typing import IO, Iterable, Optional, Sequence
 
 from .energy_model import (
     ClockTier,
@@ -26,14 +28,8 @@ from .energy_model import (
     discharge_current,
 )
 from .log_store import LogStore, Severity
-from .transports import WirelessLinkParams
-
-if TYPE_CHECKING:
-    from .strategies import DeliveryMetrics, EnergyBudget, StrategyKind
-
-
-class LayoutError(ValueError):
-    pass
+from .strategies import EnergyBudget, HostCollector, StrategyKind, make_driver
+from .transports import LayoutError, WirelessLinkParams
 
 
 class SegmentKind(Enum):
@@ -145,12 +141,6 @@ class TrackLayout:
         ahead = (p - x) % L
         return ahead < dist
 
-    def gap_end_after(self, position: float) -> float:
-        i = self._gap_index(position % self.total_length)
-        if i < 0:
-            raise LayoutError(f"position {position} not inside a gap")
-        return self._ends[i]
-
 
 @dataclass
 class CarState:
@@ -206,9 +196,9 @@ class ScenarioConfig:
     duration: float = 1.0
     seed: int = 0
     initial_state: PowerState = PowerState(ClockTier.C80, RadioMode.OFF)
-    strategy: Optional["StrategyKind"] = None
+    strategy: Optional[StrategyKind] = None
     controller: bool = False
-    budget: Optional["EnergyBudget"] = None
+    budget: Optional[EnergyBudget] = None
     wireless: WirelessLinkParams = field(default_factory=WirelessLinkParams)
     workload_rate: float = 0.0        # records per second
     workload_payload: int = 16        # bytes per record
@@ -224,10 +214,44 @@ class ScenarioConfig:
 
 
 @dataclass
+class DeliveryMetrics:
+    appended_records: int = 0
+    delivered_records: int = 0
+    delivered_bytes: int = 0
+    mean_latency_s: float = 0.0
+    median_latency_s: float = 0.0
+    p95_latency_s: float = 0.0
+    brownout_count: int = 0
+    max_drop_v: float = 0.0
+    radio_on_s: float = 0.0
+    bytes_stored_peak: int = 0
+    requests_arrived: int = 0
+    requests_answered: int = 0
+    dropped_records: int = 0
+    evicted_records: int = 0
+    lost_unflushed: int = 0
+    backlog_growing: bool = False
+
+    def write_csv(self, fp: IO[str]) -> None:
+        writer = csv.writer(fp, lineterminator="\n")
+        names = [f.name for f in fields(self)]
+        writer.writerow(names)
+        writer.writerow([_fmt(getattr(self, n)) for n in names])
+
+
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return str(value)
+
+
+@dataclass
 class ScenarioResult:
     trace: VoltageTrace
     events: list[Event]
-    metrics: "DeliveryMetrics"
+    metrics: DeliveryMetrics
 
 
 class Simulation:
@@ -276,12 +300,8 @@ class Simulation:
 
         self._samples: list[tuple[float, float, float]] = []
 
-        from . import strategies as _strategies  # deferred: strategies imports us
-
-        self.host = _strategies.HostCollector()
-        self.driver = (
-            _strategies.make_driver(cfg.strategy, self) if cfg.strategy else None
-        )
+        self.host = HostCollector()
+        self.driver = make_driver(cfg.strategy, self) if cfg.strategy else None
 
     # -- hooks used by strategy drivers -----------------------------------
 
@@ -379,6 +399,7 @@ class Simulation:
                 seq = self.store.append(Severity.INFO, self._workload_payload, t1)
                 self._append_times[seq] = t1
             if self.driver is not None:
+                self.store.flush()  # data must survive a gap while driving
                 self.driver.tick(t1)
 
         # exact unpowered time within this step
@@ -451,9 +472,7 @@ class Simulation:
             and b[-1] - b[len(b) // 4] >= 2 * record_size
         )
 
-    def _metrics(self) -> "DeliveryMetrics":
-        from .strategies import DeliveryMetrics
-
+    def _metrics(self) -> DeliveryMetrics:
         lat = self.latencies
         return DeliveryMetrics(
             appended_records=self.store.appended,
@@ -481,3 +500,46 @@ class Simulation:
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Run one scenario to completion; deterministic per (config, seed)."""
     return Simulation(cfg).run()
+
+
+COMPARISON_COLUMNS = [
+    "strategy",
+    "delivered",
+    "median_latency_s",
+    "brownouts",
+    "max_drop_v",
+    "radio_on_s",
+    "peak_storage_b",
+    "backlog_growing",
+]
+
+
+def write_comparison_csv(
+    rows: Sequence[tuple[StrategyKind, DeliveryMetrics]], fp: IO[str]
+) -> None:
+    writer = csv.writer(fp, lineterminator="\n")
+    writer.writerow(COMPARISON_COLUMNS)
+    for kind, m in rows:
+        writer.writerow(
+            [
+                kind.value,
+                m.delivered_records,
+                f"{m.median_latency_s:.6f}",
+                m.brownout_count,
+                f"{m.max_drop_v:.6f}",
+                f"{m.radio_on_s:.6f}",
+                m.bytes_stored_peak,
+                _fmt(m.backlog_growing),
+            ]
+        )
+
+
+def evaluate_strategies(
+    base_cfg: ScenarioConfig, kinds: Iterable[StrategyKind]
+) -> list[tuple[StrategyKind, DeliveryMetrics]]:
+    """Run the identical workload once per strategy; one metrics row each."""
+    rows = []
+    for kind in kinds:
+        cfg = replace(base_cfg, strategy=kind, name=f"{base_cfg.name}_{kind.value}")
+        rows.append((kind, run_scenario(cfg).metrics))
+    return rows

@@ -204,6 +204,14 @@ def slots_to_csv(slots: Iterable[PowerlineSlot], fp: IO[str]) -> None:
 
 # --- Channels ------------------------------------------------------------
 
+class LayoutError(ValueError):
+    """Invalid track layout, or a strategy the layout cannot carry.
+
+    Defined here, below both `track_world` and `strategies`, so that
+    each can raise it.
+    """
+
+
 class Outcome(Enum):
     DELIVERED = "delivered"
     LOST = "lost"

@@ -248,6 +248,14 @@ class TestCliCompare:
         assert code == EXIT_VALIDATION
         assert "carrier_pigeon" in capsys.readouterr().err
 
+    def test_dockless_workload_exit_2(self, tmp_path, capsys):
+        # save_and_print_later, in the default strategy list, needs a dock
+        scn = write_scenario(tmp_path, MINIMAL)
+        code = main(["compare", scn, "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "error: save_and_print_later needs a dock" in capsys.readouterr().err
+        assert not (tmp_path / "compare.csv").exists()
+
 
 class TestCliTable1:
     def test_suite_passes_at_one_percent(self, tmp_path, capsys):

@@ -15,7 +15,6 @@ from powergap.strategies import (
     OtaState,
     StrategyKind,
     controller_gate,
-    evaluate_strategies,
     image_digest,
     run_ota_transfer,
 )
@@ -27,6 +26,7 @@ from powergap.track_world import (
     SegmentKind,
     Simulation,
     TrackLayout,
+    evaluate_strategies,
     run_scenario,
 )
 from powergap.transports import WirelessLinkParams
@@ -85,6 +85,15 @@ class TestControllerGate:
         sim.car.position = 0.62
         sim.car.capacitor_v = 6.0  # 3.0 V already gone
         assert controller_gate(EnergyBudget(lookahead=0.0), sim) is Gate.DEFER
+
+    def test_budget_checked_outside_gaps(self):
+        sim = Simulation(base_config(strategy=None))
+        sim.car.position = 0.10  # long straight, no gap ahead within lookahead 0
+        budget = EnergyBudget(max_allowed_drop=3.5, lookahead=0.0)
+        sim.car.capacitor_v = 5.0  # 4.0 V gone: past the budget
+        assert controller_gate(budget, sim) is Gate.DEFER
+        sim.car.capacitor_v = 6.0  # 3.0 V gone: within it
+        assert controller_gate(budget, sim) is Gate.ALLOW
 
 
 class TestControllerEfficacy:
@@ -150,19 +159,26 @@ class TestWirelessContinuous:
         assert list(sim.store.unacked()) == []
         assert len(sim.store.ram) == 0
 
-    def test_exactly_once_presentation(self):
-        cfg = base_config(
-            strategy=StrategyKind.WIRELESS_CONTINUOUS,
-            wireless=WirelessLinkParams(loss_rate=0.3, connect_latency=0.5),
-            workload_rate=5.0,
-            duration=20.0,
-            seed=99,
-        )
-        sim = Simulation(cfg)
-        sim.run()
-        seqs = [seq for seq, _ in sim.host.presented]
-        assert len(seqs) == len(set(seqs))
-        assert sim.delivered_records == len(seqs)
+
+@pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
+def test_exactly_once_presentation(kind):
+    # the shared frame pump under frame and ack loss, with host requests
+    cfg = base_config(
+        strategy=kind,
+        wireless=WirelessLinkParams(loss_rate=0.3, connect_latency=0.5),
+        workload_rate=5.0,
+        duration=20.0,
+        seed=99,
+        schedule=HostRequestSchedule(times=(1.0, 2.5, 5.2, 5.3, 9.0, 12.5, 16.0)),
+    )
+    sim = Simulation(cfg)
+    sim.run()
+    seqs = [seq for seq, _ in sim.host.presented]
+    assert seqs
+    assert all(a < b for a, b in zip(seqs, seqs[1:]))
+    assert sim.delivered_records == len(seqs)
+    assert sim.store.conservation_holds()
+    assert 0 < sim.requests_answered <= sim.requests_arrived
 
 
 class TestSaveAndPrintLater:

@@ -164,9 +164,6 @@ def test_gap_lookup_matches_linear_scan(layout, data):
     )
     for x in (start, start + dist):
         assert layout.in_gap(x) == linear_in_gap(layout, x)
-        if linear_in_gap(layout, x):
-            y = x % L
-            assert layout.gap_end_after(x) == next(e for s, e in layout.gaps if s <= y < e)
     assert layout.unpowered_overlap(start, dist) == linear_overlap(layout, start, dist)
 
 
