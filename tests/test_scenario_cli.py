@@ -1,4 +1,5 @@
 import importlib.resources
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +12,23 @@ from powergap.cli import (
     main,
     run_table1_suite,
 )
-from powergap.energy_model import ClockTier, RadioMode
+from powergap.energy_model import (
+    ClockTier,
+    EnergyModelParams,
+    PowerState,
+    RadioMode,
+)
 from powergap.scenario import ScenarioError, load_scenario, parse_scenario
-from powergap.strategies import StrategyKind
-from powergap.track_world import run_scenario
+from powergap.strategies import EnergyBudget, StrategyKind
+from powergap.track_world import (
+    HostRequestSchedule,
+    ScenarioConfig,
+    Segment,
+    SegmentKind,
+    TrackLayout,
+    run_scenario,
+)
+from powergap.transports import WirelessLinkParams
 
 MINIMAL = """
 [track]
@@ -96,6 +110,230 @@ class TestParser:
             parse_scenario(text).build()
         except ScenarioError:
             pass
+
+
+SEGMENTS = "segments = straight:0.30 lanechange:0.48:0.09:0.36 straight:0.30"
+
+#: one file per rejection rule, each with a single fault -> exact error text
+REJECTIONS = {
+    "bad_float": ("[run]\nduration = forever\n",
+                  "line 2: duration: expected a number, got 'forever'"),
+    "bad_integer": ("[run]\nseed = 1.5\n",
+                    "line 2: seed: expected an integer, got '1.5'"),
+    "inclusive_min": ("[car]\nspeed = -1\n", "line 2: speed: must be >= 0.0"),
+    "inclusive_min_integer": ("[run]\nram_capacity = 0\n",
+                              "line 2: ram_capacity: must be >= 1"),
+    "inclusive_min_drop": ("[energy]\ndrop_c80_off = -0.5\n",
+                           "line 2: drop_c80_off: must be >= 0"),
+    "inclusive_min_current": ("[energy]\ncurrent_c80_tx = -1\n",
+                              "line 2: current_c80_tx: must be >= 0.0"),
+    "exclusive_min": ("[run]\ndt = 0\n", "line 2: dt: must be > 0.0"),
+    "loss_rate_max": ("[wireless]\nloss_rate = 1.5\n",
+                      "line 2: loss_rate: must be <= 1.0"),
+    "payload_size_max": ("[workload]\npayload_size = 256\n",
+                         "line 2: payload_size: must be <= 255"),
+    "payload_size_min": ("[workload]\npayload_size = -1\n",
+                         "line 2: payload_size: must be >= 0"),
+    "unknown_clock": (
+        "[car]\nclock = c999\n",
+        "line 2: clock: expected one of "
+        "['160', '240', '80', 'c160', 'c240', 'c80'], got 'c999'"),
+    "unknown_radio": (
+        "[car]\nradio = shouting\n",
+        "line 2: radio: expected one of ['idle', 'off', 'tx'], got 'shouting'"),
+    "unknown_kind": (
+        "[strategy]\nkind = carrier_pigeon\n",
+        "line 2: kind: expected one of ['none', 'powerline_continuous', "
+        "'save_and_print_later', 'stop_and_radio', 'wireless_continuous'], "
+        "got 'carrier_pigeon'"),
+    "unknown_controller": (
+        "[strategy]\ncontroller = maybe\n",
+        "line 2: controller: expected one of ['false', 'off', 'on', 'true'], "
+        "got 'maybe'"),
+    "segment_kind": ("[track]\nsegments = straight:0.3 zigzag:1\n",
+                     "line 2: segments: unknown segment kind 'zigzag'"),
+    "segment_number": ("[track]\nsegments = straight:abc\n",
+                       "line 2: segments: bad number in 'straight:abc'"),
+    "segment_lanechange_arity": (
+        "[track]\nsegments = straight:0.3 lanechange:0.48:0.09\n",
+        "line 2: segments: lanechange needs length and two gap offsets"),
+    "segment_straight_arity": (
+        "[track]\nsegments = straight:0.3:0.1\n",
+        "line 2: segments: straight takes exactly one length"),
+    "segment_length": ("[track]\nsegments = straight:0\n",
+                       "line 2: segments: segment length must be > 0"),
+    "segment_gap_outside": (
+        "[track]\nsegments = lanechange:0.48:0.09:0.45\n",
+        "line 2: segments: gaps must lie fully inside the segment"),
+    "segment_gap_overlap": ("[track]\nsegments = lanechange:0.48:0.09:0.12\n",
+                            "line 2: segments: gaps must not overlap"),
+    # layout errors, the dock's included, name the segments line
+    "dock_outside_track": (
+        "[track]\nsegments = straight:0.3\ndock_position = 5\n",
+        "line 2: segments: dock position outside the track"),
+    "dock_in_gap": (
+        f"[track]\n{SEGMENTS}\ndock_position = 0.40\n",
+        "line 2: segments: dock position may not lie inside a gap"),
+    "requests_word": (
+        "[schedule]\nrequests = soon\n",
+        "line 2: requests: expected 'none', 'gap_aligned' or times, got 'soon'"),
+    "requests_unsorted": ("[schedule]\nrequests = 0.5,0.1\n",
+                          "line 2: requests: request times must be sorted"),
+    "requests_negative": ("[schedule]\nrequests = -1\n",
+                          "line 2: requests: request times must be non-negative"),
+    "brownout_above_nominal": (
+        "[energy]\nbrownout_drop = 9.5\n",
+        "line 2: brownout_drop (9.5) must be below nominal_voltage (9.0)"),
+    "nominal_below_brownout": (
+        "[energy]\nnominal_voltage = 3\n",
+        "line 2: brownout_drop (4.0) must be below nominal_voltage (3.0)"),
+    "budget_at_brownout": (
+        "[budget]\nmax_allowed_drop = 4.0\n",
+        "line 2: max_allowed_drop (4.0) must stay below brownout_drop (4.0)"),
+    "lossy_radio_without_seed": (
+        "[strategy]\nkind = stop_and_radio\n\n[wireless]\nloss_rate = 0.1\n",
+        "line 5: a seed in [run] is mandatory when loss_rate > 0"),
+    "dockless_save_and_print_later": (
+        "[strategy]\nkind = save_and_print_later\n",
+        "line 2: save_and_print_later needs a dock_position in [track]"),
+    "recharge_rate_zero": ("[energy]\nrecharge_rate = 0\n",
+                           "line 2: recharge_rate: must be > 0.0"),
+    "recharge_rate_word": ("[energy]\nrecharge_rate = fast\n",
+                           "line 2: recharge_rate: expected a number, got 'fast'"),
+}
+
+#: every key set to a value other than its default
+EVERY_KEY = f"""
+[energy]
+capacitance = 0.002
+nominal_voltage = 10.0
+brownout_drop = 5.0
+gap_duration = 0.03
+burst_current = 0.3
+ripple_amplitude = 0.2
+recharge_rate = 50
+drop_c80_off = 1.0
+drop_c80_idle = 1.1
+drop_c80_tx = 1.2
+drop_c160_off = 1.3
+drop_c160_idle = 1.4
+drop_c160_tx = 1.5
+drop_c240_off = 1.6
+drop_c240_tx = 1.8
+current_c240_tx = 0.4
+current_c80_off = 0.05
+
+[track]
+segments = straight:0.5 lanechange:0.6:0.1:0.4 curve:0.7
+gap_length = 0.05
+dock_position = 0.25
+
+[car]
+speed = 2.5
+clock = C160
+radio = idle
+
+[strategy]
+kind = stop_and_radio
+controller = on
+drain_interval = 4.0
+reboot_dead_time = 0.25
+
+[budget]
+max_allowed_drop = 3.0
+lookahead = 0.04
+
+[wireless]
+connect_latency = 1.0
+connect_extra_current = 0.04
+per_frame_airtime = 0.003
+reply_airtime = 0.02
+loss_rate = 0.1
+
+[workload]
+rate = 12.5
+payload_size = 24
+
+[schedule]
+requests = 0.5,1.5
+
+[run]
+duration = 3.0
+seed = 11
+dt = 0.001
+ram_capacity = 64
+flash_capacity = 4096
+wired_frame_time = 0.002
+"""
+
+
+def assert_same_config(got: ScenarioConfig, expected: ScenarioConfig) -> None:
+    for f in fields(ScenarioConfig):
+        assert getattr(got, f.name) == getattr(expected, f.name), f.name
+
+
+class TestRejectionCorpus:
+    @pytest.mark.parametrize("case", sorted(REJECTIONS))
+    def test_single_fault_message(self, case):
+        text, message = REJECTIONS[case]
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text).build()
+        assert str(exc.value) == message
+
+    def test_empty_file_builds_dataclass_defaults(self):
+        expected = ScenarioConfig(
+            params=EnergyModelParams.calibrated(),
+            layout=TrackLayout([
+                Segment(SegmentKind.STRAIGHT, 0.30),
+                Segment(SegmentKind.LANE_CHANGE, 0.48, (0.09, 0.36)),
+                Segment(SegmentKind.STRAIGHT, 0.30),
+            ]),
+            budget=EnergyBudget(),
+        )
+        assert_same_config(parse_scenario("").build(), expected)
+
+    def test_every_key_reaches_its_field(self):
+        c, t = 0.002, 0.03
+        drops = {"c80_off": 1.0, "c80_idle": 1.1, "c80_tx": 1.2, "c160_off": 1.3,
+                 "c160_idle": 1.4, "c160_tx": 1.5, "c240_off": 1.6, "c240_tx": 1.8}
+        params = EnergyModelParams(
+            capacitance=c, nominal_voltage=10.0, brownout_drop=5.0, gap_duration=t)
+        params.current_table = {
+            PowerState(clock, radio): 0.3 for clock in ClockTier for radio in RadioMode
+        }
+        for state in params.current_table:
+            if str(state) in drops:
+                params.current_table[state] = c * drops[str(state)] / t
+        params.current_table[PowerState(ClockTier.C240, RadioMode.TRANSMITTING)] = 0.4
+        params.current_table[PowerState(ClockTier.C80, RadioMode.OFF)] = 0.05
+        expected = ScenarioConfig(
+            params=params,
+            layout=TrackLayout([
+                Segment(SegmentKind.STRAIGHT, 0.5, (), 0.05),
+                Segment(SegmentKind.LANE_CHANGE, 0.6, (0.1, 0.4), 0.05),
+                Segment(SegmentKind.CURVE, 0.7, (), 0.05),
+            ], 0.25),
+            speed=2.5,
+            dt=0.001,
+            duration=3.0,
+            seed=11,
+            initial_state=PowerState(ClockTier.C160, RadioMode.IDLE_CONNECTED),
+            strategy=StrategyKind.STOP_AND_RADIO,
+            controller=True,
+            budget=EnergyBudget(max_allowed_drop=3.0, lookahead=0.04),
+            wireless=WirelessLinkParams(1.0, 0.04, 0.003, 0.02, 0.1),
+            workload_rate=12.5,
+            workload_payload=24,
+            schedule=HostRequestSchedule(times=(0.5, 1.5)),
+            drain_interval=4.0,
+            wired_frame_time=0.002,
+            reboot_dead_time=0.25,
+            recharge_rate=50.0,
+            ripple_amplitude=0.2,
+            ram_capacity=64,
+            flash_capacity=4096,
+        )
+        assert_same_config(parse_scenario(EVERY_KEY).build(), expected)
 
 
 class TestShippedScenarios:
