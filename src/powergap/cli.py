@@ -3,7 +3,7 @@
 Subcommands:
   run      simulate scenario files, emitting trace/events/metrics CSVs
   compare  run one workload under several strategies, emit a comparison CSV
-  table1   built-in suite reproducing the reference voltage-drop table
+  table1   run the shipped table1_<state>.scn files, check their drops
 
 Exit codes: 0 success, 1 suite mismatch, 2 validation error, 3 brownout
 with --fail-on-brownout.  POWERGAP_OUT overrides the output directory.
@@ -12,6 +12,7 @@ with --fail-on-brownout.  POWERGAP_OUT overrides the output directory.
 from __future__ import annotations
 
 import argparse
+import importlib.resources
 import io
 import os
 import sys
@@ -20,21 +21,11 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .energy_model import (
-    MEASURED_DROPS,
-    ClockTier,
-    EnergyModelParams,
-    PowerState,
-    RadioMode,
-)
-from .scenario import ScenarioError, load_scenario
+from .energy_model import MEASURED_DROPS, PowerState
+from .scenario import ScenarioError, load_scenario, parse_scenario
 from .strategies import StrategyKind
 from .track_world import (
     LayoutError,
-    ScenarioConfig,
-    Segment,
-    SegmentKind,
-    TrackLayout,
     evaluate_strategies,
     events_to_csv,
     run_scenario,
@@ -135,34 +126,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def table1_config(state: PowerState, params: EnergyModelParams) -> ScenarioConfig:
-    """One lane-change crossing at a fixed power state."""
-    layout = TrackLayout(
-        [
-            Segment(SegmentKind.STRAIGHT, 0.30),
-            Segment(SegmentKind.LANE_CHANGE, 0.48, (0.09, 0.36)),
-            Segment(SegmentKind.STRAIGHT, 0.30),
-        ]
-    )
-    return ScenarioConfig(
-        params=params,
-        layout=layout,
-        speed=3.0,
-        duration=0.36,
-        initial_state=state,
-        name=f"table1_{state}",
-    )
-
-
 def run_table1_suite() -> list[tuple[PowerState, float, float]]:
-    """Measured-vs-simulated max drop per calibrated power state."""
-    params = EnergyModelParams.calibrated()
+    """Measured-vs-simulated max drop per calibrated power state, each run
+    from its shipped `table1_<state>.scn`."""
+    scenarios = importlib.resources.files(__package__) / "scenarios"
     rows = []
     for state, expected in sorted(
         MEASURED_DROPS.items(), key=lambda kv: (kv[0].clock.value, kv[0].radio.value)
     ):
-        result = run_scenario(table1_config(state, params))
-        rows.append((state, expected, result.metrics.max_drop_v))
+        name = f"table1_{state}"
+        spec = parse_scenario((scenarios / f"{name}.scn").read_text(), name)
+        rows.append((state, expected, run_scenario(spec.build()).metrics.max_drop_v))
     return rows
 
 

@@ -5,16 +5,20 @@ language so acceptance scenarios diff cleanly and can be written by
 hand.  Parsing is total: any rejection carries the offending line
 number, unknown sections and keys are refused, and cross-field rules
 (threshold ordering, dock placement, mandatory seeds for lossy links)
-are checked before a simulation starts.
+are checked before a simulation starts.  A key a file leaves out is
+not passed on, so it takes the default of the config dataclass field
+or function argument it sets.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .energy_model import (
+    ALL_POWER_STATES,
     MEASURED_DROPS,
     ClockTier,
     EnergyModelParams,
@@ -31,7 +35,7 @@ from .track_world import (
     SegmentKind,
     TrackLayout,
 )
-from .transports import WirelessLinkParams
+from .transports import MAX_PAYLOAD, WirelessLinkParams
 
 
 class ScenarioError(ValueError):
@@ -41,40 +45,65 @@ class ScenarioError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
-_CLOCKS = {"c80": ClockTier.C80, "c160": ClockTier.C160, "c240": ClockTier.C240,
-           "80": ClockTier.C80, "160": ClockTier.C160, "240": ClockTier.C240}
-_RADIOS = {"off": RadioMode.OFF, "idle": RadioMode.IDLE_CONNECTED,
-           "tx": RadioMode.TRANSMITTING}
+_CLOCKS = {name: c for c in ClockTier for name in (f"c{c.value}", str(c.value))}
+_RADIOS = {r.value: r for r in RadioMode}
 _STRATEGIES = {k.value: k for k in StrategyKind}
+_FLAGS = {"on": True, "off": False, "true": True, "false": False}
+_STATE_KEYS = {str(s): s for s in ALL_POWER_STATES}
+_SEGMENT_KINDS = {k.value: k for k in SegmentKind}
 
-_STATE_KEYS = {
-    f"{c}_{r}": PowerState(_CLOCKS[c], _RADIOS[r])
-    for c in ("c80", "c160", "c240")
-    for r in ("off", "idle", "tx")
-}
 
-_KNOWN_KEYS: dict[str, set[str]] = {
-    "energy": {
-        "capacitance", "nominal_voltage", "brownout_drop", "gap_duration",
-        "burst_current", "ripple_amplitude", "recharge_rate",
-        *{f"drop_{s}" for s in _STATE_KEYS},
-        *{f"current_{s}" for s in _STATE_KEYS},
-    },
-    "track": {"segments", "gap_length", "dock_position"},
-    "car": {"speed", "clock", "radio"},
-    "strategy": {"kind", "controller", "drain_interval", "reboot_dead_time"},
-    "budget": {"max_allowed_drop", "lookahead"},
-    "wireless": {
+class _Number(NamedTuple):
+    """Where a numeric key goes and which values it accepts."""
+
+    dest: str                          # the group of arguments it joins
+    arg: object                        # its argument name, or the PowerState
+    minimum: Optional[float] = None
+    exclusive: bool = False            # the minimum itself is refused
+    maximum: Optional[float] = None
+    integer: bool = False
+
+
+#: Every numeric key, once.  Destinations: `params` EnergyModelParams,
+#: `drops`/`currents` per-state overrides, `calibration` calibrate_currents,
+#: `segment` Segment, `layout` TrackLayout, `budget` EnergyBudget,
+#: `wireless` WirelessLinkParams, `config` ScenarioConfig.
+_NUMBERS: dict[tuple[str, str], _Number] = {
+    ("energy", "capacitance"): _Number("params", "capacitance", 0.0, True),
+    ("energy", "nominal_voltage"): _Number("params", "nominal_voltage", 0.0, True),
+    ("energy", "brownout_drop"): _Number("params", "brownout_drop", 0.0, True),
+    ("energy", "gap_duration"): _Number("params", "gap_duration", 0.0, True),
+    ("energy", "burst_current"): _Number("calibration", "burst_current", 0.0),
+    ("energy", "ripple_amplitude"): _Number("config", "ripple_amplitude", 0.0),
+    ("energy", "recharge_rate"): _Number("config", "recharge_rate", 0.0, True),
+    **{("energy", f"drop_{k}"): _Number("drops", s, 0) for k, s in _STATE_KEYS.items()},
+    **{("energy", f"current_{k}"): _Number("currents", s, 0.0)
+       for k, s in _STATE_KEYS.items()},
+    ("track", "gap_length"): _Number("segment", "gap_length", 0.0, True),
+    ("track", "dock_position"): _Number("layout", "dock_position"),
+    ("car", "speed"): _Number("config", "speed", 0.0),
+    ("strategy", "drain_interval"): _Number("config", "drain_interval", 0.0, True),
+    ("strategy", "reboot_dead_time"): _Number("config", "reboot_dead_time", 0.0),
+    ("budget", "max_allowed_drop"): _Number("budget", "max_allowed_drop", 0.0, True),
+    ("budget", "lookahead"): _Number("budget", "lookahead", 0.0),
+    **{("wireless", k): _Number("wireless", k, 0.0) for k in (
         "connect_latency", "connect_extra_current", "per_frame_airtime",
-        "reply_airtime", "loss_rate",
-    },
-    "workload": {"rate", "payload_size"},
-    "schedule": {"requests"},
-    "run": {
-        "duration", "seed", "dt", "ram_capacity", "flash_capacity",
-        "wired_frame_time",
-    },
+        "reply_airtime")},
+    ("wireless", "loss_rate"): _Number("wireless", "loss_rate", 0.0, maximum=1.0),
+    ("workload", "rate"): _Number("config", "workload_rate", 0.0),
+    ("workload", "payload_size"): _Number(
+        "config", "workload_payload", 0, maximum=MAX_PAYLOAD, integer=True),
+    ("run", "duration"): _Number("config", "duration", 0.0, True),
+    ("run", "seed"): _Number("config", "seed", integer=True),
+    ("run", "dt"): _Number("config", "dt", 0.0, True),
+    ("run", "ram_capacity"): _Number("config", "ram_capacity", 1, integer=True),
+    ("run", "flash_capacity"): _Number("config", "flash_capacity", 1, integer=True),
+    ("run", "wired_frame_time"): _Number("config", "wired_frame_time", 0.0, True),
 }
+
+_KEYS = (*_NUMBERS, ("track", "segments"), ("car", "clock"), ("car", "radio"),
+         ("strategy", "kind"), ("strategy", "controller"), ("schedule", "requests"))
+_KNOWN_KEYS = {section: {k for s, k in _KEYS if s == section} for section, _ in _KEYS}
 
 DEFAULT_SEGMENTS = "straight:0.30 lanechange:0.48:0.09:0.36 straight:0.30"
 
@@ -90,137 +119,71 @@ class ScenarioSpec:
     def _line(self, section: str, key: str) -> int:
         return self.lines.get((section, key), 0)
 
-    def _raw(self, section: str, key: str, default: Optional[str]) -> Optional[str]:
-        return self.values.get((section, key), default)
-
-    def _float(self, section: str, key: str, default: float,
-               minimum: Optional[float] = None, maximum: Optional[float] = None,
-               exclusive_min: bool = False) -> float:
-        raw = self._raw(section, key, None)
-        if raw is None:
-            return default
-        line = self._line(section, key)
+    def _number(self, section: str, key: str, spec: _Number) -> Union[int, float]:
+        raw = self.values[(section, key)]
+        line = self.lines[(section, key)]
         try:
-            value = float(raw)
+            value = int(raw) if spec.integer else float(raw)
         except ValueError:
-            raise ScenarioError(line, f"{key}: expected a number, got {raw!r}") from None
-        if minimum is not None and (value <= minimum if exclusive_min else value < minimum):
-            op = ">" if exclusive_min else ">="
-            raise ScenarioError(line, f"{key}: must be {op} {minimum}")
-        if maximum is not None and value > maximum:
-            raise ScenarioError(line, f"{key}: must be <= {maximum}")
+            kind = "an integer" if spec.integer else "a number"
+            raise ScenarioError(line, f"{key}: expected {kind}, got {raw!r}") from None
+        if spec.minimum is not None and not (
+            value > spec.minimum if spec.exclusive else value >= spec.minimum
+        ):
+            op = ">" if spec.exclusive else ">="
+            raise ScenarioError(line, f"{key}: must be {op} {spec.minimum}")
+        if spec.maximum is not None and value > spec.maximum:
+            raise ScenarioError(line, f"{key}: must be <= {spec.maximum}")
         return value
 
-    def _int(self, section: str, key: str, default: Optional[int],
-             minimum: Optional[int] = None) -> Optional[int]:
-        raw = self._raw(section, key, None)
-        if raw is None:
-            return default
-        line = self._line(section, key)
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ScenarioError(line, f"{key}: expected an integer, got {raw!r}") from None
-        if minimum is not None and value < minimum:
-            raise ScenarioError(line, f"{key}: must be >= {minimum}")
-        return value
+    def _arguments(self) -> defaultdict[str, dict]:
+        """The numeric keys the file sets, checked, as arguments per destination."""
+        args: defaultdict[str, dict] = defaultdict(dict)
+        for (section, key), raw in self.values.items():
+            spec = _NUMBERS.get((section, key))
+            if spec is None or (key == "recharge_rate" and raw == "instant"):
+                continue
+            args[spec.dest][spec.arg] = self._number(section, key, spec)
+        return args
 
     def _choice(self, section: str, key: str, table: dict, default):
-        raw = self._raw(section, key, None)
+        raw = self.values.get((section, key))
         if raw is None:
             return default
-        line = self._line(section, key)
         try:
             return table[raw.lower()]
         except KeyError:
             raise ScenarioError(
-                line, f"{key}: expected one of {sorted(table)}, got {raw!r}"
+                self._line(section, key),
+                f"{key}: expected one of {sorted(table)}, got {raw!r}",
             ) from None
 
-    def _flag(self, section: str, key: str, default: bool) -> bool:
-        return self._choice(
-            section, key, {"on": True, "off": False, "true": True, "false": False},
-            default,
-        )
-
-    # -- section builders --------------------------------------------------
-
-    def _build_params(self) -> EnergyModelParams:
-        nominal = self._float("energy", "nominal_voltage", 9.0, 0.0, exclusive_min=True)
-        brownout = self._float("energy", "brownout_drop", 4.0, 0.0, exclusive_min=True)
-        if brownout >= nominal:
-            line = self._line("energy", "brownout_drop") or self._line(
-                "energy", "nominal_voltage"
-            )
-            raise ScenarioError(
-                line, f"brownout_drop ({brownout}) must be below nominal_voltage ({nominal})"
-            )
-        params = EnergyModelParams(
-            capacitance=self._float("energy", "capacitance", 1.0e-3, 0.0, exclusive_min=True),
-            nominal_voltage=nominal,
-            brownout_drop=brownout,
-            gap_duration=self._float("energy", "gap_duration", 0.020, 0.0, exclusive_min=True),
-        )
-        drops = dict(MEASURED_DROPS)
-        for state_key, state in _STATE_KEYS.items():
-            drop = self._float("energy", f"drop_{state_key}", -1.0)
-            if drop >= 0:
-                drops[state] = drop
-            elif ("energy", f"drop_{state_key}") in self.values:
-                raise ScenarioError(
-                    self._line("energy", f"drop_{state_key}"),
-                    f"drop_{state_key}: must be >= 0",
-                )
-        burst = self._float("energy", "burst_current", 0.250, 0.0)
-        params.current_table = calibrate_currents(drops, params, burst_current=burst)
-        for state_key, state in _STATE_KEYS.items():
-            raw = self._raw("energy", f"current_{state_key}", None)
-            if raw is not None:
-                params.current_table[state] = self._float(
-                    "energy", f"current_{state_key}", 0.0, 0.0
-                )
-        return params
-
-    def _build_layout(self) -> TrackLayout:
-        text = self._raw("track", "segments", DEFAULT_SEGMENTS)
+    def _build_layout(self, args: defaultdict[str, dict]) -> TrackLayout:
         line = self._line("track", "segments")
-        gap_length = self._float("track", "gap_length", 0.06, 0.0, exclusive_min=True)
         segments = []
-        for token in text.split():
-            parts = token.split(":")
-            kind_name = parts[0].lower()
-            kinds = {k.value: k for k in SegmentKind}
-            if kind_name not in kinds:
+        for token in self.values.get(("track", "segments"), DEFAULT_SEGMENTS).split():
+            kind_name, *parts = token.split(":")
+            kind = _SEGMENT_KINDS.get(kind_name.lower())
+            if kind is None:
                 raise ScenarioError(
-                    line, f"segments: unknown segment kind {kind_name!r}"
+                    line, f"segments: unknown segment kind {kind_name.lower()!r}"
                 )
             try:
-                numbers = [float(p) for p in parts[1:]]
+                numbers = [float(p) for p in parts]
             except ValueError:
+                raise ScenarioError(line, f"segments: bad number in {token!r}") from None
+            if kind is SegmentKind.LANE_CHANGE and len(numbers) != 3:
                 raise ScenarioError(
-                    line, f"segments: bad number in {token!r}"
-                ) from None
-            kind = kinds[kind_name]
-            if kind is SegmentKind.LANE_CHANGE:
-                if len(numbers) != 3:
-                    raise ScenarioError(
-                        line,
-                        "segments: lanechange needs length and two gap offsets",
-                    )
-                segments.append(
-                    Segment(kind, numbers[0], (numbers[1], numbers[2]), gap_length)
+                    line, "segments: lanechange needs length and two gap offsets"
                 )
-            else:
-                if len(numbers) != 1:
-                    raise ScenarioError(
-                        line, f"segments: {kind_name} takes exactly one length"
-                    )
-                segments.append(Segment(kind, numbers[0], (), gap_length))
-        dock = self._raw("track", "dock_position", None)
-        dock_position = (
-            self._float("track", "dock_position", 0.0) if dock is not None else None
-        )
-        layout = TrackLayout(segments, dock_position)
+            if kind is not SegmentKind.LANE_CHANGE and len(numbers) != 1:
+                raise ScenarioError(
+                    line, f"segments: {kind.value} takes exactly one length"
+                )
+            segments.append(
+                Segment(kind, numbers[0], tuple(numbers[1:]), **args["segment"])
+            )
+        layout = TrackLayout(segments, **args["layout"])
         try:
             layout.validate()
         except LayoutError as exc:
@@ -228,7 +191,7 @@ class ScenarioSpec:
         return layout
 
     def _build_schedule(self) -> HostRequestSchedule:
-        raw = self._raw("schedule", "requests", "none")
+        raw = self.values.get(("schedule", "requests"), "none")
         line = self._line("schedule", "requests")
         if raw == "none":
             return HostRequestSchedule()
@@ -246,86 +209,57 @@ class ScenarioSpec:
             raise ScenarioError(line, f"requests: {exc}") from None
 
     def build(self) -> ScenarioConfig:
-        params = self._build_params()
-        layout = self._build_layout()
-        clock = self._choice("car", "clock", _CLOCKS, ClockTier.C80)
-        radio = self._choice("car", "radio", _RADIOS, RadioMode.OFF)
-        strategy = self._choice(
-            "strategy", "kind", {**_STRATEGIES, "none": None}, None
+        args = self._arguments()
+        params = EnergyModelParams(**args["params"])
+        if params.brownout_drop >= params.nominal_voltage:
+            raise ScenarioError(
+                self._line("energy", "brownout_drop")
+                or self._line("energy", "nominal_voltage"),
+                f"brownout_drop ({params.brownout_drop}) must be below "
+                f"nominal_voltage ({params.nominal_voltage})",
+            )
+        params.current_table = calibrate_currents(
+            {**MEASURED_DROPS, **args["drops"]}, params, **args["calibration"]
         )
-        if strategy is StrategyKind.SAVE_AND_PRINT_LATER and layout.dock_position is None:
+        params.current_table.update(args["currents"])
+        default_state = ScenarioConfig.initial_state
+        cfg = ScenarioConfig(
+            params=params,
+            layout=self._build_layout(args),
+            initial_state=PowerState(
+                self._choice("car", "clock", _CLOCKS, default_state.clock),
+                self._choice("car", "radio", _RADIOS, default_state.radio),
+            ),
+            strategy=self._choice("strategy", "kind", {**_STRATEGIES, "none": None},
+                                  ScenarioConfig.strategy),
+            controller=self._choice("strategy", "controller", _FLAGS,
+                                    ScenarioConfig.controller),
+            budget=EnergyBudget(**args["budget"]),
+            wireless=WirelessLinkParams(**args["wireless"]),
+            schedule=self._build_schedule(),
+            name=self.name,
+            **args["config"],
+        )
+        if (cfg.strategy is StrategyKind.SAVE_AND_PRINT_LATER
+                and cfg.layout.dock_position is None):
             raise ScenarioError(
                 self._line("strategy", "kind"),
                 "save_and_print_later needs a dock_position in [track]",
             )
-        budget = EnergyBudget(
-            max_allowed_drop=self._float("budget", "max_allowed_drop", 3.5, 0.0,
-                                         exclusive_min=True),
-            lookahead=self._float("budget", "lookahead", 0.050, 0.0),
-        )
-        if budget.max_allowed_drop >= params.brownout_drop:
+        if cfg.budget.max_allowed_drop >= params.brownout_drop:
             raise ScenarioError(
                 self._line("budget", "max_allowed_drop"),
-                f"max_allowed_drop ({budget.max_allowed_drop}) must stay below "
+                f"max_allowed_drop ({cfg.budget.max_allowed_drop}) must stay below "
                 f"brownout_drop ({params.brownout_drop})",
             )
-        wireless = WirelessLinkParams(
-            connect_latency=self._float("wireless", "connect_latency", 1.5, 0.0),
-            connect_extra_current=self._float(
-                "wireless", "connect_extra_current", 0.050, 0.0
-            ),
-            per_frame_airtime=self._float("wireless", "per_frame_airtime", 0.002, 0.0),
-            reply_airtime=self._float("wireless", "reply_airtime", 0.025, 0.0),
-            loss_rate=self._float("wireless", "loss_rate", 0.0, 0.0, 1.0),
-        )
-        seed = self._int("run", "seed", None)
-        uses_radio = strategy in (
-            StrategyKind.STOP_AND_RADIO, StrategyKind.WIRELESS_CONTINUOUS
-        )
-        if wireless.loss_rate > 0 and uses_radio and seed is None:
+        if (cfg.wireless.loss_rate > 0 and ("run", "seed") not in self.values
+                and cfg.strategy in (StrategyKind.STOP_AND_RADIO,
+                                     StrategyKind.WIRELESS_CONTINUOUS)):
             raise ScenarioError(
                 self._line("wireless", "loss_rate"),
                 "a seed in [run] is mandatory when loss_rate > 0",
             )
-        payload_size = self._int("workload", "payload_size", 16, 0)
-        if payload_size > 255:
-            raise ScenarioError(
-                self._line("workload", "payload_size"),
-                "payload_size: must be <= 255",
-            )
-        recharge_raw = self._raw("energy", "recharge_rate", "instant")
-        recharge_rate: Optional[float]
-        if recharge_raw == "instant":
-            recharge_rate = None
-        else:
-            recharge_rate = self._float("energy", "recharge_rate", 0.0, 0.0,
-                                        exclusive_min=True)
-        return ScenarioConfig(
-            params=params,
-            layout=layout,
-            speed=self._float("car", "speed", 3.0, 0.0),
-            dt=self._float("run", "dt", 5.0e-4, 0.0, exclusive_min=True),
-            duration=self._float("run", "duration", 1.0, 0.0, exclusive_min=True),
-            seed=seed if seed is not None else 0,
-            initial_state=PowerState(clock, radio),
-            strategy=strategy,
-            controller=self._flag("strategy", "controller", False),
-            budget=budget,
-            wireless=wireless,
-            workload_rate=self._float("workload", "rate", 0.0, 0.0),
-            workload_payload=payload_size,
-            schedule=self._build_schedule(),
-            drain_interval=self._float("strategy", "drain_interval", 10.0, 0.0,
-                                       exclusive_min=True),
-            wired_frame_time=self._float("run", "wired_frame_time", 0.001, 0.0,
-                                         exclusive_min=True),
-            reboot_dead_time=self._float("strategy", "reboot_dead_time", 0.5, 0.0),
-            recharge_rate=recharge_rate,
-            ripple_amplitude=self._float("energy", "ripple_amplitude", 0.0, 0.0),
-            ram_capacity=self._int("run", "ram_capacity", 256, 1),
-            flash_capacity=self._int("run", "flash_capacity", 65536, 1),
-            name=self.name,
-        )
+        return cfg
 
 
 def parse_scenario(text: str, name: str = "scenario") -> ScenarioSpec:

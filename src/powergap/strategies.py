@@ -144,9 +144,7 @@ class Driver:
         if frame.kind is FrameKind.REPLY:
             sim.answer_request(frame.seq)
             return
-        record = sim.store.oldest_unacked()
-        payload = record.payload if record is not None and record.seq == frame.seq else b""
-        ack_seq = sim.host.receive_log(frame.seq, payload)
+        ack_seq = sim.host.receive_log(frame.seq, frame.payload)
         if self._ack_lost():
             return  # the retransmission will be deduped host-side
         sim.store.ack_through(ack_seq)
@@ -273,8 +271,7 @@ class WirelessContinuousDriver(_RadioDriver):
             return
         sim = self.sim
         if sim.cfg.controller:
-            budget = sim.cfg.budget or EnergyBudget()
-            if controller_gate(budget, sim) is Gate.DEFER:
+            if controller_gate(sim.cfg.budget, sim) is Gate.DEFER:
                 return
         self._start(now, frame)
 

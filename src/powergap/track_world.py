@@ -149,7 +149,6 @@ class CarState:
     powered: bool = True
     capacitor_v: float = 9.0
     power_state: PowerState = PowerState(ClockTier.C80, RadioMode.OFF)
-    uptime: float = 0.0
     reboot_count: int = 0
 
 
@@ -198,7 +197,7 @@ class ScenarioConfig:
     initial_state: PowerState = PowerState(ClockTier.C80, RadioMode.OFF)
     strategy: Optional[StrategyKind] = None
     controller: bool = False
-    budget: Optional[EnergyBudget] = None
+    budget: EnergyBudget = field(default_factory=EnergyBudget)
     wireless: WirelessLinkParams = field(default_factory=WirelessLinkParams)
     workload_rate: float = 0.0        # records per second
     workload_payload: int = 16        # bytes per record
@@ -430,10 +429,8 @@ class Simulation:
         else:
             car.capacitor_v = v_mid
         car.powered = powered
-        if self.active:
-            car.uptime += dt
-            if car.power_state.radio is not RadioMode.OFF:
-                self.radio_on_s += dt
+        if self.active and car.power_state.radio is not RadioMode.OFF:
+            self.radio_on_s += dt
 
         stored = self.store.flash.used_bytes
         if stored > self.bytes_stored_peak:
@@ -502,35 +499,26 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     return Simulation(cfg).run()
 
 
-COMPARISON_COLUMNS = [
-    "strategy",
-    "delivered",
-    "median_latency_s",
-    "brownouts",
-    "max_drop_v",
-    "radio_on_s",
-    "peak_storage_b",
-    "backlog_growing",
-]
+#: comparison column -> the DeliveryMetrics field it shows
+COMPARISON_FIELDS = {
+    "delivered": "delivered_records",
+    "median_latency_s": "median_latency_s",
+    "brownouts": "brownout_count",
+    "max_drop_v": "max_drop_v",
+    "radio_on_s": "radio_on_s",
+    "peak_storage_b": "bytes_stored_peak",
+    "backlog_growing": "backlog_growing",
+}
 
 
 def write_comparison_csv(
     rows: Sequence[tuple[StrategyKind, DeliveryMetrics]], fp: IO[str]
 ) -> None:
     writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(COMPARISON_COLUMNS)
+    writer.writerow(["strategy", *COMPARISON_FIELDS])
     for kind, m in rows:
         writer.writerow(
-            [
-                kind.value,
-                m.delivered_records,
-                f"{m.median_latency_s:.6f}",
-                m.brownout_count,
-                f"{m.max_drop_v:.6f}",
-                f"{m.radio_on_s:.6f}",
-                m.bytes_stored_peak,
-                _fmt(m.backlog_growing),
-            ]
+            [kind.value, *(_fmt(getattr(m, f)) for f in COMPARISON_FIELDS.values())]
         )
 
 

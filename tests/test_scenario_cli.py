@@ -97,6 +97,12 @@ class TestParser:
             parse_scenario(text).build()
         assert "seed" in str(exc.value)
 
+    def test_nan_rejected_by_bounded_keys(self):
+        for section, key in (("car", "speed"), ("run", "duration"),
+                             ("energy", "drop_c80_off"), ("wireless", "loss_rate")):
+            with pytest.raises(ScenarioError, match=f"^line 2: {key}: must be >"):
+                parse_scenario(f"[{section}]\n{key} = nan\n").build()
+
     def test_dockless_save_and_print_rejected(self):
         text = "[strategy]\nkind = save_and_print_later\n"
         with pytest.raises(ScenarioError):

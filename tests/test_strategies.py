@@ -1,6 +1,7 @@
 import dataclasses
 
 import pytest
+from test_golden import FLOOD
 
 from powergap.energy_model import (
     ClockTier,
@@ -8,6 +9,7 @@ from powergap.energy_model import (
     PowerState,
     RadioMode,
 )
+from powergap.scenario import parse_scenario
 from powergap.strategies import (
     EnergyBudget,
     Gate,
@@ -179,6 +181,17 @@ def test_exactly_once_presentation(kind):
     assert sim.delivered_records == len(seqs)
     assert sim.store.conservation_holds()
     assert 0 < sim.requests_answered <= sim.requests_arrived
+
+
+@pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
+def test_evicted_records_presented_with_their_payload(kind):
+    # the golden FLOOD workload evicts records while their frames are in flight
+    cfg = dataclasses.replace(parse_scenario(FLOOD, "flood").build(), strategy=kind)
+    sim = Simulation(cfg)
+    sim.run()
+    assert sim.store.evicted > 0
+    assert sim.host.presented
+    assert [len(p) for _, p in sim.host.presented if len(p) != cfg.workload_payload] == []
 
 
 class TestSaveAndPrintLater:
