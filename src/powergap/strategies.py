@@ -270,9 +270,8 @@ class WirelessContinuousDriver(_RadioDriver):
         if frame is None:
             return
         sim = self.sim
-        if sim.cfg.controller:
-            if controller_gate(sim.cfg.budget, sim) is Gate.DEFER:
-                return
+        if sim.cfg.controller and controller_gate(sim.cfg.budget, sim) is Gate.DEFER:
+            return
         self._start(now, frame)
 
 
