@@ -13,7 +13,7 @@ from .energy_model import (
     discharge,
     max_drop,
 )
-from .log_store import FlashRing, LogRecord, LogStore, RamBuffer, Severity
+from .log_store import LogRecord, LogStore, Severity
 from .scenario import ScenarioError, ScenarioSpec, load_scenario, parse_scenario
 from .strategies import (
     EnergyBudget,
@@ -46,7 +46,6 @@ from .transports import (
     FrameKind,
     Outcome,
     PowerlineChannel,
-    PowerlineSlot,
     WiredLink,
     WirelessLink,
     WirelessLinkParams,

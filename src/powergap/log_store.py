@@ -102,98 +102,34 @@ class LogRecord:
         return record, end + 2
 
 
-class RamBuffer:
-    """Bounded volatile staging queue; overflow drops the oldest record."""
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise StoreError("RAM buffer capacity must be > 0")
-        self.capacity = capacity
-        self._queue: deque[LogRecord] = deque()
-        self.dropped = 0
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def __iter__(self) -> Iterator[LogRecord]:
-        return iter(self._queue)
-
-    def push(self, record: LogRecord) -> None:
-        if len(self._queue) >= self.capacity:
-            self._queue.popleft()
-            self.dropped += 1
-        self._queue.append(record)
-
-    def drain(self) -> list[LogRecord]:
-        records = list(self._queue)
-        self._queue.clear()
-        return records
-
-    def clear(self) -> int:
-        lost = len(self._queue)
-        self._queue.clear()
-        return lost
-
-
-class FlashRing:
-    """Persistent record ring with a byte quota.
-
-    Contents survive brownouts.  When a flush would exceed the quota the
-    oldest records are evicted (and counted); records leave normally only
-    through acks.
-    """
-
-    def __init__(self, capacity: int = 65536) -> None:
-        if capacity <= 0:
-            raise StoreError("flash capacity must be > 0")
-        self.capacity = capacity
-        self._records: deque[LogRecord] = deque()
-        self.used_bytes = 0
-        self.write_counter = 0
-        self.evicted = 0
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[LogRecord]:
-        return iter(self._records)
-
-    def append(self, record: LogRecord) -> None:
-        size = record.wire_size
-        if size > self.capacity:
-            raise StoreError("record larger than flash capacity")
-        while self.used_bytes + size > self.capacity:
-            old = self._records.popleft()
-            self.used_bytes -= old.wire_size
-            self.evicted += 1
-        self._records.append(record)
-        self.used_bytes += size
-        self.write_counter += 1
-
-    def trim_through(self, seq: int) -> int:
-        trimmed = 0
-        while self._records and self._records[0].seq <= seq:
-            old = self._records.popleft()
-            self.used_bytes -= old.wire_size
-            trimmed += 1
-        return trimmed
-
-
 class LogStore:
     """Per-device log pipeline: append -> flush -> transmit -> ack.
 
-    The persisted side (flash ring, seq high-water mark, and a small
-    key-value area for things like update progress markers) survives
-    `on_brownout`; the RAM buffer does not.
+    Records are staged in `ram`, a bounded volatile queue whose overflow
+    drops the oldest record, and survive only once flushed to `flash`, a
+    persistent queue with a byte quota.  A flush that would exceed the
+    quota evicts the oldest records; otherwise records leave flash only
+    through acks.  The persisted side (flash, seq high-water mark, and a
+    small key-value area for things like update progress markers)
+    survives `on_brownout`; the RAM buffer does not.
     """
 
     def __init__(self, ram_capacity: int = 256, flash_capacity: int = 65536) -> None:
-        self.ram = RamBuffer(ram_capacity)
-        self.flash = FlashRing(flash_capacity)
+        if ram_capacity <= 0:
+            raise StoreError("RAM buffer capacity must be > 0")
+        if flash_capacity <= 0:
+            raise StoreError("flash capacity must be > 0")
+        self.ram: deque[LogRecord] = deque(maxlen=ram_capacity)
+        self.flash: deque[LogRecord] = deque()
+        self.flash_capacity = flash_capacity
+        self.flash_bytes = 0
+        self.write_counter = 0       # flash record writes
         self.high_water = 0          # persisted on every append
         self.acked_through = 0
         self.appended = 0
         self.acked = 0
+        self.dropped = 0             # overflowed the RAM buffer
+        self.evicted = 0             # pushed out of flash by the quota
         self.lost_unflushed = 0
         self.nvs: dict[str, int] = {}  # persisted key-value area
 
@@ -205,29 +141,46 @@ class LogStore:
         payload: bytes,
         timestamp: float = 0.0,
     ) -> int:
-        if len(payload) > MAX_PAYLOAD:
-            raise StoreError(f"payload exceeds {MAX_PAYLOAD} bytes")
         seq = self.high_water + 1
         record = LogRecord.create(seq, timestamp, severity, payload)
-        self.ram.push(record)
+        if len(self.ram) == self.ram.maxlen:
+            self.dropped += 1  # the append below pushes the oldest out
+        self.ram.append(record)
         self.high_water = seq
         self.appended += 1
         return seq
 
     def flush(self) -> int:
-        if not self.ram:
+        ram = self.ram
+        if not ram:
             return 0
-        records = self.ram.drain()
-        for record in records:
-            self.flash.append(record)
-        return len(records)
+        for record in ram:
+            self._write(record)
+        n = len(ram)
+        ram.clear()
+        return n
+
+    def _write(self, record: LogRecord) -> None:
+        size = record.wire_size
+        if size > self.flash_capacity:
+            raise StoreError("record larger than flash capacity")
+        while self.flash_bytes + size > self.flash_capacity:
+            self.flash_bytes -= self.flash.popleft().wire_size
+            self.evicted += 1
+        self.flash.append(record)
+        self.flash_bytes += size
+        self.write_counter += 1
 
     # -- consumer side ----------------------------------------------------
 
     def ack_through(self, seq: int) -> int:
         if seq > self.high_water:
             raise StoreError(f"ack for future seq {seq} (high water {self.high_water})")
-        trimmed = self.flash.trim_through(seq)
+        flash = self.flash
+        trimmed = 0
+        while flash and flash[0].seq <= seq:
+            self.flash_bytes -= flash.popleft().wire_size
+            trimmed += 1
         self.acked += trimmed
         self.acked_through = max(self.acked_through, seq)
         return trimmed
@@ -237,23 +190,15 @@ class LogStore:
 
     def oldest_unacked(self) -> Optional[LogRecord]:
         """The lowest-seq record still awaiting an ack, if any."""
-        records = self.flash._records
-        return records[0] if records else None
+        return self.flash[0] if self.flash else None
 
     # -- fault handling ----------------------------------------------------
 
     def on_brownout(self) -> None:
-        self.lost_unflushed += self.ram.clear()
+        self.lost_unflushed += len(self.ram)
+        self.ram.clear()
 
     # -- statistics --------------------------------------------------------
-
-    @property
-    def dropped(self) -> int:
-        return self.ram.dropped
-
-    @property
-    def evicted(self) -> int:
-        return self.flash.evicted
 
     def conservation_holds(self) -> bool:
         accounted = (
@@ -274,7 +219,7 @@ class LogStore:
             ">IIIIH",
             self.high_water,
             self.acked_through,
-            self.flash.write_counter,
+            self.write_counter,
             len(self.flash),
             len(self.nvs),
         )
@@ -311,9 +256,9 @@ class LogStore:
             offset += 9 + klen
         for _ in range(count):
             record, offset = LogRecord.decode(data, offset)
-            store.flash.append(record)
+            store._write(record)
         store.high_water = high_water
         store.acked_through = acked_through
-        store.flash.write_counter = writes
+        store.write_counter = writes
         store.appended = count  # records not in the image are unaccounted
         return store

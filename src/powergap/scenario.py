@@ -12,6 +12,7 @@ or function argument it sets.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +27,7 @@ from .energy_model import (
     RadioMode,
     calibrate_currents,
 )
+from .log_store import RECORD_OVERHEAD
 from .strategies import EnergyBudget, StrategyKind
 from .track_world import (
     HostRequestSchedule,
@@ -134,6 +136,8 @@ class ScenarioSpec:
             raise ScenarioError(line, f"{key}: must be {op} {spec.minimum}")
         if spec.maximum is not None and value > spec.maximum:
             raise ScenarioError(line, f"{key}: must be <= {spec.maximum}")
+        if not math.isfinite(value):
+            raise ScenarioError(line, f"{key}: must be finite, got {raw!r}")
         return value
 
     def _arguments(self) -> defaultdict[str, dict]:
@@ -170,6 +174,8 @@ class ScenarioSpec:
                 )
             try:
                 numbers = [float(p) for p in parts]
+                if not all(map(math.isfinite, numbers)):
+                    raise ValueError
             except ValueError:
                 raise ScenarioError(line, f"segments: bad number in {token!r}") from None
             if kind is SegmentKind.LANE_CHANGE and len(numbers) != 3:
@@ -183,11 +189,13 @@ class ScenarioSpec:
             segments.append(
                 Segment(kind, numbers[0], tuple(numbers[1:]), **args["segment"])
             )
-        layout = TrackLayout(segments, **args["layout"])
-        try:
-            layout.validate()
-        except LayoutError as exc:
-            raise ScenarioError(line, f"segments: {exc}") from None
+        # the segments alone first, so that a dock error names its own key
+        for key, layout in (("segments", TrackLayout(segments)),
+                            ("dock_position", TrackLayout(segments, **args["layout"]))):
+            try:
+                layout.validate()
+            except LayoutError as exc:
+                raise ScenarioError(self._line("track", key), f"{key}: {exc}") from None
         return layout
 
     def _build_schedule(self) -> HostRequestSchedule:
@@ -199,6 +207,8 @@ class ScenarioSpec:
             return HostRequestSchedule(gap_aligned=True)
         try:
             times = tuple(float(p) for p in raw.split(","))
+            if not all(map(math.isfinite, times)):
+                raise ValueError
         except ValueError:
             raise ScenarioError(
                 line, f"requests: expected 'none', 'gap_aligned' or times, got {raw!r}"
@@ -240,6 +250,13 @@ class ScenarioSpec:
             name=self.name,
             **args["config"],
         )
+        record_size = cfg.workload_payload + RECORD_OVERHEAD
+        if cfg.flash_capacity < record_size:
+            raise ScenarioError(
+                self._line("run", "flash_capacity"),
+                f"flash_capacity ({cfg.flash_capacity}) must hold one record of "
+                f"payload_size + {RECORD_OVERHEAD} = {record_size} bytes",
+            )
         if (cfg.strategy is StrategyKind.SAVE_AND_PRINT_LATER
                 and cfg.layout.dock_position is None):
             raise ScenarioError(

@@ -14,7 +14,7 @@ one.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -32,6 +32,7 @@ from .transports import (
 )
 
 if TYPE_CHECKING:
+    from .log_store import LogRecord
     from .track_world import Simulation
 
 
@@ -97,16 +98,18 @@ class Driver:
     The pump keeps at most one frame in flight: a reply to the oldest
     pending request first, else the oldest unacked record.  When the
     frame reaches the host, `_finish` answers the request, or presents
-    the record, acks it and records its latency.  A link plugs in by
-    overriding `_start`, which begins sending a frame, and `_ack_lost`.
-    A timed link sets `tx_until`; the strategy's `tick` calls `_finish`
-    once it has passed.  Volatile driver state resets on brownout.
+    the record, acks it and records its latency from the record's own
+    timestamp.  A link plugs in by overriding `_start`, which begins
+    sending a frame, and `_ack_lost`.  A timed link sets `tx_until`; the
+    strategy's `tick` calls `_finish` once it has passed.  Volatile
+    driver state resets on brownout.
     """
 
     def __init__(self, sim: Simulation) -> None:
         self.sim = sim
         self.in_flight: Optional[Frame] = None  # reaches the host when its send ends
         self.tx_until: Optional[float] = None   # end of the timed send in progress
+        self.record: Optional[LogRecord] = None  # behind the last log frame picked
 
     def tick(self, now: float) -> None:
         raise NotImplementedError
@@ -122,7 +125,7 @@ class Driver:
         sim = self.sim
         if sim.pending_requests:
             return Frame(FrameKind.REPLY, sim.pending_requests[0])
-        record = sim.store.oldest_unacked()
+        record = self.record = sim.store.oldest_unacked()
         if record is not None:
             return Frame(FrameKind.LOG, record.seq, record.payload)
         return None
@@ -148,7 +151,8 @@ class Driver:
         if self._ack_lost():
             return  # the retransmission will be deduped host-side
         sim.store.ack_through(ack_seq)
-        sim.note_delivered(frame.seq, now)
+        # the frame in flight is always the last one picked
+        sim.note_delivered(self.record, now)
 
 
 class _RadioDriver(Driver):
@@ -189,8 +193,7 @@ class _RadioDriver(Driver):
         super()._finish(now)
 
     def _ack_lost(self) -> bool:
-        loss_rate = self.sim.cfg.wireless.loss_rate
-        return loss_rate > 0 and self.sim.rng.random() < loss_rate
+        return self.link.lost()
 
     def on_brownout(self) -> None:
         super().on_brownout()
@@ -216,7 +219,7 @@ class _DrainCycleDriver(Driver):
     def _end_drain(self) -> None:
         pass
 
-    def _cycle(self, now: float) -> None:
+    def tick(self, now: float) -> None:
         if self.tx_until is not None:
             if now < self.tx_until - 1e-12:
                 return
@@ -278,9 +281,6 @@ class WirelessContinuousDriver(_RadioDriver):
 class StopAndRadioDriver(_DrainCycleDriver, _RadioDriver):
     """Drive, periodically stop anywhere outside a gap, drain by radio."""
 
-    def tick(self, now: float) -> None:
-        self._cycle(now)
-
     def _approach(self, now: float) -> None:
         sim = self.sim
         if self.state == "stop":
@@ -304,9 +304,6 @@ class SaveAndPrintLaterDriver(_DrainCycleDriver):
             raise LayoutError("save_and_print_later needs a dock position")
         super().__init__(sim)
         self.wired = WiredLink(sim.cfg.layout)
-
-    def tick(self, now: float) -> None:
-        self._cycle(now)
 
     def _approach(self, now: float) -> None:
         sim = self.sim
@@ -346,8 +343,8 @@ class PowerlineContinuousDriver(Driver):
 
     def _start(self, now: float, frame: Frame) -> None:
         slots = powerline_pack(frame_encode(frame))
-        for i, slot in enumerate(slots):
-            self.channel.enqueue(slot.payload, i == len(slots) - 1)
+        for i, value in enumerate(slots):
+            self.channel.enqueue(value, i == len(slots) - 1)
         self.in_flight = frame
 
     def on_brownout(self) -> None:
@@ -398,9 +395,10 @@ def image_digest(image: bytes) -> bytes:
 class OtaDevice:
     """Dual-slot firmware store with resumable, verified updates.
 
-    Slot bytes, per-slot verification hashes, and the transfer progress
-    marker are flash-backed and survive brownouts; the session object is
-    volatile and is rebuilt from the persisted markers on reboot.
+    Slot bytes, per-slot verification hashes, and a copy of the session
+    as of its last chunk write are flash-backed and survive brownouts;
+    the session object is volatile and is rebuilt from that copy on
+    reboot.
     """
 
     def __init__(self, active_image: bytes) -> None:
@@ -411,7 +409,7 @@ class OtaDevice:
             "B": None,
         }
         self.session: Optional[OtaSession] = None
-        self._markers: dict[str, object] = {}  # persisted transfer progress
+        self.persisted: Optional[OtaSession] = None  # transfer progress in flash
         self.pending_swap: Optional[str] = None
         self.chunk_writes = 0
         # fault-injection: flip one bit of this chunk after CRC checking,
@@ -448,13 +446,7 @@ class OtaDevice:
             image_hash=image_hash,
             state=OtaState.RECEIVING,
         )
-        self._markers = {
-            "size": image_size,
-            "chunk_size": chunk_size,
-            "next": 0,
-            "target": target,
-            "hash": image_hash,
-        }
+        self.persisted = replace(self.session)
         return self.session
 
     def handle_chunk(self, index: int, data: bytes) -> bool:
@@ -471,7 +463,7 @@ class OtaDevice:
         self.slots[s.target_slot][start : start + len(data)] = data
         self.chunk_writes += 1
         s.next_chunk = index + 1
-        self._markers["next"] = s.next_chunk
+        self.persisted = replace(s)
         if s.next_chunk >= s.n_chunks:
             self._finish()
         return True
@@ -485,13 +477,12 @@ class OtaDevice:
             self.slot_meta[s.target_slot] = s.image_hash
             self.slot_meta[self.active_slot] = None
             self.pending_swap = s.target_slot
-            self._markers = {}
         else:
             self.slots[s.target_slot] = bytearray()
             self.slot_meta[s.target_slot] = None
             s.state = OtaState.IDLE
             self.session = None
-            self._markers = {}
+        self.persisted = None
 
     # -- fault handling ----------------------------------------------------
 
@@ -503,15 +494,8 @@ class OtaDevice:
             self.active_slot = self.pending_swap
             self.pending_swap = None
             return
-        if self._markers:
-            self.session = OtaSession(
-                image_size=self._markers["size"],          # type: ignore[arg-type]
-                chunk_size=self._markers["chunk_size"],    # type: ignore[arg-type]
-                next_chunk=self._markers["next"],          # type: ignore[arg-type]
-                target_slot=self._markers["target"],       # type: ignore[arg-type]
-                image_hash=self._markers["hash"],          # type: ignore[arg-type]
-                state=OtaState.RECEIVING,
-            )
+        if self.persisted is not None:
+            self.session = replace(self.persisted)
             if self.session.next_chunk >= self.session.n_chunks:
                 self._finish()
 

@@ -27,7 +27,7 @@ from .energy_model import (
     VoltageTrace,
     discharge_current,
 )
-from .log_store import LogStore, Severity
+from .log_store import LogRecord, LogStore, Severity
 from .strategies import EnergyBudget, HostCollector, StrategyKind, make_driver
 from .transports import LayoutError, WirelessLinkParams
 
@@ -149,7 +149,6 @@ class CarState:
     powered: bool = True
     capacitor_v: float = 9.0
     power_state: PowerState = PowerState(ClockTier.C80, RadioMode.OFF)
-    reboot_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -286,7 +285,6 @@ class Simulation:
         self._workload_acc = 0.0
         self._workload_payload = bytes(cfg.workload_payload)
 
-        self._append_times: dict[int, float] = {}
         self.latencies: list[float] = []
         self.delivered_records = 0
         self.delivered_bytes = 0
@@ -311,14 +309,11 @@ class Simulation:
     def set_radio(self, mode: RadioMode) -> None:
         self.car.power_state = replace(self.car.power_state, radio=mode)
 
-    def note_delivered(self, seq: int, at: float) -> None:
+    def note_delivered(self, record: LogRecord, at: float) -> None:
         """Record delivery latency for one acked log record."""
-        t_append = self._append_times.pop(seq, None)
-        if t_append is None:
-            return
-        self.latencies.append(at - t_append)
+        self.latencies.append(at - record.timestamp)
         self.delivered_records += 1
-        self.delivered_bytes += self.cfg.workload_payload
+        self.delivered_bytes += len(record.payload)
 
     def answer_request(self, req_id: int) -> None:
         if req_id in self.pending_requests:
@@ -338,7 +333,6 @@ class Simulation:
 
     def _on_brownout(self, t: float) -> None:
         self.brownout_count += 1
-        self.car.reboot_count += 1
         self._emit(t, EventKind.BROWNOUT, f"cap_v={self.min_cap_v:.3f}")
         self.store.on_brownout()
         self.extra_current = 0.0
@@ -374,7 +368,7 @@ class Simulation:
         # reboot completion needs rail power
         if self.rebooting_until is not None and powered and t1 >= self.rebooting_until:
             self.rebooting_until = None
-            self._emit(t1, EventKind.REBOOT, f"count={car.reboot_count}")
+            self._emit(t1, EventKind.REBOOT, f"count={self.brownout_count}")
             if self.driver is not None:
                 self.driver.on_reboot(t1)
 
@@ -395,8 +389,7 @@ class Simulation:
             self._workload_acc += cfg.workload_rate * dt
             while self._workload_acc >= 1.0:
                 self._workload_acc -= 1.0
-                seq = self.store.append(Severity.INFO, self._workload_payload, t1)
-                self._append_times[seq] = t1
+                self.store.append(Severity.INFO, self._workload_payload, t1)
             if self.driver is not None:
                 self.store.flush()  # data must survive a gap while driving
                 self.driver.tick(t1)
@@ -432,7 +425,7 @@ class Simulation:
         if self.active and car.power_state.radio is not RadioMode.OFF:
             self.radio_on_s += dt
 
-        stored = self.store.flash.used_bytes
+        stored = self.store.flash_bytes
         if stored > self.bytes_stored_peak:
             self.bytes_stored_peak = stored
         if t1 >= self._next_backlog_at:

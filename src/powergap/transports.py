@@ -9,12 +9,11 @@ cycle.  All payloads travel in a common CRC-protected frame format.
 from __future__ import annotations
 
 import binascii
-import csv
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Optional, Sequence, Union
+from typing import Iterable
 
 
 # --- CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) -----------------------
@@ -113,20 +112,6 @@ class SlotError(ValueError):
     """Corrupted or malformed powerline slot stream."""
 
 
-@dataclass(frozen=True)
-class PowerlineSlot:
-    payload: int
-    slot_index: int
-    cycle_index: int
-    cycle_period: float = DEFAULT_CYCLE_PERIOD
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.payload < 2**SLOT_BITS:
-            raise SlotError(f"slot payload {self.payload} exceeds {SLOT_BITS} bits")
-        if not 0 <= self.slot_index < SLOTS_PER_CYCLE:
-            raise SlotError(f"slot index {self.slot_index} out of range")
-
-
 def powerline_bandwidth(
     cycle_period: float = DEFAULT_CYCLE_PERIOD,
     slots: int = SLOTS_PER_CYCLE,
@@ -138,21 +123,7 @@ def powerline_bandwidth(
     return slots * bits / cycle_period
 
 
-def _wrap_slots(values: Sequence[int], cycle_period: float) -> list[PowerlineSlot]:
-    return [
-        PowerlineSlot(
-            payload=v,
-            slot_index=i % SLOTS_PER_CYCLE,
-            cycle_index=i // SLOTS_PER_CYCLE,
-            cycle_period=cycle_period,
-        )
-        for i, v in enumerate(values)
-    ]
-
-
-def powerline_pack(
-    data: bytes, cycle_period: float = DEFAULT_CYCLE_PERIOD
-) -> list[PowerlineSlot]:
+def powerline_pack(data: bytes) -> list[int]:
     """Split a byte string into 13-bit slots.
 
     The first slot carries the byte count; data bits follow MSB-first,
@@ -168,16 +139,14 @@ def powerline_pack(
     for i in range(n_slots):
         shift = (n_slots - 1 - i) * SLOT_BITS
         values.append((padded >> shift) & (2**SLOT_BITS - 1))
-    return _wrap_slots(values, cycle_period)
+    return values
 
 
-def powerline_unpack(slots: Iterable[Union[PowerlineSlot, int]]) -> bytes:
-    values: list[int] = []
-    for slot in slots:
-        v = slot.payload if isinstance(slot, PowerlineSlot) else int(slot)
+def powerline_unpack(slots: Iterable[int]) -> bytes:
+    values = list(slots)
+    for v in values:
         if not 0 <= v < 2**SLOT_BITS:
             raise SlotError(f"slot value {v} exceeds {SLOT_BITS} bits")
-        values.append(v)
     if not values:
         raise SlotError("missing length header slot")
     n_bytes = values[0]
@@ -193,13 +162,6 @@ def powerline_unpack(slots: Iterable[Union[PowerlineSlot, int]]) -> bytes:
     if n_slots:
         acc >>= n_slots * SLOT_BITS - total_bits
     return acc.to_bytes(n_bytes, "big") if n_bytes else b""
-
-
-def slots_to_csv(slots: Iterable[PowerlineSlot], fp: IO[str]) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["cycle", "slot", "value"])
-    for s in slots:
-        writer.writerow([s.cycle_index, s.slot_index, s.payload])
 
 
 # --- Channels ------------------------------------------------------------
@@ -232,9 +194,7 @@ class WiredLink:
         self.layout = layout
 
     def send_frame(self, frame: Frame, car) -> Outcome:
-        if wired_available(car, self.layout):
-            return Outcome.DELIVERED
-        return Outcome.UNAVAILABLE
+        return Outcome.DELIVERED if wired_available(car, self.layout) else Outcome.UNAVAILABLE
 
 
 @dataclass
@@ -266,12 +226,15 @@ class WirelessLink:
         self.rng = rng
         self.associated = False
 
+    def lost(self) -> bool:
+        """One Bernoulli loss draw, for a frame or for its ack."""
+        loss_rate = self.params.loss_rate
+        return loss_rate > 0 and self.rng.random() < loss_rate
+
     def send_frame(self, frame: Frame) -> Outcome:
         if not self.associated:
             return Outcome.UNAVAILABLE
-        if self.params.loss_rate and self.rng.random() < self.params.loss_rate:
-            return Outcome.LOST
-        return Outcome.DELIVERED
+        return Outcome.LOST if self.lost() else Outcome.DELIVERED
 
 
 class PowerlineChannel:
@@ -291,7 +254,6 @@ class PowerlineChannel:
         self.queue: deque[tuple[int, object]] = deque()
         self.next_boundary = self.slot_time
         self.delivered_bits = 0
-        self.delivery_times: list[float] = []
 
     def enqueue(self, value: int, tag: object = None) -> None:
         if not 0 <= value < 2**SLOT_BITS:
@@ -306,6 +268,5 @@ class PowerlineChannel:
                 item = self.queue.popleft()
                 delivered.append(item)
                 self.delivered_bits += SLOT_BITS
-                self.delivery_times.append(self.next_boundary)
             self.next_boundary += self.slot_time
         return delivered

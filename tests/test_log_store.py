@@ -5,10 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from powergap.log_store import (
     CorruptImage,
-    FlashRing,
     LogRecord,
     LogStore,
-    RamBuffer,
     Severity,
     StoreError,
 )
@@ -80,6 +78,9 @@ class TestFlush:
         store.flush()
         assert store.evicted == 5
         assert [r.seq for r in store.unacked()] == list(range(6, 16))
+        assert store.flash_bytes == 10 * 20
+        store.ack_through(10)
+        assert store.flash_bytes == 5 * 20
 
     def test_flushed_survive_brownout(self, store):
         for _ in range(5):
@@ -223,17 +224,21 @@ class TestSerialization:
 
 class TestPrimitives:
     def test_ram_buffer_counts_drops(self):
-        buf = RamBuffer(capacity=2)
-        for i in range(5):
-            buf.push(LogRecord.create(i + 1, 0.0, Severity.INFO, b""))
-        assert buf.dropped == 3
-        assert [r.seq for r in buf.drain()] == [4, 5]
+        store = LogStore(ram_capacity=2)
+        for _ in range(5):
+            store.append(Severity.INFO, b"")
+        assert store.dropped == 3
+        assert [r.seq for r in store.ram] == [4, 5]
+        assert store.flush() == 2
+        assert [r.seq for r in store.unacked()] == [4, 5]
 
     def test_flash_ring_write_counter(self):
-        ring = FlashRing()
-        for i in range(7):
-            ring.append(LogRecord.create(i + 1, 0.0, Severity.INFO, b""))
-        assert ring.write_counter == 7
+        store = LogStore()
+        for _ in range(7):
+            store.append(Severity.INFO, b"")
+        store.flush()
+        store.ack_through(3)
+        assert store.write_counter == 7
 
     def test_record_decode_rejects_tamper(self):
         record = LogRecord.create(9, 1.5, Severity.WARN, b"abc")

@@ -18,7 +18,7 @@ from powergap.energy_model import (
     PowerState,
     RadioMode,
 )
-from powergap.scenario import ScenarioError, load_scenario, parse_scenario
+from powergap.scenario import _NUMBERS, ScenarioError, load_scenario, parse_scenario
 from powergap.strategies import EnergyBudget, StrategyKind
 from powergap.track_world import (
     HostRequestSchedule,
@@ -103,6 +103,12 @@ class TestParser:
             with pytest.raises(ScenarioError, match=f"^line 2: {key}: must be >"):
                 parse_scenario(f"[{section}]\n{key} = nan\n").build()
 
+    def test_infinity_rejected_by_every_numeric_key(self):
+        for section, key in _NUMBERS:
+            for raw in ("inf", "-inf"):
+                with pytest.raises(ScenarioError, match="^line 2: "):
+                    parse_scenario(f"[{section}]\n{key} = {raw}\n").build()
+
     def test_dockless_save_and_print_rejected(self):
         text = "[strategy]\nkind = save_and_print_later\n"
         with pytest.raises(ScenarioError):
@@ -173,13 +179,17 @@ REJECTIONS = {
         "line 2: segments: gaps must lie fully inside the segment"),
     "segment_gap_overlap": ("[track]\nsegments = lanechange:0.48:0.09:0.12\n",
                             "line 2: segments: gaps must not overlap"),
-    # layout errors, the dock's included, name the segments line
+    "segment_not_finite": ("[track]\nsegments = straight:0.3 straight:inf\n",
+                           "line 2: segments: bad number in 'straight:inf'"),
+    # dock errors name the dock_position line, not the segments line
     "dock_outside_track": (
         "[track]\nsegments = straight:0.3\ndock_position = 5\n",
-        "line 2: segments: dock position outside the track"),
+        "line 3: dock_position: dock position outside the track"),
     "dock_in_gap": (
         f"[track]\n{SEGMENTS}\ndock_position = 0.40\n",
-        "line 2: segments: dock position may not lie inside a gap"),
+        "line 3: dock_position: dock position may not lie inside a gap"),
+    "dock_not_finite": ("[track]\ndock_position = inf\n",
+                        "line 2: dock_position: must be finite, got 'inf'"),
     "requests_word": (
         "[schedule]\nrequests = soon\n",
         "line 2: requests: expected 'none', 'gap_aligned' or times, got 'soon'"),
@@ -187,6 +197,9 @@ REJECTIONS = {
                           "line 2: requests: request times must be sorted"),
     "requests_negative": ("[schedule]\nrequests = -1\n",
                           "line 2: requests: request times must be non-negative"),
+    "requests_not_finite": (
+        "[schedule]\nrequests = 0.5,nan\n",
+        "line 2: requests: expected 'none', 'gap_aligned' or times, got '0.5,nan'"),
     "brownout_above_nominal": (
         "[energy]\nbrownout_drop = 9.5\n",
         "line 2: brownout_drop (9.5) must be below nominal_voltage (9.0)"),
@@ -206,6 +219,19 @@ REJECTIONS = {
                            "line 2: recharge_rate: must be > 0.0"),
     "recharge_rate_word": ("[energy]\nrecharge_rate = fast\n",
                            "line 2: recharge_rate: expected a number, got 'fast'"),
+    # past every bound, infinities hang, crash or corrupt a run
+    "rate_infinite": ("[workload]\nrate = inf\n",
+                      "line 2: rate: must be finite, got 'inf'"),
+    "duration_infinite": ("[run]\nduration = inf\n",
+                          "line 2: duration: must be finite, got 'inf'"),
+    "dt_infinite": ("[run]\ndt = Infinity\n",
+                    "line 2: dt: must be finite, got 'Infinity'"),
+    "speed_infinite": ("[car]\nspeed = inf\n",
+                       "line 2: speed: must be finite, got 'inf'"),
+    "flash_below_one_record": (
+        "[workload]\npayload_size = 200\n\n[run]\nflash_capacity = 100\n",
+        "line 5: flash_capacity (100) must hold one record of "
+        "payload_size + 16 = 216 bytes"),
 }
 
 #: every key set to a value other than its default

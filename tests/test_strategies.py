@@ -9,6 +9,7 @@ from powergap.energy_model import (
     PowerState,
     RadioMode,
 )
+from powergap.log_store import Severity
 from powergap.scenario import parse_scenario
 from powergap.strategies import (
     EnergyBudget,
@@ -194,6 +195,21 @@ def test_evicted_records_presented_with_their_payload(kind):
     assert [len(p) for _, p in sim.host.presented if len(p) != cfg.workload_payload] == []
 
 
+def test_records_appended_directly_are_delivered_and_timed():
+    # appended straight to the store, not by the workload, under a driver
+    sim = Simulation(base_config(strategy=StrategyKind.WIRELESS_CONTINUOUS,
+                                 workload_rate=0.0, duration=5.0))
+    sim.store.append(Severity.INFO, b"early", timestamp=-10.0)
+    sim.store.append(Severity.INFO, b"late", timestamp=0.0)
+    sim.run()
+    assert sim.delivered_records == 2
+    assert sim.delivered_bytes == len(b"early") + len(b"late")
+    # both go out right after the 1.5 s association, latency from each timestamp
+    early, late = sim.latencies
+    assert 1.5 <= late < 1.6
+    assert early - late == pytest.approx(10.0, abs=0.01)
+
+
 class TestSaveAndPrintLater:
     def test_no_transmission_while_driving(self):
         cfg = base_config(strategy=StrategyKind.SAVE_AND_PRINT_LATER, duration=4.0)
@@ -275,6 +291,19 @@ class TestPowerlineContinuous:
     def test_no_delivery_inside_gaps(self):
         cfg = base_config(strategy=StrategyKind.POWERLINE_CONTINUOUS, duration=10.0)
         sim = Simulation(cfg)
+        channel = sim.driver.channel
+        tick = channel.tick
+        delivery_times = []
+
+        def timed_tick(now, powered):
+            boundary = channel.next_boundary
+            delivered = tick(now, powered)
+            for _ in delivered:  # a tick's deliveries take its first boundaries
+                delivery_times.append(boundary)
+                boundary += channel.slot_time
+            return delivered
+
+        channel.tick = timed_tick
         result = sim.run()
         gap_windows = []
         start = None
@@ -285,9 +314,9 @@ class TestPowerlineContinuous:
                 gap_windows.append((start, e.time))
                 start = None
         assert gap_windows
-        assert sim.driver.channel.delivered_bits > 0
+        assert channel.delivered_bits == 13 * len(delivery_times) > 0
         eps = cfg.dt / 2  # slot boundaries can land on a gap edge
-        for t in sim.driver.channel.delivery_times:
+        for t in delivery_times:
             assert not any(a + eps <= t < b - eps for a, b in gap_windows)
 
 

@@ -234,7 +234,7 @@ class TestBrownout:
             PowerState(ClockTier.C160, RadioMode.TRANSMITTING)
         ] = 0.250
         sim.run()
-        assert sim.car.reboot_count >= 1
+        assert sim.brownout_count >= 1
         assert sim.car.power_state.radio is RadioMode.OFF
 
     def test_reboot_follows_brownout_before_activity(self):

@@ -1,4 +1,3 @@
-import io
 import random
 
 import pytest
@@ -23,7 +22,6 @@ from powergap.transports import (
     powerline_bandwidth,
     powerline_pack,
     powerline_unpack,
-    slots_to_csv,
     wired_available,
 )
 from powergap.track_world import CarState, Segment, SegmentKind, TrackLayout
@@ -105,14 +103,14 @@ class TestFrameCodec:
 class TestPowerlineCodec:
     def test_empty_input_header_only(self):
         slots = powerline_pack(b"")
-        assert len(slots) == 1 and slots[0].payload == 0
+        assert slots == [0]
         assert powerline_unpack(slots) == b""
 
     def test_thirteen_ones_single_slot(self):
         # 13 set bits fill one slot exactly: 0xFF, 0xF8 top-aligned
         slots = powerline_pack(b"\xff\xf8")
         # 16 bits -> 2 data slots, but the first holds 0x1FFF
-        assert slots[1].payload == 0x1FFF
+        assert slots[1] == 0x1FFF
         assert powerline_unpack(slots) == b"\xff\xf8"
 
     def test_kilobyte_needs_616_data_slots(self):
@@ -128,11 +126,10 @@ class TestPowerlineCodec:
 
     def test_slot_values_fit_13_bits(self):
         for slot in powerline_pack(bytes(200)):
-            assert 0 <= slot.payload < 2**13
-            assert 0 <= slot.slot_index < 8
+            assert 0 <= slot < 2**13
 
     def test_corrupted_slot_rejected(self):
-        slots = [s.payload for s in powerline_pack(b"abc")]
+        slots = powerline_pack(b"abc")
         slots[1] = 2**13
         with pytest.raises(SlotError):
             powerline_unpack(slots)
@@ -141,13 +138,6 @@ class TestPowerlineCodec:
         slots = powerline_pack(b"abcdefgh")
         with pytest.raises(SlotError):
             powerline_unpack(slots[:-1])
-
-    def test_csv_dump(self):
-        buf = io.StringIO()
-        slots_to_csv(powerline_pack(b"ab"), buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "cycle,slot,value"
-        assert len(lines) == 1 + len(powerline_pack(b"ab"))
 
 
 class TestBandwidth:
