@@ -107,6 +107,13 @@ _KEYS = (*_NUMBERS, ("track", "segments"), ("car", "clock"), ("car", "radio"),
          ("strategy", "kind"), ("strategy", "controller"), ("schedule", "requests"))
 _KNOWN_KEYS = {section: {k for s, k in _KEYS if s == section} for section, _ in _KEYS}
 
+#: The largest run a file may ask for, so that every run ends: at most
+#: MAX_STEPS fixed steps (`duration / dt`; 10**7 is about 83 simulated
+#: minutes at the default 0.5 ms, and its trace about 1 GB in memory)
+#: and MAX_RECORDS appended records (`rate * duration`).
+MAX_STEPS = 10**7
+MAX_RECORDS = 10**7
+
 DEFAULT_SEGMENTS = "straight:0.30 lanechange:0.48:0.09:0.36 straight:0.30"
 
 
@@ -250,6 +257,21 @@ class ScenarioSpec:
             name=self.name,
             **args["config"],
         )
+        steps = cfg.duration / cfg.dt
+        if steps > MAX_STEPS:
+            key = "duration" if ("run", "duration") in self.values else "dt"
+            raise ScenarioError(
+                self._line("run", key),
+                f"{key}: duration / dt is {steps:.4g} steps, above the cap of "
+                f"{MAX_STEPS}",
+            )
+        records = cfg.workload_rate * cfg.duration
+        if records > MAX_RECORDS:
+            raise ScenarioError(
+                self._line("workload", "rate"),
+                f"rate: rate * duration is {records:.4g} records, above the cap of "
+                f"{MAX_RECORDS}",
+            )
         record_size = cfg.workload_payload + RECORD_OVERHEAD
         if cfg.flash_capacity < record_size:
             raise ScenarioError(

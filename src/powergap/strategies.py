@@ -114,6 +114,19 @@ class Driver:
     def tick(self, now: float) -> None:
         raise NotImplementedError
 
+    def next_wake(self, now: float) -> Optional[float]:
+        """The first time at which `tick` may act, if no work arrives.
+
+        Every tick before it is a no-op, so the scenario loop may skip
+        those; `None` means not before a record or request arrives.  The
+        default, `now`, lets no tick be skipped.
+        """
+        return now
+
+    def _idle(self) -> bool:
+        """Nothing to send: no pending request and no unacked record."""
+        return not self.sim.pending_requests and not self.sim.store.flash
+
     def on_brownout(self) -> None:
         self.in_flight = None
         self.tx_until = None
@@ -173,6 +186,12 @@ class _RadioDriver(Driver):
         self.sim.extra_current = wp.connect_extra_current
         self.connecting_until = now + wp.connect_latency
 
+    def _connect_wake(self, now: float) -> float:
+        """When the association in progress completes, else `now`."""
+        if self.connecting_until is None:
+            return now
+        return self.connecting_until - 1e-12
+
     def _poll_connect(self, now: float) -> bool:
         if self.connecting_until is not None and now >= self.connecting_until - 1e-12:
             self.connecting_until = None
@@ -219,6 +238,13 @@ class _DrainCycleDriver(Driver):
     def _end_drain(self) -> None:
         pass
 
+    def next_wake(self, now: float) -> Optional[float]:
+        if self.tx_until is not None:
+            return self.tx_until - 1e-12
+        if self.state == "cruise":
+            return self.next_drain
+        return self.overhead_until if self.state == "overhead" else now
+
     def tick(self, now: float) -> None:
         if self.tx_until is not None:
             if now < self.tx_until - 1e-12:
@@ -259,6 +285,13 @@ class _DrainCycleDriver(Driver):
 class WirelessContinuousDriver(_RadioDriver):
     """Radio stays associated; records stream out as they arrive."""
 
+    def next_wake(self, now: float) -> Optional[float]:
+        if not self.link.associated:
+            return self._connect_wake(now)
+        if self.tx_until is not None:
+            return self.tx_until - 1e-12
+        return None if self._idle() else now
+
     def tick(self, now: float) -> None:
         if not self.link.associated:
             if self.connecting_until is None:
@@ -280,6 +313,11 @@ class WirelessContinuousDriver(_RadioDriver):
 
 class StopAndRadioDriver(_DrainCycleDriver, _RadioDriver):
     """Drive, periodically stop anywhere outside a gap, drain by radio."""
+
+    def next_wake(self, now: float) -> Optional[float]:
+        if self.state == "connecting":
+            return self._connect_wake(now)
+        return super().next_wake(now)
 
     def _approach(self, now: float) -> None:
         sim = self.sim
@@ -331,6 +369,13 @@ class PowerlineContinuousDriver(Driver):
     def __init__(self, sim: Simulation) -> None:
         super().__init__(sim)
         self.channel = PowerlineChannel()
+
+    def next_wake(self, now: float) -> Optional[float]:
+        if self.in_flight is None and not self._idle():
+            return now
+        # the channel acts once a boundary is within 1e-12 of `now`; the
+        # wider margin keeps that exact after rounding
+        return self.channel.next_boundary - 2e-12
 
     def tick(self, now: float) -> None:
         for _value, last in self.channel.tick(now, self.sim.car.powered):

@@ -232,6 +232,16 @@ REJECTIONS = {
         "[workload]\npayload_size = 200\n\n[run]\nflash_capacity = 100\n",
         "line 5: flash_capacity (100) must hold one record of "
         "payload_size + 16 = 216 bytes"),
+    # finite but endless: past the step or record cap a run never ends
+    "records_above_cap": (
+        "[workload]\nrate = 1e12\n\n[run]\nduration = 0.01\n",
+        "line 2: rate: rate * duration is 1e+10 records, above the cap of 10000000"),
+    "steps_above_cap": (
+        "[run]\nduration = 1e300\n",
+        "line 2: duration: duration / dt is 2e+303 steps, above the cap of 10000000"),
+    "steps_above_cap_by_dt": (
+        "[run]\ndt = 1e-12\n",
+        "line 2: dt: duration / dt is 1e+12 steps, above the cap of 10000000"),
 }
 
 #: every key set to a value other than its default

@@ -12,6 +12,7 @@ from powergap.energy_model import (
 from powergap.log_store import Severity
 from powergap.scenario import parse_scenario
 from powergap.strategies import (
+    Driver,
     EnergyBudget,
     Gate,
     OtaDevice,
@@ -32,7 +33,7 @@ from powergap.track_world import (
     evaluate_strategies,
     run_scenario,
 )
-from powergap.transports import WirelessLinkParams
+from powergap.transports import Frame, FrameKind, WirelessLinkParams
 
 
 def loop_layout(dock=0.20):
@@ -208,6 +209,114 @@ def test_records_appended_directly_are_delivered_and_timed():
     early, late = sim.latencies
     assert 1.5 <= late < 1.6
     assert early - late == pytest.approx(10.0, abs=0.01)
+
+
+def idle_sim(kind, **kwargs):
+    """A fresh run of `kind` with no workload: nothing to send."""
+    return Simulation(base_config(strategy=kind, workload_rate=0.0, **kwargs))
+
+
+def stored_record(sim, at=0.0):
+    sim.store.append(Severity.INFO, b"x", at)
+    sim.store.flush()
+
+
+class TestNextWake:
+    """`next_wake(now)`: ticks before it are no-ops; `None` means none due."""
+
+    def test_base_driver_never_skips(self):
+        sim = idle_sim(None)
+        assert Driver(sim).next_wake(1.25) == 1.25
+
+    def test_wireless_unassociated_before_first_tick(self):
+        sim = idle_sim(StrategyKind.WIRELESS_CONTINUOUS)
+        assert sim.driver.next_wake(0.0) == 0.0
+
+    def test_wireless_connecting_until_associated(self):
+        sim = idle_sim(StrategyKind.WIRELESS_CONTINUOUS)
+        sim.step()  # the first tick begins associating
+        driver = sim.driver
+        assert not driver.link.associated
+        wake = driver.next_wake(sim.now)
+        assert wake == driver.connecting_until - 1e-12
+        assert wake == pytest.approx(sim.now + 1.5)
+
+    def test_wireless_idle_waits_for_work(self):
+        sim = idle_sim(StrategyKind.WIRELESS_CONTINUOUS)
+        sim.driver.link.associated = True
+        assert sim.driver.next_wake(2.0) is None
+
+    def test_wireless_with_work_ticks_now(self):
+        sim = idle_sim(StrategyKind.WIRELESS_CONTINUOUS)
+        sim.driver.link.associated = True
+        stored_record(sim)
+        assert sim.driver.next_wake(2.0) == 2.0
+        sim = idle_sim(StrategyKind.WIRELESS_CONTINUOUS)
+        sim.driver.link.associated = True
+        sim.pending_requests.append(1)
+        assert sim.driver.next_wake(2.0) == 2.0
+
+    def test_wireless_frame_in_flight(self):
+        sim = idle_sim(StrategyKind.WIRELESS_CONTINUOUS)
+        driver = sim.driver
+        driver.link.associated = True
+        stored_record(sim)
+        driver._start(2.0, Frame(FrameKind.LOG, 1, b"x"))
+        assert driver.tx_until == 2.0 + sim.cfg.wireless.per_frame_airtime
+        assert driver.next_wake(2.0) == driver.tx_until - 1e-12
+
+    @pytest.mark.parametrize(
+        "kind", [StrategyKind.STOP_AND_RADIO, StrategyKind.SAVE_AND_PRINT_LATER])
+    def test_drain_cycle_cruising_until_next_drain(self, kind):
+        sim = idle_sim(kind)
+        stored_record(sim)  # records wait for the drain
+        assert sim.driver.state == "cruise"
+        assert sim.driver.next_wake(1.0) == sim.cfg.drain_interval
+
+    @pytest.mark.parametrize(
+        "kind", [StrategyKind.STOP_AND_RADIO, StrategyKind.SAVE_AND_PRINT_LATER])
+    def test_drain_cycle_stopping_ticks_now(self, kind):
+        sim = idle_sim(kind)
+        sim.driver.state = "stop"
+        assert sim.driver.next_wake(5.0) == 5.0
+
+    @pytest.mark.parametrize(
+        "kind", [StrategyKind.STOP_AND_RADIO, StrategyKind.SAVE_AND_PRINT_LATER])
+    def test_drain_cycle_frame_in_flight(self, kind):
+        sim = idle_sim(kind)
+        driver = sim.driver
+        driver.state = "drain"
+        driver.tx_until = 5.002
+        assert driver.next_wake(5.0) == 5.002 - 1e-12
+
+    def test_drain_cycle_overhead(self):
+        sim = idle_sim(StrategyKind.STOP_AND_RADIO)
+        driver = sim.driver
+        driver.state, driver.overhead_until = "overhead", 5.5
+        assert driver.next_wake(5.1) == 5.5
+
+    def test_stop_and_radio_connecting(self):
+        sim = idle_sim(StrategyKind.STOP_AND_RADIO)
+        driver = sim.driver
+        driver.state = "connecting"
+        driver._begin_connect(5.0)
+        assert driver.next_wake(5.0) == driver.connecting_until - 1e-12
+
+    def test_powerline_idle_until_slot_boundary(self):
+        sim = idle_sim(StrategyKind.POWERLINE_CONTINUOUS)
+        channel = sim.driver.channel
+        wake = sim.driver.next_wake(0.0)
+        assert wake == channel.next_boundary - 2e-12
+        assert channel.tick(wake - 1e-9, True) == []
+
+    def test_powerline_queue_nonempty(self):
+        sim = idle_sim(StrategyKind.POWERLINE_CONTINUOUS)
+        driver = sim.driver
+        stored_record(sim)
+        assert driver.next_wake(0.0) == 0.0  # a frame to start
+        driver.tick(0.0)
+        assert driver.in_flight is not None and driver.channel.queue
+        assert driver.next_wake(0.0) == driver.channel.next_boundary - 2e-12
 
 
 class TestSaveAndPrintLater:

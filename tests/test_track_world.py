@@ -1,9 +1,11 @@
 import dataclasses
+import importlib.resources
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from powergap.energy_model import (
+    ALL_POWER_STATES,
     ClockTier,
     EnergyModelParams,
     PowerState,
@@ -20,6 +22,9 @@ from powergap.track_world import (
     TrackLayout,
     run_scenario,
 )
+from powergap.scenario import load_scenario
+from powergap.strategies import EnergyBudget, StrategyKind
+from powergap.transports import WirelessLinkParams
 
 C80_OFF = PowerState(ClockTier.C80, RadioMode.OFF)
 C240_TX = PowerState(ClockTier.C240, RadioMode.TRANSMITTING)
@@ -361,3 +366,141 @@ class TestRecharge:
         supplies = {s for _, s, _ in result.trace.samples if s > 0}
         assert supplies == {8.7, 9.3}
         assert result.metrics.max_drop_v == pytest.approx(1.62, rel=0.01)
+
+
+# -- quiet stretches against the plain step loop ------------------------------
+
+def stepped(cfg):
+    """The plain loop: one `step` per step, no quiet stretch."""
+    sim = Simulation(cfg)
+    for _ in range(round(cfg.duration / cfg.dt)):
+        sim.step()
+    return sim
+
+
+def run_state(sim):
+    """Everything a finished run holds that a stretch could get wrong."""
+    store, driver = sim.store, sim.driver
+    state = {
+        "samples": sim._samples,
+        "events": sim.events,
+        "metrics": sim._metrics(),
+        "store": (list(store.ram), list(store.flash), store.flash_bytes,
+                  store.write_counter, store.high_water, store.acked_through,
+                  store.appended, store.acked, store.dropped, store.evicted,
+                  store.lost_unflushed),
+        "presented": sim.host.presented,
+        "sim": (sim.now, sim.last_step, sim.car, sim.min_cap_v, sim.extra_current,
+                sim.rebooting_until, sim.pending_requests, sim._next_request_idx,
+                sim._workload_acc, sim._backlog_samples, sim._next_backlog_at,
+                sim.radio_on_s, sim.latencies, sim.rng.getstate()),
+    }
+    if driver is not None:
+        # tx_until, in_flight, record; next_drain, state, connecting_until, ...
+        state["driver"] = {k: v for k, v in vars(driver).items()
+                           if k not in ("sim", "link", "channel", "wired")}
+        if hasattr(driver, "link"):
+            state["associated"] = driver.link.associated
+        if hasattr(driver, "channel"):
+            ch = driver.channel
+            state["channel"] = (ch.next_boundary, list(ch.queue), ch.delivered_bits)
+    return state
+
+
+def assert_same_run(cfg):
+    """`run` (with quiet stretches) leaves exactly what the plain loop does."""
+    sim = Simulation(cfg)
+    sim.run()
+    assert run_state(sim) == run_state(stepped(cfg))
+    return sim
+
+
+SHIPPED = sorted(
+    p.name for p in importlib.resources.files("powergap").joinpath("scenarios").iterdir()
+    if p.name.endswith(".scn")
+)
+STRATEGY_RUNS = [(None, False)] + [(k, c) for k in StrategyKind for c in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "kind,controller", STRATEGY_RUNS,
+    ids=[f"{k.value if k else 'none'}-gate_{'on' if c else 'off'}" for k, c in STRATEGY_RUNS])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_stretches_match_plain_loop_on_shipped_scenarios(name, kind, controller):
+    cfg = load_scenario(importlib.resources.files("powergap") / "scenarios" / name).build()
+    layout = cfg.layout
+    if kind is StrategyKind.SAVE_AND_PRINT_LATER and layout.dock_position is None:
+        assert not layout.in_gap(0.0)  # every shipped track opens on a straight
+        layout = TrackLayout(layout.segments, dock_position=0.0)
+    assert_same_run(dataclasses.replace(
+        cfg, strategy=kind, controller=controller, layout=layout))
+
+
+@pytest.mark.parametrize("kind", [None, *StrategyKind], ids=lambda k: k.value if k else "none")
+def test_stretch_ends_exactly_on_grid_aligned_edges(kind):
+    # dyadic speed, step, geometry and times: positions and clock are
+    # exact, so the car lands on each gap start at the end of a step, and
+    # the first drain and a request fall due exactly at a step's end
+    layout = TrackLayout([
+        Segment(SegmentKind.STRAIGHT, 0.5),
+        Segment(SegmentKind.LANE_CHANGE, 0.5, (0.125, 0.3125), 0.0625),
+        Segment(SegmentKind.CURVE, 0.25),
+    ], dock_position=0.0625)
+    cfg = ScenarioConfig(
+        params=EnergyModelParams.calibrated(), layout=layout, speed=1.0,
+        dt=2.0**-10, duration=3.0, strategy=kind,
+        wireless=WirelessLinkParams(connect_latency=0.25),
+        workload_rate=0.0 if kind is None else 3.0,
+        schedule=HostRequestSchedule(times=(1.5,)),
+        drain_interval=0.5,
+    )
+    sim = assert_same_run(cfg)
+    entries = {ev.detail for ev in sim.events if ev.kind is EventKind.GAP_ENTERED}
+    assert entries == {"pos=0.6250", "pos=0.8125"}
+    requests = [ev.time for ev in sim.events if ev.kind is EventKind.REQUEST_ARRIVED]
+    assert requests == [1.5]
+
+
+@st.composite
+def stretch_configs(draw):
+    layout = draw(layouts())
+    dock = draw(st.floats(0.0, layout.total_length, exclude_max=True))
+    assume(not layout.in_gap(dock))
+    dt = draw(st.one_of(st.sampled_from([1e-4, 5e-4, 1e-3]), st.floats(1e-4, 5e-3)))
+    duration = draw(st.integers(1, 1500)) * dt
+    times = draw(st.lists(st.floats(0.0, 1.1 * duration), max_size=4))
+    schedule = draw(st.sampled_from([
+        HostRequestSchedule(),
+        HostRequestSchedule(times=tuple(sorted(times))),
+        HostRequestSchedule(gap_aligned=True),
+    ]))
+    return ScenarioConfig(
+        params=EnergyModelParams.calibrated(),
+        layout=TrackLayout(layout.segments, dock_position=dock),
+        speed=draw(st.one_of(st.just(0.0), st.floats(0.05, 8.0))),
+        dt=dt,
+        duration=duration,
+        seed=draw(st.integers(0, 2**16)),
+        initial_state=draw(st.sampled_from(ALL_POWER_STATES)),
+        strategy=draw(st.sampled_from([None, *StrategyKind])),
+        controller=draw(st.booleans()),
+        budget=EnergyBudget(lookahead=draw(st.floats(0.0, 0.05))),
+        wireless=WirelessLinkParams(
+            connect_latency=draw(st.floats(0.0, 0.2)),
+            loss_rate=draw(st.sampled_from([0.0, 0.1, 0.5])),
+        ),
+        workload_rate=draw(st.one_of(st.just(0.0), st.floats(0.0, 400.0))),
+        workload_payload=draw(st.integers(0, 40)),
+        schedule=schedule,
+        drain_interval=draw(st.floats(0.01, 1.0)),
+        reboot_dead_time=draw(st.floats(0.0, 0.2)),
+        recharge_rate=draw(st.one_of(st.none(), st.floats(1.0, 500.0))),
+        ripple_amplitude=draw(st.one_of(st.just(0.0), st.floats(0.01, 0.5))),
+        ram_capacity=draw(st.integers(1, 64)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=stretch_configs())
+def test_stretches_match_plain_loop_on_random_runs(cfg):
+    assert_same_run(cfg)
