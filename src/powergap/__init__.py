@@ -9,9 +9,6 @@ from .energy_model import (
     RadioMode,
     VoltageTrace,
     calibrate_currents,
-    detect_brownout,
-    discharge,
-    max_drop,
 )
 from .log_store import LogRecord, LogStore, Severity
 from .scenario import ScenarioError, ScenarioSpec, load_scenario, parse_scenario
@@ -46,7 +43,6 @@ from .transports import (
     FrameKind,
     Outcome,
     PowerlineChannel,
-    WiredLink,
     WirelessLink,
     WirelessLinkParams,
     crc16_ccitt,

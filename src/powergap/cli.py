@@ -16,7 +16,6 @@ import importlib.resources
 import io
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -63,31 +62,25 @@ def _emit_result(out: Path, name: str, result) -> None:
     _write_atomic(out / f"{name}_metrics.csv", buf.getvalue())
 
 
-def _run_one(args: tuple[str, Optional[int], str]) -> tuple[str, int]:
-    path, seed_override, out_dir = args
+def _run_one(path: str, seed_override: Optional[int], out: Path) -> tuple[str, int]:
     spec = load_scenario(path)
     cfg = spec.build()
     if seed_override is not None:
         cfg.seed = seed_override
     result = run_scenario(cfg)
-    _emit_result(Path(out_dir), cfg.name, result)
+    _emit_result(out, cfg.name, result)
     return cfg.name, result.metrics.brownout_count
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
-    jobs = [(p, args.seed, str(out)) for p in args.scenario]
-    try:
-        if args.jobs > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_run_one, jobs))
-        else:
-            results = [_run_one(j) for j in jobs]
-    except (ScenarioError, LayoutError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     status = EXIT_OK
-    for name, brownouts in results:
+    for path in args.scenario:
+        try:
+            name, brownouts = _run_one(path, args.seed, out)
+        except (ScenarioError, LayoutError, FileNotFoundError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
         print(f"{name}: brownouts={brownouts}")
         if args.fail_on_brownout and brownouts > 0:
             status = EXIT_BROWNOUT
@@ -172,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--fail-on-brownout", action="store_true")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--jobs", type=int, default=1)
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="compare strategies on one workload")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Mapping, Optional, Sequence
+from typing import IO, Mapping
 
 
 class ClockTier(Enum):
@@ -32,12 +32,6 @@ class PowerState:
 
     clock: ClockTier
     radio: RadioMode
-
-    @property
-    def infeasible(self) -> bool:
-        # 240 MHz with the radio stack up consistently brownouts on gap
-        # crossings; representable, but flagged so callers can refuse it.
-        return self.clock is ClockTier.C240 and self.radio is not RadioMode.OFF
 
     def __str__(self) -> str:
         return f"c{self.clock.value}_{self.radio.value}"
@@ -145,15 +139,6 @@ def discharge_current(
     return max(0.0, v0 - current * dt / capacitance)
 
 
-def discharge(
-    v0: float, state: PowerState, dt: float, params: EnergyModelParams
-) -> float:
-    """Capacitor voltage after running `dt` seconds unpowered in `state`."""
-    if dt < 0:
-        raise ValueError("dt must be >= 0")
-    return discharge_current(v0, params.current(state), dt, params.capacitance)
-
-
 def calibrate_currents(
     drops: Mapping[PowerState, float],
     params: EnergyModelParams,
@@ -173,22 +158,3 @@ def calibrate_currents(
     for state in ALL_POWER_STATES:
         table.setdefault(state, burst_current)
     return table
-
-
-def detect_brownout(
-    trace: VoltageTrace, params: EnergyModelParams
-) -> Optional[float]:
-    """Time of the first sample at or past the brownout drop, if any."""
-    if not trace.samples:
-        raise ValueError("empty trace")
-    for t, _, cap_v in trace.samples:
-        if params.nominal_voltage - cap_v >= params.brownout_drop:
-            return t
-    return None
-
-
-def max_drop(trace: VoltageTrace, nominal: float) -> float:
-    """Largest observed drop below `nominal` over the trace."""
-    if not trace.samples:
-        raise ValueError("empty trace")
-    return max(0.0, nominal - min(cap_v for _, _, cap_v in trace.samples))

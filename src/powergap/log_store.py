@@ -12,13 +12,10 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .transports import MAX_PAYLOAD, crc16_ccitt
 
-FLASH_MAGIC = b"PGLG"
-FLASH_VERSION = 1
 RECORD_OVERHEAD = 16  # seq(4) + timestamp(8) + severity(1) + len(1) + crc(2)
 
 
@@ -31,10 +28,6 @@ class Severity(Enum):
 
 class StoreError(ValueError):
     pass
-
-
-class CorruptImage(StoreError):
-    """Flash image failed magic/version/CRC validation."""
 
 
 @dataclass(frozen=True)
@@ -75,32 +68,6 @@ class LogRecord:
     def wire_size(self) -> int:
         return RECORD_OVERHEAD + len(self.payload)
 
-    def encode(self) -> bytes:
-        return self._crc_input(
-            self.seq, self.timestamp, self.severity, self.payload
-        ) + self.crc.to_bytes(2, "big")
-
-    @classmethod
-    def decode(cls, data: bytes, offset: int = 0) -> tuple["LogRecord", int]:
-        if len(data) - offset < RECORD_OVERHEAD:
-            raise CorruptImage("truncated record header")
-        seq = int.from_bytes(data[offset : offset + 4], "big")
-        (timestamp,) = struct.unpack(">d", data[offset + 4 : offset + 12])
-        sev_raw, length = data[offset + 12], data[offset + 13]
-        end = offset + 14 + length
-        if len(data) < end + 2:
-            raise CorruptImage("truncated record payload")
-        payload = bytes(data[offset + 14 : end])
-        crc = int.from_bytes(data[end : end + 2], "big")
-        try:
-            severity = Severity(sev_raw)
-        except ValueError:
-            raise CorruptImage(f"unknown severity {sev_raw}") from None
-        record = cls(seq, timestamp, severity, payload, crc)
-        if not record.crc_valid():
-            raise CorruptImage(f"record seq {seq} failed CRC")
-        return record, end + 2
-
 
 class LogStore:
     """Per-device log pipeline: append -> flush -> transmit -> ack.
@@ -109,9 +76,8 @@ class LogStore:
     drops the oldest record, and survive only once flushed to `flash`, a
     persistent queue with a byte quota.  A flush that would exceed the
     quota evicts the oldest records; otherwise records leave flash only
-    through acks.  The persisted side (flash, seq high-water mark, and a
-    small key-value area for things like update progress markers)
-    survives `on_brownout`; the RAM buffer does not.
+    through acks.  The persisted side (flash and the seq high-water
+    mark) survives `on_brownout`; the RAM buffer does not.
     """
 
     def __init__(self, ram_capacity: int = 256, flash_capacity: int = 65536) -> None:
@@ -125,13 +91,11 @@ class LogStore:
         self.flash_bytes = 0
         self.write_counter = 0       # flash record writes
         self.high_water = 0          # persisted on every append
-        self.acked_through = 0
         self.appended = 0
         self.acked = 0
         self.dropped = 0             # overflowed the RAM buffer
         self.evicted = 0             # pushed out of flash by the quota
         self.lost_unflushed = 0
-        self.nvs: dict[str, int] = {}  # persisted key-value area
 
     # -- producer side ----------------------------------------------------
 
@@ -182,7 +146,6 @@ class LogStore:
             self.flash_bytes -= flash.popleft().wire_size
             trimmed += 1
         self.acked += trimmed
-        self.acked_through = max(self.acked_through, seq)
         return trimmed
 
     def unacked(self) -> Iterator[LogRecord]:
@@ -210,55 +173,3 @@ class LogStore:
             + self.lost_unflushed
         )
         return self.appended == accounted
-
-    # -- flash image serialization ----------------------------------------
-
-    def save(self, path: Union[str, Path]) -> None:
-        header = FLASH_MAGIC + bytes([FLASH_VERSION])
-        meta = struct.pack(
-            ">IIIIH",
-            self.high_water,
-            self.acked_through,
-            self.write_counter,
-            len(self.flash),
-            len(self.nvs),
-        )
-        body = bytearray()
-        for key, value in sorted(self.nvs.items()):
-            raw = key.encode()
-            body += bytes([len(raw)]) + raw + struct.pack(">q", value)
-        for record in self.flash:
-            body += record.encode()
-        Path(path).write_bytes(header + meta + bytes(body))
-
-    @classmethod
-    def load(
-        cls,
-        path: Union[str, Path],
-        ram_capacity: int = 256,
-        flash_capacity: int = 65536,
-    ) -> "LogStore":
-        data = Path(path).read_bytes()
-        if data[:4] != FLASH_MAGIC:
-            raise CorruptImage("bad flash image magic")
-        if data[4] != FLASH_VERSION:
-            raise CorruptImage(f"unsupported flash image version {data[4]}")
-        high_water, acked_through, writes, count, nvs_count = struct.unpack(
-            ">IIIIH", data[5:23]
-        )
-        store = cls(ram_capacity=ram_capacity, flash_capacity=flash_capacity)
-        offset = 23
-        for _ in range(nvs_count):
-            klen = data[offset]
-            key = data[offset + 1 : offset + 1 + klen].decode()
-            (value,) = struct.unpack(">q", data[offset + 1 + klen : offset + 9 + klen])
-            store.nvs[key] = value
-            offset += 9 + klen
-        for _ in range(count):
-            record, offset = LogRecord.decode(data, offset)
-            store._write(record)
-        store.high_water = high_water
-        store.acked_through = acked_through
-        store.write_counter = writes
-        store.appended = count  # records not in the image are unaccounted
-        return store

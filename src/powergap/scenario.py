@@ -30,6 +30,8 @@ from .energy_model import (
 from .log_store import RECORD_OVERHEAD
 from .strategies import EnergyBudget, StrategyKind
 from .track_world import (
+    MAX_RECORDS,
+    MAX_STEPS,
     HostRequestSchedule,
     LayoutError,
     ScenarioConfig,
@@ -106,13 +108,6 @@ _NUMBERS: dict[tuple[str, str], _Number] = {
 _KEYS = (*_NUMBERS, ("track", "segments"), ("car", "clock"), ("car", "radio"),
          ("strategy", "kind"), ("strategy", "controller"), ("schedule", "requests"))
 _KNOWN_KEYS = {section: {k for s, k in _KEYS if s == section} for section, _ in _KEYS}
-
-#: The largest run a file may ask for, so that every run ends: at most
-#: MAX_STEPS fixed steps (`duration / dt`; 10**7 is about 83 simulated
-#: minutes at the default 0.5 ms, and its trace about 1 GB in memory)
-#: and MAX_RECORDS appended records (`rate * duration`).
-MAX_STEPS = 10**7
-MAX_RECORDS = 10**7
 
 DEFAULT_SEGMENTS = "straight:0.30 lanechange:0.48:0.09:0.36 straight:0.30"
 

@@ -25,10 +25,10 @@ from .transports import (
     LayoutError,
     Outcome,
     PowerlineChannel,
-    WiredLink,
     WirelessLink,
     frame_encode,
     powerline_pack,
+    wired_available,
 )
 
 if TYPE_CHECKING:
@@ -341,7 +341,6 @@ class SaveAndPrintLaterDriver(_DrainCycleDriver):
         if sim.cfg.layout.dock_position is None:
             raise LayoutError("save_and_print_later needs a dock position")
         super().__init__(sim)
-        self.wired = WiredLink(sim.cfg.layout)
 
     def _approach(self, now: float) -> None:
         sim = self.sim
@@ -354,7 +353,7 @@ class SaveAndPrintLaterDriver(_DrainCycleDriver):
 
     def _start(self, now: float, frame: Frame) -> None:
         # a frame the dock cannot take is not in flight; the next tick retries
-        if self.wired.send_frame(frame, self.sim.car) is Outcome.DELIVERED:
+        if wired_available(self.sim.car, self.sim.cfg.layout):
             self.in_flight = frame
             self.tx_until = now + self.sim.cfg.wired_frame_time
 

@@ -199,6 +199,14 @@ def events_to_csv(events: list[Event], fp: IO[str]) -> None:
         writer.writerow([f"{ev.time:.6f}", ev.kind.value, ev.detail])
 
 
+#: The largest run a `Simulation` accepts, so that every run ends: at
+#: most MAX_STEPS fixed steps (`duration / dt`; 10**7 is about 83
+#: simulated minutes at the default 0.5 ms, and its trace about 1 GB in
+#: memory) and MAX_RECORDS appended records (`workload_rate * duration`).
+MAX_STEPS = 10**7
+MAX_RECORDS = 10**7
+
+
 @dataclass
 class ScenarioConfig:
     params: EnergyModelParams
@@ -276,6 +284,17 @@ class Simulation:
             raise LayoutError("dt and duration must be > 0")
         if cfg.speed < 0:
             raise LayoutError("speed must be >= 0")
+        steps = cfg.duration / cfg.dt
+        if not steps <= MAX_STEPS:  # also refuses NaN and inf
+            raise LayoutError(
+                f"duration / dt is {steps:.4g} steps, above the cap of {MAX_STEPS}"
+            )
+        records = cfg.workload_rate * cfg.duration
+        if not records <= MAX_RECORDS:
+            raise LayoutError(
+                f"workload_rate * duration is {records:.4g} records, above the cap "
+                f"of {MAX_RECORDS}"
+            )
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
         nominal = cfg.params.nominal_voltage

@@ -187,16 +187,6 @@ def wired_available(car, layout) -> bool:
     return car.speed == 0 and abs(car.position - layout.dock_position) < 1e-9
 
 
-class WiredLink:
-    """Dock-only UART-style link; lossless when available."""
-
-    def __init__(self, layout) -> None:
-        self.layout = layout
-
-    def send_frame(self, frame: Frame, car) -> Outcome:
-        return Outcome.DELIVERED if wired_available(car, self.layout) else Outcome.UNAVAILABLE
-
-
 @dataclass
 class WirelessLinkParams:
     connect_latency: float = 1.5          # seconds to associate

@@ -14,14 +14,11 @@ from powergap.energy_model import (
     RadioMode,
     VoltageTrace,
     calibrate_currents,
-    detect_brownout,
-    discharge,
-    max_drop,
+    discharge_current,
 )
 
 C80_OFF = PowerState(ClockTier.C80, RadioMode.OFF)
 C80_TX = PowerState(ClockTier.C80, RadioMode.TRANSMITTING)
-C160_TX = PowerState(ClockTier.C160, RadioMode.TRANSMITTING)
 
 
 @pytest.fixture
@@ -36,33 +33,29 @@ def make_trace(cap_values, dt=0.005, supply=9.0):
 
 class TestDischarge:
     def test_calibrated_c80_off_gap(self, params):
-        v = discharge(9.0, C80_OFF, 0.020, params)
+        v = discharge_current(9.0, params.current(C80_OFF), 0.020, params.capacitance)
         assert v == pytest.approx(7.38)
         assert 9.0 - v == pytest.approx(1.62)
 
     def test_zero_current_holds_voltage(self):
         p = EnergyModelParams(current_table={C80_OFF: 0.0})
-        assert discharge(9.0, C80_OFF, 1.0, p) == 9.0
+        assert discharge_current(9.0, p.current(C80_OFF), 1.0, p.capacitance) == 9.0
 
     def test_radio_burst_crosses_threshold(self):
         # dV = 0.240 * 0.020 / 1.0e-3 = 4.8 V
         p = EnergyModelParams(current_table={C80_TX: 0.240})
-        v = discharge(9.0, C80_TX, 0.020, p)
+        v = discharge_current(9.0, p.current(C80_TX), 0.020, p.capacitance)
         assert v == pytest.approx(4.2)
         assert 9.0 - v > p.brownout_drop
 
     def test_clamped_at_zero(self):
         p = EnergyModelParams(current_table={C80_TX: 10.0})
-        assert discharge(9.0, C80_TX, 1.0, p) == 0.0
+        assert discharge_current(9.0, p.current(C80_TX), 1.0, p.capacitance) == 0.0
 
     def test_unknown_state_is_config_error(self):
         p = EnergyModelParams(current_table={})
         with pytest.raises(ConfigError):
-            discharge(9.0, C80_OFF, 0.01, p)
-
-    def test_negative_dt_rejected(self, params):
-        with pytest.raises(ValueError):
-            discharge(9.0, C80_OFF, -0.1, params)
+            discharge_current(9.0, p.current(C80_OFF), 0.01, p.capacitance)
 
     @given(
         v0=st.floats(0.0, 9.0),
@@ -71,9 +64,10 @@ class TestDischarge:
         b=st.floats(0.0, 0.05),
     )
     def test_additivity(self, v0, current, a, b):
-        p = EnergyModelParams(current_table={C80_OFF: current})
-        one_shot = discharge(v0, C80_OFF, a + b, p)
-        split = discharge(discharge(v0, C80_OFF, a, p), C80_OFF, b, p)
+        one_shot = discharge_current(v0, current, a + b, 1.0e-3)
+        split = discharge_current(
+            discharge_current(v0, current, a, 1.0e-3), current, b, 1.0e-3
+        )
         if one_shot > 0 and split > 0:  # clamping breaks exact additivity
             assert math.isclose(one_shot, split, abs_tol=1e-12)
 
@@ -83,9 +77,19 @@ class TestDischarge:
         dt=st.floats(0.0, 0.05),
     )
     def test_monotone_in_current(self, i_low, delta, dt):
-        lo = EnergyModelParams(current_table={C80_OFF: i_low})
-        hi = EnergyModelParams(current_table={C80_OFF: i_low + delta})
-        assert discharge(9.0, C80_OFF, dt, hi) <= discharge(9.0, C80_OFF, dt, lo)
+        hi = discharge_current(9.0, i_low + delta, dt, 1.0e-3)
+        assert hi <= discharge_current(9.0, i_low, dt, 1.0e-3)
+
+    @given(
+        c_low=st.floats(1.0e-4, 5.0e-3),
+        delta=st.floats(0.0, 5.0e-3),
+        current=st.floats(0.0, 0.3),
+        dt=st.floats(0.0, 0.05),
+    )
+    def test_monotone_in_capacitance(self, c_low, delta, current, dt):
+        # a larger capacitor never sags further under the same load
+        big = discharge_current(9.0, current, dt, c_low + delta)
+        assert big >= discharge_current(9.0, current, dt, c_low)
 
 
 class TestCalibration:
@@ -118,7 +122,9 @@ class TestCalibration:
     def test_roundtrip_through_discharge(self, params):
         # calibrated current reproduces the measured drop over one gap
         for state, drop in MEASURED_DROPS.items():
-            v = discharge(9.0, state, params.gap_duration, params)
+            v = discharge_current(
+                9.0, params.current(state), params.gap_duration, params.capacitance
+            )
             assert 9.0 - v == pytest.approx(drop, rel=1e-9)
 
     def test_abstract_ratio(self):
@@ -138,41 +144,7 @@ class TestCalibration:
             assert drops == sorted(drops)
 
 
-class TestBrownoutDetection:
-    def test_flat_trace_no_brownout(self, params):
-        assert detect_brownout(make_trace([9.0] * 10), params) is None
-
-    def test_first_crossing_time(self, params):
-        values = [9.0, 8.0, 7.0, 6.0, 5.5, 5.2, 4.9, 4.9]
-        t = detect_brownout(make_trace(values), params)
-        assert t == pytest.approx(0.035)
-
-    def test_dip_below_threshold_not_reported(self, params):
-        assert detect_brownout(make_trace([9.0, 6.0, 5.5, 9.0]), params) is None
-
-    def test_empty_trace_rejected(self, params):
-        with pytest.raises(ValueError):
-            detect_brownout(VoltageTrace([], 0.005), params)
-
-
-class TestMaxDrop:
-    def test_constant_trace(self):
-        assert max_drop(make_trace([9.0] * 5), 9.0) == 0.0
-
-    def test_min_sample_wins(self):
-        assert max_drop(make_trace([9.0, 7.38, 8.5]), 9.0) == pytest.approx(1.62)
-
-    def test_never_negative(self):
-        assert max_drop(make_trace([9.5, 9.4]), 9.0) == 0.0
-
-
 class TestTypes:
-    def test_infeasible_flags(self):
-        assert PowerState(ClockTier.C240, RadioMode.IDLE_CONNECTED).infeasible
-        assert PowerState(ClockTier.C240, RadioMode.TRANSMITTING).infeasible
-        assert not PowerState(ClockTier.C240, RadioMode.OFF).infeasible
-        assert not C160_TX.infeasible
-
     def test_validate_rejects_bad_threshold(self):
         with pytest.raises(ConfigError):
             EnergyModelParams(brownout_drop=9.5).validate()

@@ -429,6 +429,15 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert "error" in err and "line 2" in err
 
+    def test_earlier_results_printed_before_a_later_error(self, tmp_path, capsys):
+        good = write_scenario(tmp_path, MINIMAL, "good.scn")
+        bad = write_scenario(tmp_path, "[run]\nduration = nope\n", "bad.scn")
+        assert main(["run", good, bad, "--out", str(tmp_path)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "good: brownouts=0\n"
+        assert "line 2" in err
+        assert (tmp_path / "good_trace.csv").exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "no.scn")]) == EXIT_VALIDATION
 
@@ -457,18 +466,6 @@ class TestCliRun:
             a = (out_a / f"case{suffix}").read_bytes()
             b = (out_b / f"case{suffix}").read_bytes()
             assert a == b
-
-    def test_parallel_matches_serial(self, tmp_path):
-        s1 = write_scenario(tmp_path, MINIMAL, "one.scn")
-        s2 = write_scenario(tmp_path, MINIMAL, "two.scn")
-        out_serial = tmp_path / "serial"
-        out_par = tmp_path / "par"
-        main(["run", s1, s2, "--out", str(out_serial)])
-        main(["run", s1, s2, "--out", str(out_par), "--jobs", "2"])
-        for stem in ("one", "two"):
-            assert (out_serial / f"{stem}_trace.csv").read_bytes() == (
-                out_par / f"{stem}_trace.csv"
-            ).read_bytes()
 
     def test_env_var_overrides_out_flag(self, tmp_path, monkeypatch):
         scn = write_scenario(tmp_path, MINIMAL)

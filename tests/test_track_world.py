@@ -293,6 +293,20 @@ class TestRunScenario:
         with pytest.raises(LayoutError):
             Simulation(cfg)
 
+    @pytest.mark.parametrize("overrides", [
+        {"duration": 1e300},
+        {"duration": float("inf")},
+        {"duration": float("nan")},
+        {"dt": 1e-12},
+        {"duration": 0.01, "workload_rate": 1e12},
+        {"workload_rate": float("inf")},
+    ], ids=["duration_1e300", "duration_inf", "duration_nan", "dt_tiny",
+            "records_above_cap", "rate_inf"])
+    def test_run_size_caps_enforced_by_constructor(self, overrides):
+        # a config built in Python, not parsed, must still be refused
+        with pytest.raises(LayoutError, match="above the cap"):
+            Simulation(dataclasses.replace(crossing_config(), **overrides))
+
     def test_power_duality(self):
         result = run_scenario(crossing_config())
         prev_cap = 9.0
@@ -386,7 +400,7 @@ def run_state(sim):
         "events": sim.events,
         "metrics": sim._metrics(),
         "store": (list(store.ram), list(store.flash), store.flash_bytes,
-                  store.write_counter, store.high_water, store.acked_through,
+                  store.write_counter, store.high_water,
                   store.appended, store.acked, store.dropped, store.evicted,
                   store.lost_unflushed),
         "presented": sim.host.presented,

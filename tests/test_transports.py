@@ -13,7 +13,6 @@ from powergap.transports import (
     PowerlineChannel,
     SlotError,
     Truncated,
-    WiredLink,
     WirelessLink,
     WirelessLinkParams,
     crc16_ccitt,
@@ -201,12 +200,6 @@ class TestWiredLink:
     def test_no_dock_never_available(self):
         layout = TrackLayout([Segment(SegmentKind.STRAIGHT, 1.0)])
         assert not wired_available(CarState(position=0.0, speed=0.0), layout)
-
-    def test_send_outcomes(self):
-        link = WiredLink(_dock_layout())
-        frame = Frame(FrameKind.LOG, 1, b"x")
-        assert link.send_frame(frame, CarState(position=0.5, speed=0.0)) is Outcome.DELIVERED
-        assert link.send_frame(frame, CarState(position=0.5, speed=3.0)) is Outcome.UNAVAILABLE
 
 
 class TestWirelessLink:
