@@ -81,6 +81,14 @@ class TestDischarge:
         assert hi <= discharge_current(9.0, i_low, dt, 1.0e-3)
 
     @given(
+        v0=st.floats(0.0, 9.0),
+        current=st.floats(0.0, 10.0),
+        c=st.floats(1.0e-4, 5.0e-3),
+    )
+    def test_zero_dt_holds_voltage(self, v0, current, c):
+        assert discharge_current(v0, current, 0.0, c) == v0
+
+    @given(
         c_low=st.floats(1.0e-4, 5.0e-3),
         delta=st.floats(0.0, 5.0e-3),
         current=st.floats(0.0, 0.3),

@@ -201,7 +201,17 @@ class TestPrimitives:
         store.ack_through(3)
         assert store.write_counter == 7
 
-    def test_tampered_record_fails_crc(self):
+    @pytest.mark.parametrize("field, value", [
+        ("seq", 10),
+        ("timestamp", 1.25),
+        ("severity", Severity.ERROR),
+        ("payload", b"abd"),
+        ("crc", None),
+    ])
+    def test_tampered_record_fails_crc(self, field, value):
+        # the CRC covers every field a record carries, and guards itself
         record = LogRecord.create(9, 1.5, Severity.WARN, b"abc")
         assert record.crc_valid()
-        assert not replace(record, payload=b"abd").crc_valid()
+        if field == "crc":
+            value = record.crc ^ 0x0001
+        assert not replace(record, **{field: value}).crc_valid()

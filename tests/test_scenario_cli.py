@@ -438,6 +438,21 @@ class TestCliRun:
         assert "line 2" in err
         assert (tmp_path / "good_trace.csv").exists()
 
+    def test_error_stops_before_later_files(self, tmp_path, capsys):
+        bad = write_scenario(tmp_path, "[run]\nduration = nope\n", "bad.scn")
+        good = write_scenario(tmp_path, MINIMAL, "good.scn")
+        assert main(["run", bad, good, "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "good_trace.csv").exists()
+
+    def test_jobs_flag_rejected(self, tmp_path):
+        # runs are serial; the old process-pool option is not accepted
+        scn = write_scenario(tmp_path, MINIMAL)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", scn, "--out", str(tmp_path), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "case_trace.csv").exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "no.scn")]) == EXIT_VALIDATION
 

@@ -14,6 +14,8 @@ from powergap.energy_model import (
 from powergap.track_world import (
     EventKind,
     HostRequestSchedule,
+    MAX_RECORDS,
+    MAX_STEPS,
     LayoutError,
     ScenarioConfig,
     Segment,
@@ -306,6 +308,15 @@ class TestRunScenario:
         # a config built in Python, not parsed, must still be refused
         with pytest.raises(LayoutError, match="above the cap"):
             Simulation(dataclasses.replace(crossing_config(), **overrides))
+
+    @pytest.mark.parametrize("overrides", [
+        {"duration": MAX_STEPS * 0.5, "dt": 0.5},
+        {"duration": 1.0, "workload_rate": float(MAX_RECORDS)},
+    ], ids=["steps_at_cap", "records_at_cap"])
+    def test_run_size_caps_admit_the_cap_itself(self, overrides):
+        # the caps are inclusive, as in the scenario parser
+        sim = Simulation(dataclasses.replace(crossing_config(), **overrides))
+        assert sim.now == 0.0
 
     def test_power_duality(self):
         result = run_scenario(crossing_config())
