@@ -118,11 +118,6 @@ class VoltageTrace:
     samples: list[tuple[float, float, float]]  # (time_s, supply_v, cap_v)
     sample_period: float
 
-    def __post_init__(self) -> None:
-        for _, _, cap_v in self.samples:
-            if cap_v < 0:
-                raise ValueError("capacitor voltage must be >= 0")
-
     def __len__(self) -> int:
         return len(self.samples)
 

@@ -12,7 +12,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Optional
 
 from .transports import MAX_PAYLOAD, crc16_ccitt
 
@@ -89,7 +89,6 @@ class LogStore:
         self.flash: deque[LogRecord] = deque()
         self.flash_capacity = flash_capacity
         self.flash_bytes = 0
-        self.write_counter = 0       # flash record writes
         self.high_water = 0          # persisted on every append
         self.appended = 0
         self.acked = 0
@@ -133,7 +132,6 @@ class LogStore:
             self.evicted += 1
         self.flash.append(record)
         self.flash_bytes += size
-        self.write_counter += 1
 
     # -- consumer side ----------------------------------------------------
 
@@ -147,9 +145,6 @@ class LogStore:
             trimmed += 1
         self.acked += trimmed
         return trimmed
-
-    def unacked(self) -> Iterator[LogRecord]:
-        return iter(self.flash)
 
     def oldest_unacked(self) -> Optional[LogRecord]:
         """The lowest-seq record still awaiting an ack, if any."""

@@ -119,7 +119,9 @@ class Driver:
 
         Every tick before it is a no-op, so the scenario loop may skip
         those; `None` means not before a record or request arrives.  The
-        default, `now`, lets no tick be skipped.
+        default, `now`, lets no tick be skipped.  Work already waiting
+        (a pending request, an unacked record) counts here: the scenario
+        loop asks nothing else about the driver before it skips ticks.
         """
         return now
 

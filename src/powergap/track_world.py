@@ -5,10 +5,11 @@ two short unpowered gaps.  While powered the capacitor sits at the rail
 voltage; inside a gap it discharges according to the active power state.
 Gap occupancy is integrated exactly within each fixed step, so measured
 drops do not depend on how gap edges align with the step grid.
-`Simulation.run` runs each quiet stretch (powered track short of the
-next gap, no record or request due, the driver's `next_wake` not yet
-reached) in a tight inner loop that makes the same float operations as
-`step`, so skipping the full step there changes no output.
+After a step that leaves the car powered and active, `Simulation.run`
+runs the quiet stretch that follows (short of the next gap, no record
+or timed request due; the driver's `next_wake` decides the rest) in a
+tight inner loop that makes the same float operations as `step`, so
+skipping the full step there changes no output.
 `evaluate_strategies` runs one workload under several strategies and
 `write_comparison_csv` tabulates their delivery metrics.
 """
@@ -32,7 +33,7 @@ from .energy_model import (
     VoltageTrace,
     discharge_current,
 )
-from .log_store import LogRecord, LogStore, Severity
+from .log_store import RECORD_OVERHEAD, LogRecord, LogStore, Severity
 from .strategies import EnergyBudget, HostCollector, StrategyKind, make_driver
 from .transports import LayoutError, WirelessLinkParams
 
@@ -295,6 +296,12 @@ class Simulation:
                 f"workload_rate * duration is {records:.4g} records, above the cap "
                 f"of {MAX_RECORDS}"
             )
+        record_size = cfg.workload_payload + RECORD_OVERHEAD
+        if cfg.flash_capacity < record_size:
+            raise LayoutError(
+                f"flash_capacity ({cfg.flash_capacity}) must hold one record of "
+                f"workload_payload + {RECORD_OVERHEAD} = {record_size} bytes"
+            )
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
         nominal = cfg.params.nominal_voltage
@@ -485,8 +492,8 @@ class Simulation:
         workload accumulator, the radio-on time, the backlog samples and
         the trace; this loop makes those float operations in the same
         order, so every output is byte-identical.  The caller has checked
-        that no request is pending, RAM is empty and the car is powered
-        and active.
+        that the car is powered and active; the driver's `next_wake`
+        decides the rest.
         """
         cfg, car = self.cfg, self.car
         dt = cfg.dt
@@ -543,22 +550,16 @@ class Simulation:
             self._workload_acc = acc
             self.radio_on_s = radio_on_s
             self._next_backlog_at = backlog_at
-            if v < self.min_cap_v:
-                self.min_cap_v = v
-            if stored > self.bytes_stored_peak:
-                self.bytes_stored_peak = stored
         return n
 
     def run(self) -> ScenarioResult:
         n_steps = round(self.cfg.duration / self.cfg.dt)
         step, car = self.step, self.car
-        pending, ram = self.pending_requests, self.store.ram  # mutated, never rebound
         done = 0
         while done < n_steps:
             step()
             done += 1
-            # cheap reads first, so that a busy step stops here
-            if not pending and not ram and car.powered and self.rebooting_until is None:
+            if car.powered and self.rebooting_until is None:
                 done += self._quiet_stretch(n_steps - done)
         return ScenarioResult(
             trace=VoltageTrace(self._samples, self.cfg.dt),
@@ -570,7 +571,7 @@ class Simulation:
         b = self._backlog_samples
         if len(b) < 4:
             return False
-        record_size = self.cfg.workload_payload + 16
+        record_size = self.cfg.workload_payload + RECORD_OVERHEAD
         return (
             b[-1] > b[len(b) // 2] > b[len(b) // 4]
             and b[-1] - b[len(b) // 4] >= 2 * record_size

@@ -132,7 +132,7 @@ def test_durability_under_randomized_brownouts():
         flushed: set[int] = set()
 
         def deliver_one() -> None:
-            for record in store.unacked():
+            for record in store.flash:
                 assert record.crc_valid()
                 if rng.random() < 0.3:  # frame lost in flight
                     return
@@ -156,7 +156,7 @@ def test_durability_under_randomized_brownouts():
         flushed.update(r.seq for r in store.ram)
         store.flush()
         for _ in range(5000):
-            if not list(store.unacked()):
+            if not store.flash:
                 break
             deliver_one()
 

@@ -12,7 +12,6 @@ from powergap.energy_model import (
     EnergyModelParams,
     PowerState,
     RadioMode,
-    VoltageTrace,
     calibrate_currents,
     discharge_current,
 )
@@ -24,11 +23,6 @@ C80_TX = PowerState(ClockTier.C80, RadioMode.TRANSMITTING)
 @pytest.fixture
 def params():
     return EnergyModelParams.calibrated()
-
-
-def make_trace(cap_values, dt=0.005, supply=9.0):
-    samples = [((i + 1) * dt, supply, v) for i, v in enumerate(cap_values)]
-    return VoltageTrace(samples, dt)
 
 
 class TestDischarge:
@@ -158,10 +152,6 @@ class TestTypes:
             EnergyModelParams(brownout_drop=9.5).validate()
         with pytest.raises(ConfigError):
             EnergyModelParams(capacitance=0.0).validate()
-
-    def test_trace_rejects_negative_voltage(self):
-        with pytest.raises(ValueError):
-            make_trace([9.0, -0.1])
 
     def test_nine_states_total(self):
         assert len(ALL_POWER_STATES) == 9

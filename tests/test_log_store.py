@@ -29,13 +29,13 @@ class TestAppend:
         assert store.dropped == 1
         flushed = store.flush()
         assert flushed == 256
-        seqs = [r.seq for r in store.unacked()]
+        seqs = [r.seq for r in store.flash]
         assert seqs[0] == 2  # record 1 was the one dropped
 
     def test_crc_valid_on_construction(self, store):
         store.append(Severity.WARN, b"payload")
         store.flush()
-        record = next(store.unacked())
+        record = store.flash[0]
         assert record.crc_valid()
 
     def test_oversized_payload_rejected(self, store):
@@ -49,7 +49,7 @@ class TestFlush:
             store.append(Severity.INFO, b"a")
         assert store.flush() == 10
         assert len(store.ram) == 0
-        assert len(list(store.unacked())) == 10
+        assert len(store.flash) == 10
 
     def test_idempotent_on_empty(self, store):
         assert store.flush() == 0
@@ -61,7 +61,7 @@ class TestFlush:
             store.append(Severity.INFO, b"a")
         assert store.oldest_unacked() is None  # still only in RAM
         store.flush()
-        assert store.oldest_unacked() is next(store.unacked())
+        assert store.oldest_unacked() is store.flash[0]
         store.ack_through(3)
         assert store.oldest_unacked().seq == 4
         store.ack_through(5)
@@ -77,7 +77,7 @@ class TestFlush:
             store.append(Severity.INFO, b"tail")
         store.flush()
         assert store.evicted == 5
-        assert [r.seq for r in store.unacked()] == list(range(6, 16))
+        assert [r.seq for r in store.flash] == list(range(6, 16))
         assert store.flash_bytes == 10 * 20
         store.ack_through(10)
         assert store.flash_bytes == 5 * 20
@@ -89,7 +89,7 @@ class TestFlush:
         for _ in range(10):
             store.append(Severity.INFO, b"lose")
         store.on_brownout()
-        records = list(store.unacked())
+        records = list(store.flash)
         assert len(records) == 5
         assert all(r.crc_valid() for r in records)
         assert len(store.ram) == 0
@@ -107,17 +107,17 @@ class TestAck:
     def test_full_drain(self):
         store = self._filled()
         assert store.ack_through(store.high_water) == 50
-        assert list(store.unacked()) == []
+        assert list(store.flash) == []
 
     def test_ack_zero_trims_nothing(self):
         store = self._filled()
         assert store.ack_through(0) == 0
-        assert len(list(store.unacked())) == 50
+        assert len(store.flash) == 50
 
     def test_partial_ack(self):
         store = self._filled()
         assert store.ack_through(25) == 25
-        assert [r.seq for r in store.unacked()] == list(range(26, 51))
+        assert [r.seq for r in store.flash] == list(range(26, 51))
 
     def test_future_seq_rejected(self):
         store = self._filled()
@@ -129,17 +129,17 @@ class TestAck:
             store.append(Severity.INFO, b"x")
         store.flush()
         store.ack_through(4)
-        assert [r.seq for r in store.unacked()] == [5, 6, 7, 8, 9, 10]
+        assert [r.seq for r in store.flash] == [5, 6, 7, 8, 9, 10]
 
     def test_empty_store_empty_iterator(self, store):
-        assert list(store.unacked()) == []
+        assert list(store.flash) == []
 
     def test_unacked_unchanged_by_brownout(self):
         store = self._filled()
         store.ack_through(20)
-        before = [r.seq for r in store.unacked()]
+        before = [r.seq for r in store.flash]
         store.on_brownout()
-        assert [r.seq for r in store.unacked()] == before
+        assert [r.seq for r in store.flash] == before
 
 
 class TestInvariants:
@@ -163,14 +163,14 @@ class TestInvariants:
             elif op == "brownout":
                 store.on_brownout()
             else:
-                unacked = [r.seq for r in store.unacked()]
+                unacked = [r.seq for r in store.flash]
                 if unacked:
                     store.ack_through(rng.choice(unacked))
         assert store.conservation_holds()
-        seqs = [r.seq for r in store.unacked()]
+        seqs = [r.seq for r in store.flash]
         assert seqs == sorted(seqs)
         assert len(seqs) == len(set(seqs))
-        assert all(r.crc_valid() for r in store.unacked())
+        assert all(r.crc_valid() for r in store.flash)
 
     def test_no_phantom_records(self):
         store = LogStore(ram_capacity=4)
@@ -180,7 +180,7 @@ class TestInvariants:
             if i % 3 == 0:
                 store.flush()
         store.flush()
-        assert {r.seq for r in store.unacked()} <= produced
+        assert {r.seq for r in store.flash} <= produced
 
 
 class TestPrimitives:
@@ -191,15 +191,7 @@ class TestPrimitives:
         assert store.dropped == 3
         assert [r.seq for r in store.ram] == [4, 5]
         assert store.flush() == 2
-        assert [r.seq for r in store.unacked()] == [4, 5]
-
-    def test_flash_ring_write_counter(self):
-        store = LogStore()
-        for _ in range(7):
-            store.append(Severity.INFO, b"")
-        store.flush()
-        store.ack_through(3)
-        assert store.write_counter == 7
+        assert [r.seq for r in store.flash] == [4, 5]
 
     @pytest.mark.parametrize("field, value", [
         ("seq", 10),

@@ -160,7 +160,7 @@ class TestWirelessContinuous:
         sim.run()
         # every flushed record was eventually acked despite 50% loss
         assert sim.store.appended > 0
-        assert list(sim.store.unacked()) == []
+        assert list(sim.store.flash) == []
         assert len(sim.store.ram) == 0
 
 

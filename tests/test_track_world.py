@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import importlib.resources
 
@@ -230,7 +231,7 @@ class TestBrownout:
         result = sim.run()
         assert result.metrics.brownout_count >= 1
         assert len(sim.store.ram) == 0
-        assert len(list(sim.store.unacked())) == 90
+        assert len(sim.store.flash) == 90
         assert sim.store.lost_unflushed == 10
 
     def test_radio_off_after_reboot(self):
@@ -317,6 +318,14 @@ class TestRunScenario:
         # the caps are inclusive, as in the scenario parser
         sim = Simulation(dataclasses.replace(crossing_config(), **overrides))
         assert sim.now == 0.0
+
+    def test_flash_must_hold_one_record(self):
+        # refused up front, not with a StoreError at the first flush
+        cfg = crossing_config(flash_capacity=10, workload_rate=100.0)
+        with pytest.raises(LayoutError, match="must hold one record"):
+            Simulation(cfg)
+        # a 16-byte payload and 16 bytes of record overhead fit exactly
+        run_scenario(dataclasses.replace(cfg, flash_capacity=32))
 
     def test_power_duality(self):
         result = run_scenario(crossing_config())
@@ -411,7 +420,7 @@ def run_state(sim):
         "events": sim.events,
         "metrics": sim._metrics(),
         "store": (list(store.ram), list(store.flash), store.flash_bytes,
-                  store.write_counter, store.high_water,
+                  store.high_water,
                   store.appended, store.acked, store.dropped, store.evicted,
                   store.lost_unflushed),
         "presented": sim.host.presented,
@@ -484,6 +493,30 @@ def test_stretch_ends_exactly_on_grid_aligned_edges(kind):
     assert entries == {"pos=0.6250", "pos=0.8125"}
     requests = [ev.time for ev in sim.events if ev.kind is EventKind.REQUEST_ARRIVED]
     assert requests == [1.5]
+
+
+@pytest.mark.parametrize(
+    "kind", [None, StrategyKind.STOP_AND_RADIO, StrategyKind.SAVE_AND_PRINT_LATER],
+    ids=lambda k: k.value if k else "none")
+def test_pending_requests_leave_stretches_to_next_wake(kind, monkeypatch):
+    # requests wait for the next drain, or for nobody without a driver;
+    # while they wait, most steps still run in quiet stretches
+    calls = collections.Counter()
+    plain_step = Simulation.step
+
+    def counted_step(sim):
+        calls[sim] += 1
+        plain_step(sim)
+
+    monkeypatch.setattr(Simulation, "step", counted_step)
+    cfg = load_scenario(
+        importlib.resources.files("powergap") / "scenarios" / "reference_workload.scn"
+    ).build()
+    cfg = dataclasses.replace(
+        cfg, strategy=kind, schedule=HostRequestSchedule(times=tuple(map(float, range(1, 29, 3)))))
+    sim = assert_same_run(cfg)
+    assert sim.requests_arrived == 10
+    assert calls[sim] <= 0.15 * round(cfg.duration / cfg.dt)
 
 
 @st.composite
