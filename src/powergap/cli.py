@@ -20,11 +20,10 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .energy_model import MEASURED_DROPS, PowerState
+from .energy_model import MEASURED_DROPS, ConfigError, PowerState
 from .scenario import ScenarioError, load_scenario, parse_scenario
 from .strategies import StrategyKind
 from .track_world import (
-    LayoutError,
     evaluate_strategies,
     events_to_csv,
     run_scenario,
@@ -78,7 +77,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     for path in args.scenario:
         try:
             name, brownouts = _run_one(path, args.seed, out)
-        except (ScenarioError, LayoutError, FileNotFoundError) as exc:
+        except (ScenarioError, ConfigError, FileNotFoundError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         print(f"{name}: brownouts={brownouts}")
@@ -108,7 +107,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if args.controller:
             cfg.controller = True
         rows = evaluate_strategies(cfg, kinds)
-    except (ScenarioError, LayoutError, FileNotFoundError) as exc:
+    except (ScenarioError, ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     buf = io.StringIO()

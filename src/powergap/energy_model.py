@@ -61,7 +61,17 @@ DEFAULT_BURST_CURRENT = 0.250
 
 
 class ConfigError(ValueError):
-    """Invalid energy-model configuration."""
+    """Invalid configuration.
+
+    `keys` names the scenario-file `(section, key)` pairs the error
+    blames, best first: a file's error cites the line of the first one
+    the file sets, prefixed with that key's name when `keyed`.
+    """
+
+    def __init__(self, message: str, *keys: tuple[str, str], keyed: bool = False) -> None:
+        super().__init__(message)
+        self.keys = keys
+        self.keyed = keyed
 
 
 class CalibrationError(ValueError):
@@ -81,9 +91,13 @@ class EnergyModelParams:
             raise ConfigError("capacitance must be > 0")
         if self.gap_duration <= 0:
             raise ConfigError("gap_duration must be > 0")
-        if not (0 < self.brownout_drop < self.nominal_voltage):
+        if self.brownout_drop <= 0:
+            raise ConfigError("brownout_drop must be > 0")
+        if not self.brownout_drop < self.nominal_voltage:
             raise ConfigError(
-                "brownout_drop must lie in (0, nominal_voltage)"
+                f"brownout_drop ({self.brownout_drop}) must be below "
+                f"nominal_voltage ({self.nominal_voltage})",
+                ("energy", "brownout_drop"), ("energy", "nominal_voltage"),
             )
         for state, current in self.current_table.items():
             if current < 0:
@@ -116,7 +130,6 @@ class VoltageTrace:
     """Uniformly sampled supply and capacitor voltages."""
 
     samples: list[tuple[float, float, float]]  # (time_s, supply_v, cap_v)
-    sample_period: float
 
     def __len__(self) -> int:
         return len(self.samples)

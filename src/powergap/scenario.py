@@ -3,11 +3,14 @@
 Plain-text sectioned key=value format, chosen over a richer config
 language so acceptance scenarios diff cleanly and can be written by
 hand.  Parsing is total: any rejection carries the offending line
-number, unknown sections and keys are refused, and cross-field rules
-(threshold ordering, dock placement, mandatory seeds for lossy links)
-are checked before a simulation starts.  A key a file leaves out is
-not passed on, so it takes the default of the config dataclass field
-or function argument it sets.
+number, and unknown sections and keys are refused.  The parser checks
+each key's own range and the one file-level rule (a seed for lossy
+links); the rules tying values together (threshold ordering, run-size
+caps, dock placement) are `ScenarioConfig.validate`'s, the same that
+refuse a config built in Python, and the parser only cites the line of
+the key their error blames.  A key a file leaves out is not passed on,
+so it takes the default of the config dataclass field or function
+argument it sets.
 """
 
 from __future__ import annotations
@@ -16,22 +19,20 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .energy_model import (
     ALL_POWER_STATES,
     MEASURED_DROPS,
     ClockTier,
+    ConfigError,
     EnergyModelParams,
     PowerState,
     RadioMode,
     calibrate_currents,
 )
-from .log_store import RECORD_OVERHEAD
 from .strategies import EnergyBudget, StrategyKind
 from .track_world import (
-    MAX_RECORDS,
-    MAX_STEPS,
     HostRequestSchedule,
     LayoutError,
     ScenarioConfig,
@@ -200,6 +201,17 @@ class ScenarioSpec:
                 raise ScenarioError(self._line("track", key), f"{key}: {exc}") from None
         return layout
 
+    def _check(self, validate: Callable[[], None]) -> None:
+        """Run `validate`, citing the first key its error blames that this
+        file sets."""
+        try:
+            validate()
+        except ConfigError as exc:
+            blamed = [k for k in exc.keys if k in self.lines] or [*exc.keys, ("", "")]
+            section, key = blamed[0]
+            message = f"{key}: {exc}" if exc.keyed else str(exc)
+            raise ScenarioError(self._line(section, key), message) from None
+
     def _build_schedule(self) -> HostRequestSchedule:
         raw = self.values.get(("schedule", "requests"), "none")
         line = self._line("schedule", "requests")
@@ -223,13 +235,7 @@ class ScenarioSpec:
     def build(self) -> ScenarioConfig:
         args = self._arguments()
         params = EnergyModelParams(**args["params"])
-        if params.brownout_drop >= params.nominal_voltage:
-            raise ScenarioError(
-                self._line("energy", "brownout_drop")
-                or self._line("energy", "nominal_voltage"),
-                f"brownout_drop ({params.brownout_drop}) must be below "
-                f"nominal_voltage ({params.nominal_voltage})",
-            )
+        self._check(params.validate)
         params.current_table = calibrate_currents(
             {**MEASURED_DROPS, **args["drops"]}, params, **args["calibration"]
         )
@@ -252,40 +258,7 @@ class ScenarioSpec:
             name=self.name,
             **args["config"],
         )
-        steps = cfg.duration / cfg.dt
-        if steps > MAX_STEPS:
-            key = "duration" if ("run", "duration") in self.values else "dt"
-            raise ScenarioError(
-                self._line("run", key),
-                f"{key}: duration / dt is {steps:.4g} steps, above the cap of "
-                f"{MAX_STEPS}",
-            )
-        records = cfg.workload_rate * cfg.duration
-        if records > MAX_RECORDS:
-            raise ScenarioError(
-                self._line("workload", "rate"),
-                f"rate: rate * duration is {records:.4g} records, above the cap of "
-                f"{MAX_RECORDS}",
-            )
-        record_size = cfg.workload_payload + RECORD_OVERHEAD
-        if cfg.flash_capacity < record_size:
-            raise ScenarioError(
-                self._line("run", "flash_capacity"),
-                f"flash_capacity ({cfg.flash_capacity}) must hold one record of "
-                f"payload_size + {RECORD_OVERHEAD} = {record_size} bytes",
-            )
-        if (cfg.strategy is StrategyKind.SAVE_AND_PRINT_LATER
-                and cfg.layout.dock_position is None):
-            raise ScenarioError(
-                self._line("strategy", "kind"),
-                "save_and_print_later needs a dock_position in [track]",
-            )
-        if cfg.budget.max_allowed_drop >= params.brownout_drop:
-            raise ScenarioError(
-                self._line("budget", "max_allowed_drop"),
-                f"max_allowed_drop ({cfg.budget.max_allowed_drop}) must stay below "
-                f"brownout_drop ({params.brownout_drop})",
-            )
+        self._check(cfg.validate)
         if (cfg.wireless.loss_rate > 0 and ("run", "seed") not in self.values
                 and cfg.strategy in (StrategyKind.STOP_AND_RADIO,
                                      StrategyKind.WIRELESS_CONTINUOUS)):

@@ -22,7 +22,6 @@ from .energy_model import RadioMode
 from .transports import (
     Frame,
     FrameKind,
-    LayoutError,
     Outcome,
     PowerlineChannel,
     WirelessLink,
@@ -127,7 +126,8 @@ class Driver:
 
     def _idle(self) -> bool:
         """Nothing to send: no pending request and no unacked record."""
-        return not self.sim.pending_requests and not self.sim.store.flash
+        sim = self.sim
+        return sim.requests_answered == sim.requests_arrived and not sim.store.flash
 
     def on_brownout(self) -> None:
         self.in_flight = None
@@ -138,8 +138,8 @@ class Driver:
 
     def _next_frame(self) -> Optional[Frame]:
         sim = self.sim
-        if sim.pending_requests:
-            return Frame(FrameKind.REPLY, sim.pending_requests[0])
+        if sim.requests_answered < sim.requests_arrived:
+            return Frame(FrameKind.REPLY, sim.requests_answered + 1)
         record = self.record = sim.store.oldest_unacked()
         if record is not None:
             return Frame(FrameKind.LOG, record.seq, record.payload)
@@ -339,11 +339,6 @@ class StopAndRadioDriver(_DrainCycleDriver, _RadioDriver):
 class SaveAndPrintLaterDriver(_DrainCycleDriver):
     """Drive, periodically stop at the dock, drain over the wired link."""
 
-    def __init__(self, sim: Simulation) -> None:
-        if sim.cfg.layout.dock_position is None:
-            raise LayoutError("save_and_print_later needs a dock position")
-        super().__init__(sim)
-
     def _approach(self, now: float) -> None:
         sim = self.sim
         start, dist = sim.last_step
@@ -412,7 +407,6 @@ def make_driver(kind: StrategyKind, sim: Simulation) -> Driver:
 class OtaState(Enum):
     IDLE = "idle"
     RECEIVING = "receiving"
-    VERIFYING = "verifying"
     ACTIVATED = "activated"
 
 
@@ -457,7 +451,6 @@ class OtaDevice:
         self.session: Optional[OtaSession] = None
         self.persisted: Optional[OtaSession] = None  # transfer progress in flash
         self.pending_swap: Optional[str] = None
-        self.chunk_writes = 0
         # fault-injection: flip one bit of this chunk after CRC checking,
         # simulating storage corruption the link layer cannot catch
         self.fault_corrupt_chunk: Optional[int] = None
@@ -507,7 +500,6 @@ class OtaDevice:
             data = bytes([data[0] ^ 0x01]) + data[1:]
         start = index * s.chunk_size
         self.slots[s.target_slot][start : start + len(data)] = data
-        self.chunk_writes += 1
         s.next_chunk = index + 1
         self.persisted = replace(s)
         if s.next_chunk >= s.n_chunks:
@@ -517,7 +509,6 @@ class OtaDevice:
     def _finish(self) -> None:
         s = self.session
         assert s is not None
-        s.state = OtaState.VERIFYING
         if self.slot_hash(s.target_slot) == s.image_hash:
             s.state = OtaState.ACTIVATED
             self.slot_meta[s.target_slot] = s.image_hash

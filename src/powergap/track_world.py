@@ -5,6 +5,9 @@ two short unpowered gaps.  While powered the capacitor sits at the rail
 voltage; inside a gap it discharges according to the active power state.
 Gap occupancy is integrated exactly within each fixed step, so measured
 drops do not depend on how gap edges align with the step grid.
+`ScenarioConfig.validate`, called by `Simulation`, states every rule
+tying config values together once, so a bad config built in Python and
+a bad scenario file are refused alike, in the same words.
 After a step that leaves the car powered and active, `Simulation.run`
 runs the quiet stretch that follows (short of the next gap, no record
 or timed request due; the driver's `next_wake` decides the rest) in a
@@ -27,6 +30,7 @@ from typing import IO, Iterable, Optional, Sequence
 
 from .energy_model import (
     ClockTier,
+    ConfigError,
     EnergyModelParams,
     PowerState,
     RadioMode,
@@ -35,7 +39,11 @@ from .energy_model import (
 )
 from .log_store import RECORD_OVERHEAD, LogRecord, LogStore, Severity
 from .strategies import EnergyBudget, HostCollector, StrategyKind, make_driver
-from .transports import LayoutError, WirelessLinkParams
+from .transports import MAX_PAYLOAD, WirelessLinkParams
+
+
+class LayoutError(ConfigError):
+    """Invalid track layout, or scenario config values that do not fit."""
 
 
 class SegmentKind(Enum):
@@ -233,6 +241,52 @@ class ScenarioConfig:
     flash_capacity: int = 65536
     name: str = "scenario"
 
+    def validate(self) -> None:
+        """Refuse values that do not fit together: the one statement of
+        these rules, for configs built in Python and parsed files alike."""
+        self.params.validate()
+        self.layout.validate()
+        if self.dt <= 0 or self.duration <= 0:
+            raise LayoutError("dt and duration must be > 0")
+        if self.speed < 0:
+            raise LayoutError("speed must be >= 0")
+        if not 0 <= self.workload_payload <= MAX_PAYLOAD:
+            raise LayoutError(
+                f"workload_payload ({self.workload_payload}) must lie in [0, {MAX_PAYLOAD}]"
+            )
+        steps = self.duration / self.dt
+        if not steps <= MAX_STEPS:  # also refuses NaN and inf
+            raise LayoutError(
+                f"duration / dt is {steps:.4g} steps, above the cap of {MAX_STEPS}",
+                ("run", "duration"), ("run", "dt"), keyed=True,
+            )
+        records = self.workload_rate * self.duration
+        if not records <= MAX_RECORDS:
+            raise LayoutError(
+                f"rate * duration is {records:.4g} records, above the cap of "
+                f"{MAX_RECORDS}",
+                ("workload", "rate"), keyed=True,
+            )
+        record_size = self.workload_payload + RECORD_OVERHEAD
+        if self.flash_capacity < record_size:
+            raise LayoutError(
+                f"flash_capacity ({self.flash_capacity}) must hold one record of "
+                f"payload_size + {RECORD_OVERHEAD} = {record_size} bytes",
+                ("run", "flash_capacity"),
+            )
+        if (self.strategy is StrategyKind.SAVE_AND_PRINT_LATER
+                and self.layout.dock_position is None):
+            raise LayoutError(
+                "save_and_print_later needs a dock_position in [track]",
+                ("strategy", "kind"),
+            )
+        if not self.budget.max_allowed_drop < self.params.brownout_drop:
+            raise LayoutError(
+                f"max_allowed_drop ({self.budget.max_allowed_drop}) must stay below "
+                f"brownout_drop ({self.params.brownout_drop})",
+                ("budget", "max_allowed_drop"),
+            )
+
 
 @dataclass
 class DeliveryMetrics:
@@ -279,29 +333,7 @@ class Simulation:
     """Single deterministic scenario run."""
 
     def __init__(self, cfg: ScenarioConfig) -> None:
-        cfg.params.validate()
-        cfg.layout.validate()
-        if cfg.dt <= 0 or cfg.duration <= 0:
-            raise LayoutError("dt and duration must be > 0")
-        if cfg.speed < 0:
-            raise LayoutError("speed must be >= 0")
-        steps = cfg.duration / cfg.dt
-        if not steps <= MAX_STEPS:  # also refuses NaN and inf
-            raise LayoutError(
-                f"duration / dt is {steps:.4g} steps, above the cap of {MAX_STEPS}"
-            )
-        records = cfg.workload_rate * cfg.duration
-        if not records <= MAX_RECORDS:
-            raise LayoutError(
-                f"workload_rate * duration is {records:.4g} records, above the cap "
-                f"of {MAX_RECORDS}"
-            )
-        record_size = cfg.workload_payload + RECORD_OVERHEAD
-        if cfg.flash_capacity < record_size:
-            raise LayoutError(
-                f"flash_capacity ({cfg.flash_capacity}) must hold one record of "
-                f"workload_payload + {RECORD_OVERHEAD} = {record_size} bytes"
-            )
+        cfg.validate()
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
         nominal = cfg.params.nominal_voltage
@@ -318,7 +350,8 @@ class Simulation:
         self.min_cap_v = nominal
         self.last_step: tuple[float, float] = (0.0, 0.0)  # (start pos, dist)
 
-        self.pending_requests: list[int] = []
+        # requests are answered oldest first: those pending are numbered
+        # requests_answered + 1 through requests_arrived
         self.requests_arrived = 0
         self.requests_answered = 0
         self._next_request_idx = 0
@@ -356,8 +389,7 @@ class Simulation:
         self.delivered_bytes += len(record.payload)
 
     def answer_request(self, req_id: int) -> None:
-        if req_id in self.pending_requests:
-            self.pending_requests.remove(req_id)
+        if req_id == self.requests_answered + 1:
             self.requests_answered += 1
 
     # -- event helpers ------------------------------------------------------
@@ -367,9 +399,7 @@ class Simulation:
 
     def _arrive_request(self, t: float) -> None:
         self.requests_arrived += 1
-        req_id = self.requests_arrived
-        self.pending_requests.append(req_id)
-        self._emit(t, EventKind.REQUEST_ARRIVED, f"req={req_id}")
+        self._emit(t, EventKind.REQUEST_ARRIVED, f"req={self.requests_arrived}")
 
     def _on_brownout(self, t: float) -> None:
         self.brownout_count += 1
@@ -562,7 +592,7 @@ class Simulation:
             if car.powered and self.rebooting_until is None:
                 done += self._quiet_stretch(n_steps - done)
         return ScenarioResult(
-            trace=VoltageTrace(self._samples, self.cfg.dt),
+            trace=VoltageTrace(self._samples),
             events=self.events,
             metrics=self._metrics(),
         )

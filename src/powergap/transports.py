@@ -66,10 +66,6 @@ class Frame:
         if not 0 <= self.seq < 2**32:
             raise FrameError("seq out of 32-bit range")
 
-    @property
-    def wire_size(self) -> int:
-        return FRAME_OVERHEAD + len(self.payload)
-
 
 def frame_encode(frame: Frame) -> bytes:
     body = bytes([len(frame.payload), frame.kind.value])
@@ -165,14 +161,6 @@ def powerline_unpack(slots: Iterable[int]) -> bytes:
 
 
 # --- Channels ------------------------------------------------------------
-
-class LayoutError(ValueError):
-    """Invalid track layout, or a strategy the layout cannot carry.
-
-    Defined here, below both `track_world` and `strategies`, so that
-    each can raise it.
-    """
-
 
 class Outcome(Enum):
     DELIVERED = "delivered"

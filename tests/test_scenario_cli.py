@@ -1,5 +1,6 @@
 import importlib.resources
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from powergap.cli import (
 )
 from powergap.energy_model import (
     ClockTier,
+    ConfigError,
     EnergyModelParams,
     PowerState,
     RadioMode,
@@ -25,6 +27,7 @@ from powergap.track_world import (
     ScenarioConfig,
     Segment,
     SegmentKind,
+    Simulation,
     TrackLayout,
     run_scenario,
 )
@@ -244,6 +247,19 @@ REJECTIONS = {
         "line 2: dt: duration / dt is 1e+12 steps, above the cap of 10000000"),
 }
 
+#: the REJECTIONS cases that break a rule tying fields together, as
+#: overrides of a config built in Python (`params` overrides its params)
+CROSS_FIELD = {
+    "brownout_above_nominal": {"params": {"brownout_drop": 9.5}},
+    "nominal_below_brownout": {"params": {"nominal_voltage": 3.0}},
+    "budget_at_brownout": {"budget": EnergyBudget(max_allowed_drop=4.0)},
+    "dockless_save_and_print_later": {"strategy": StrategyKind.SAVE_AND_PRINT_LATER},
+    "flash_below_one_record": {"workload_payload": 200, "flash_capacity": 100},
+    "records_above_cap": {"workload_rate": 1e12, "duration": 0.01},
+    "steps_above_cap": {"duration": 1e300},
+    "steps_above_cap_by_dt": {"dt": 1e-12},
+}
+
 #: every key set to a value other than its default
 EVERY_KEY = f"""
 [energy]
@@ -321,6 +337,21 @@ class TestRejectionCorpus:
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(text).build()
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("case", sorted(CROSS_FIELD))
+    def test_python_config_refused_in_the_same_words(self, case):
+        # one ScenarioConfig.validate states each rule for files and
+        # Python configs alike; a file's error only adds line and key
+        overrides = dict(CROSS_FIELD[case])
+        params = replace(EnergyModelParams.calibrated(), **overrides.pop("params", {}))
+        layout = TrackLayout([
+            Segment(SegmentKind.STRAIGHT, 0.30),
+            Segment(SegmentKind.LANE_CHANGE, 0.48, (0.09, 0.36)),
+            Segment(SegmentKind.STRAIGHT, 0.30),
+        ])
+        with pytest.raises(ConfigError) as exc:
+            Simulation(ScenarioConfig(params=params, layout=layout, **overrides))
+        assert str(exc.value) == re.sub(r"^line \d+: (\w+: )?", "", REJECTIONS[case][1])
 
     def test_empty_file_builds_dataclass_defaults(self):
         expected = ScenarioConfig(

@@ -253,7 +253,7 @@ class TestNextWake:
         assert sim.driver.next_wake(2.0) == 2.0
         sim = idle_sim(StrategyKind.WIRELESS_CONTINUOUS)
         sim.driver.link.associated = True
-        sim.pending_requests.append(1)
+        sim.requests_arrived = 1  # request 1 is pending
         assert sim.driver.next_wake(2.0) == 2.0
 
     def test_wireless_frame_in_flight(self):

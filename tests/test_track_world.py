@@ -319,6 +319,17 @@ class TestRunScenario:
         sim = Simulation(dataclasses.replace(crossing_config(), **overrides))
         assert sim.now == 0.0
 
+    @pytest.mark.parametrize("overrides", [
+        {"budget": EnergyBudget(max_allowed_drop=5.0)},
+        {"workload_payload": 300},
+        {"workload_payload": -1},
+    ], ids=["budget_above_brownout", "payload_above_max", "payload_negative"])
+    def test_constructor_refuses_what_the_parser_refuses(self, overrides):
+        # a Python config once ran with a budget past the brownout drop,
+        # or failed later on a payload no record can carry
+        with pytest.raises(LayoutError):
+            Simulation(dataclasses.replace(crossing_config(), **overrides))
+
     def test_flash_must_hold_one_record(self):
         # refused up front, not with a StoreError at the first flush
         cfg = crossing_config(flash_capacity=10, workload_rate=100.0)
@@ -425,9 +436,9 @@ def run_state(sim):
                   store.lost_unflushed),
         "presented": sim.host.presented,
         "sim": (sim.now, sim.last_step, sim.car, sim.min_cap_v, sim.extra_current,
-                sim.rebooting_until, sim.pending_requests, sim._next_request_idx,
-                sim._workload_acc, sim._backlog_samples, sim._next_backlog_at,
-                sim.radio_on_s, sim.latencies, sim.rng.getstate()),
+                sim.rebooting_until, sim.requests_arrived, sim.requests_answered,
+                sim._next_request_idx, sim._workload_acc, sim._backlog_samples,
+                sim._next_backlog_at, sim.radio_on_s, sim.latencies, sim.rng.getstate()),
     }
     if driver is not None:
         # tx_until, in_flight, record; next_drain, state, connecting_until, ...
@@ -519,6 +530,20 @@ def test_pending_requests_leave_stretches_to_next_wake(kind, monkeypatch):
     assert calls[sim] <= 0.15 * round(cfg.duration / cfg.dt)
 
 
+@pytest.mark.parametrize("rate", [3.0, 20.0])
+def test_stretch_waits_while_the_gate_defers_on_the_budget(rate):
+    # the tick on each gap exit still sees the drained capacitor, past
+    # the 1 V budget, so the gate defers while records wait; the steps
+    # after it must tick, not run in a stretch
+    cfg = ScenarioConfig(
+        params=EnergyModelParams.calibrated(), layout=lane_change_layout(),
+        duration=4.0, strategy=StrategyKind.WIRELESS_CONTINUOUS, controller=True,
+        budget=EnergyBudget(max_allowed_drop=1.0, lookahead=0.0),
+        wireless=WirelessLinkParams(connect_latency=0.1), workload_rate=rate,
+    )
+    assert_same_run(cfg)
+
+
 @st.composite
 def stretch_configs(draw):
     layout = draw(layouts())
@@ -542,7 +567,8 @@ def stretch_configs(draw):
         initial_state=draw(st.sampled_from(ALL_POWER_STATES)),
         strategy=draw(st.sampled_from([None, *StrategyKind])),
         controller=draw(st.booleans()),
-        budget=EnergyBudget(lookahead=draw(st.floats(0.0, 0.05))),
+        budget=EnergyBudget(max_allowed_drop=draw(st.floats(0.5, 3.9)),
+                            lookahead=draw(st.floats(0.0, 0.05))),
         wireless=WirelessLinkParams(
             connect_latency=draw(st.floats(0.0, 0.2)),
             loss_rate=draw(st.sampled_from([0.0, 0.1, 0.5])),
