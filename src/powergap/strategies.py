@@ -121,6 +121,10 @@ class Driver:
         default, `now`, lets no tick be skipped.  Work already waiting
         (a pending request, an unacked record) counts here: the scenario
         loop asks nothing else about the driver before it skips ticks.
+        A tick on which the transmission gate defers is a no-op too: the
+        loop skips ticks only up to the next gap edge and while the
+        capacitor stays as it is on powered track, and the gate's answer
+        holds that long.
         """
         return now
 
@@ -292,7 +296,11 @@ class WirelessContinuousDriver(_RadioDriver):
             return self._connect_wake(now)
         if self.tx_until is not None:
             return self.tx_until - 1e-12
-        return None if self._idle() else now
+        return None if self._idle() or self._gate_defers() else now
+
+    def _gate_defers(self) -> bool:
+        sim = self.sim
+        return sim.cfg.controller and controller_gate(sim.cfg.budget, sim) is Gate.DEFER
 
     def tick(self, now: float) -> None:
         if not self.link.associated:
@@ -305,10 +313,7 @@ class WirelessContinuousDriver(_RadioDriver):
                 return
             self._finish(now)
         frame = self._next_frame()
-        if frame is None:
-            return
-        sim = self.sim
-        if sim.cfg.controller and controller_gate(sim.cfg.budget, sim) is Gate.DEFER:
+        if frame is None or self._gate_defers():
             return
         self._start(now, frame)
 

@@ -8,11 +8,11 @@ drops do not depend on how gap edges align with the step grid.
 `ScenarioConfig.validate`, called by `Simulation`, states every rule
 tying config values together once, so a bad config built in Python and
 a bad scenario file are refused alike, in the same words.
-After a step that leaves the car powered and active, `Simulation.run`
-runs the quiet stretch that follows (short of the next gap, no record
-or timed request due; the driver's `next_wake` decides the rest) in a
-tight inner loop that makes the same float operations as `step`, so
-skipping the full step there changes no output.
+After every step, `Simulation.run` runs the quiet stretch that follows
+(short of the next gap edge, no record, timed request, reboot end or
+brownout due; the driver's `next_wake` decides the rest), on powered
+track or inside a gap, in a tight inner loop that makes the same float
+operations as `step`, so skipping the full step there changes no output.
 `evaluate_strategies` runs one workload under several strategies and
 `write_comparison_csv` tabulates their delivery metrics.
 """
@@ -117,13 +117,13 @@ class TrackLayout:
     def in_gap(self, position: float) -> bool:
         return self._gap_index(position % self.total_length) >= 0
 
-    def powered_until(self, x: float) -> float:
-        """End of the gap-free track ahead of `x` in [0, total_length): the
-        next gap start, else the track end; `x` itself if `x` is in a gap."""
+    def edge_ahead(self, x: float) -> float:
+        """The first gap edge after `x` in [0, total_length): the end of
+        the gap holding `x`, else the next gap start, else the track end."""
         starts = self._starts
         i = bisect_right(starts, x)
         if i and x < self._ends[i - 1]:
-            return x
+            return self._ends[i - 1]
         return starts[i] if i < len(starts) else self.total_length
 
     def _overlap_span(self, a: float, b: float) -> float:
@@ -246,10 +246,25 @@ class ScenarioConfig:
         these rules, for configs built in Python and parsed files alike."""
         self.params.validate()
         self.layout.validate()
+        self.wireless.validate()
         if self.dt <= 0 or self.duration <= 0:
             raise LayoutError("dt and duration must be > 0")
         if self.speed < 0:
             raise LayoutError("speed must be >= 0")
+        # each `not v >= 0` and `not v > 0` also refuses NaN
+        if not self.workload_rate >= 0:
+            raise LayoutError(f"workload_rate ({self.workload_rate}) must be >= 0",
+                              ("workload", "rate"))
+        if self.recharge_rate is not None and not self.recharge_rate > 0:
+            raise LayoutError(f"recharge_rate ({self.recharge_rate}) must be > 0",
+                              ("energy", "recharge_rate"))
+        if not self.budget.max_allowed_drop > 0:
+            raise LayoutError(
+                f"max_allowed_drop ({self.budget.max_allowed_drop}) must be > 0",
+                ("budget", "max_allowed_drop"))
+        if not self.budget.lookahead >= 0:
+            raise LayoutError(f"lookahead ({self.budget.lookahead}) must be >= 0",
+                              ("budget", "lookahead"))
         if not 0 <= self.workload_payload <= MAX_PAYLOAD:
             raise LayoutError(
                 f"workload_payload ({self.workload_payload}) must lie in [0, {MAX_PAYLOAD}]"
@@ -515,43 +530,53 @@ class Simulation:
     def _quiet_stretch(self, limit: int) -> int:
         """Run up to `limit` quiet steps in a tight loop; return how many.
 
-        A quiet step starts and ends on powered track short of the next
-        gap, appends no record, meets no timed request, and falls before
-        the driver's `next_wake`, with the capacitor full and no ripple.
-        On such a step `step` changes only the clock, the position, the
-        workload accumulator, the radio-on time, the backlog samples and
-        the trace; this loop makes those float operations in the same
-        order, so every output is byte-identical.  The caller has checked
-        that the car is powered and active; the driver's `next_wake`
-        decides the rest.
+        A quiet step starts and ends short of the next gap edge (a gap's
+        start on powered track, its end in a gap), appends no record,
+        meets no timed request and falls before the driver's `next_wake`,
+        which is not asked while the device reboots.  On powered track the
+        capacitor stays full, there is no ripple, and a reboot does not
+        end.  In a gap the car moves and the step does not brown out.  On
+        such a step `step` changes only the clock, the position, the
+        workload accumulator, the capacitor (in a gap), the radio-on time,
+        the backlog samples and the trace; this loop makes those float
+        operations in the same order, so every output is byte-identical.
         """
+        if limit <= 0:
+            return 0
         cfg, car = self.cfg, self.car
-        dt = cfg.dt
+        dt, params, powered = cfg.dt, cfg.params, car.powered
         t = self.now
-        stop = math.inf  # the first step time that is not quiet
-        if self.driver is not None:
+        active = self.rebooting_until is None
+        # the first step time that is not quiet
+        stop = math.inf if active or not powered else self.rebooting_until
+        if active and self.driver is not None:
             wake = self.driver.next_wake(t)
             if wake is not None:
-                if t + dt >= wake:
-                    return 0
                 stop = wake
-        acc, inc = self._workload_acc, cfg.workload_rate * dt
-        if acc + inc >= 1.0:
+        acc, inc = self._workload_acc, cfg.workload_rate * dt if active else 0.0
+        if t + dt >= stop or acc + inc >= 1.0:
             return 0
-        params = cfg.params
-        nominal, v = params.nominal_voltage, car.capacitor_v
-        rate = cfg.recharge_rate
-        v_next = nominal if rate is None else min(nominal, v + rate * dt)
-        if v_next != v or nominal - v >= params.brownout_drop or cfg.ripple_amplitude:
+        nominal, v, speed = params.nominal_voltage, car.capacitor_v, car.speed
+        drop, capacitance = params.brownout_drop, params.capacitance
+        if powered:
+            rate = cfg.recharge_rate
+            v_next = nominal if rate is None else min(nominal, v + rate * dt)
+            if v_next != v or nominal - v >= drop or cfg.ripple_amplitude:
+                return 0
+        elif speed:
+            current = params.current(car.power_state) + self.extra_current
+        else:
             return 0
         sched = cfg.schedule
         if not sched.gap_aligned and self._next_request_idx < len(sched.times):
             stop = min(stop, sched.times[self._next_request_idx])
 
         x = x_prev = car.position
-        dist = car.speed * dt
-        lim = cfg.layout.powered_until(x)
-        radio_on = car.power_state.radio is not RadioMode.OFF
+        dist = speed * dt
+        lim = cfg.layout.edge_ahead(x)
+        supply = nominal if powered else 0.0
+        min_v = self.min_cap_v
+        radio_on = active and car.power_state.radio is not RadioMode.OFF
         radio_on_s = self.radio_on_s
         stored = self.store.flash_bytes
         backlog_at, every = self._next_backlog_at, self._backlog_every
@@ -564,13 +589,21 @@ class Simulation:
             a = acc + inc
             if t1 >= stop or end >= lim or a >= 1.0:
                 break
+            if not powered:
+                # `unpowered_overlap` of a step inside one gap is end - x
+                v1 = max(0.0, v - current * ((end - x) / speed) / capacitance)
+                if active and nominal - v1 >= drop:
+                    break
+                if v1 < min_v:
+                    min_v = v1
+                v = v1
             t, x_prev, x, acc = t1, x, end, a
             if radio_on:
                 radio_on_s += dt
             if t1 >= backlog_at:
                 backlog.append(stored)
                 backlog_at += every
-            sample((t1, nominal, v))
+            sample((t1, supply, v))
             n += 1
         if n:
             self.now = t
@@ -578,19 +611,20 @@ class Simulation:
                 car.position = x
             self.last_step = (x_prev, dist)
             self._workload_acc = acc
+            car.capacitor_v = v
+            self.min_cap_v = min_v
             self.radio_on_s = radio_on_s
             self._next_backlog_at = backlog_at
         return n
 
     def run(self) -> ScenarioResult:
         n_steps = round(self.cfg.duration / self.cfg.dt)
-        step, car = self.step, self.car
+        step = self.step
         done = 0
         while done < n_steps:
             step()
             done += 1
-            if car.powered and self.rebooting_until is None:
-                done += self._quiet_stretch(n_steps - done)
+            done += self._quiet_stretch(n_steps - done)
         return ScenarioResult(
             trace=VoltageTrace(self._samples),
             events=self.events,

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
+from .energy_model import ConfigError
+
 
 # --- CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) -----------------------
 
@@ -185,9 +187,11 @@ class WirelessLinkParams:
 
     def validate(self) -> None:
         if not 0.0 <= self.loss_rate <= 1.0:
-            raise ValueError("loss_rate must be within [0, 1]")
-        if min(self.connect_latency, self.per_frame_airtime, self.reply_airtime) < 0:
-            raise ValueError("latencies must be >= 0")
+            raise ConfigError("loss_rate must be within [0, 1]", ("wireless", "loss_rate"))
+        for key in ("connect_latency", "connect_extra_current", "per_frame_airtime",
+                    "reply_airtime"):
+            if not getattr(self, key) >= 0:  # also refuses NaN
+                raise ConfigError(f"{key} must be >= 0", ("wireless", key))
 
 
 class WirelessLink:

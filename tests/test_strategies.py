@@ -256,6 +256,21 @@ class TestNextWake:
         sim.requests_arrived = 1  # request 1 is pending
         assert sim.driver.next_wake(2.0) == 2.0
 
+    @pytest.mark.parametrize("controller,position,wake", [
+        (True, 0.51 + 0.09 + 0.03, None),   # the gate defers in a gap
+        (True, 0.51 + 0.09 - 0.03, None),   # the lookahead overlaps the gap ahead
+        (True, 0.10, 2.0),                  # the gate allows
+        (False, 0.51 + 0.09 + 0.03, 2.0),   # no gate, even in a gap
+    ], ids=["gate_defers_in_gap", "gate_defers_before_gap", "gate_allows", "gate_off"])
+    def test_wireless_with_work_waits_while_the_gate_defers(self, controller, position, wake):
+        # a tick the gate defers is a no-op, and the deferral lasts until
+        # the car reaches a gap edge, which no quiet stretch crosses
+        sim = idle_sim(StrategyKind.WIRELESS_CONTINUOUS, controller=controller)
+        sim.driver.link.associated = True
+        stored_record(sim)
+        sim.car.position = position
+        assert sim.driver.next_wake(2.0) == wake
+
     def test_wireless_frame_in_flight(self):
         sim = idle_sim(StrategyKind.WIRELESS_CONTINUOUS)
         driver = sim.driver

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from powergap.energy_model import (
     ALL_POWER_STATES,
     ClockTier,
+    ConfigError,
     EnergyModelParams,
     PowerState,
     RadioMode,
@@ -133,7 +134,8 @@ def linear_overlap(layout, start, dist):
 
 
 @st.composite
-def layouts(draw):
+def layouts(draw, quantum=None):
+    """Valid layouts; with `quantum`, every length and offset is a multiple of it."""
     segments = []
     for _ in range(draw(st.integers(1, 6))):
         length = draw(st.floats(0.1, 2.0))
@@ -146,6 +148,12 @@ def layouts(draw):
         else:
             kind = draw(st.sampled_from([SegmentKind.STRAIGHT, SegmentKind.CURVE]))
             segments.append(Segment(kind, length))
+    if quantum:
+        def q(v):
+            return round(v / quantum) * quantum
+
+        segments = [Segment(s.kind, q(s.length), tuple(map(q, s.gap_offsets)), q(s.gap_length))
+                    for s in segments]
     layout = TrackLayout(segments)
     try:
         layout.validate()
@@ -319,16 +327,31 @@ class TestRunScenario:
         sim = Simulation(dataclasses.replace(crossing_config(), **overrides))
         assert sim.now == 0.0
 
-    @pytest.mark.parametrize("overrides", [
-        {"budget": EnergyBudget(max_allowed_drop=5.0)},
-        {"workload_payload": 300},
-        {"workload_payload": -1},
-    ], ids=["budget_above_brownout", "payload_above_max", "payload_negative"])
-    def test_constructor_refuses_what_the_parser_refuses(self, overrides):
-        # a Python config once ran with a budget past the brownout drop,
-        # or failed later on a payload no record can carry
-        with pytest.raises(LayoutError):
+    @pytest.mark.parametrize("overrides,error,blamed", [
+        ({"budget": EnergyBudget(max_allowed_drop=5.0)}, LayoutError,
+         ("budget", "max_allowed_drop")),
+        ({"workload_payload": 300}, LayoutError, None),
+        ({"workload_payload": -1}, LayoutError, None),
+        ({"workload_rate": -50.0}, LayoutError, ("workload", "rate")),
+        ({"recharge_rate": 0.0}, LayoutError, ("energy", "recharge_rate")),
+        ({"recharge_rate": -1.0}, LayoutError, ("energy", "recharge_rate")),
+        ({"budget": EnergyBudget(max_allowed_drop=-1.0)}, LayoutError,
+         ("budget", "max_allowed_drop")),
+        ({"budget": EnergyBudget(lookahead=-0.01)}, LayoutError, ("budget", "lookahead")),
+        ({"wireless": WirelessLinkParams(loss_rate=1.5)}, ConfigError,
+         ("wireless", "loss_rate")),
+        ({"wireless": WirelessLinkParams(connect_extra_current=-0.05)}, ConfigError,
+         ("wireless", "connect_extra_current")),
+    ], ids=["budget_above_brownout", "payload_above_max", "payload_negative",
+            "rate_negative", "recharge_zero", "recharge_negative", "budget_negative",
+            "lookahead_negative", "loss_rate_above_one", "extra_current_negative"])
+    def test_constructor_refuses_what_the_parser_refuses(self, overrides, error, blamed):
+        # a Python config once ran with a budget past the brownout drop, a
+        # negative rate or budget, or no recharge; or failed later on a
+        # payload no record can carry, or in the driver on a loss rate
+        with pytest.raises(error) as exc:
             Simulation(dataclasses.replace(crossing_config(), **overrides))
+        assert exc.value.keys[:1] == ((blamed,) if blamed else ())
 
     def test_flash_must_hold_one_record(self):
         # refused up front, not with a StoreError at the first flush
@@ -481,11 +504,13 @@ def test_stretches_match_plain_loop_on_shipped_scenarios(name, kind, controller)
         cfg, strategy=kind, controller=controller, layout=layout))
 
 
+@pytest.mark.parametrize("controller", [False, True], ids=["gate_off", "gate_on"])
 @pytest.mark.parametrize("kind", [None, *StrategyKind], ids=lambda k: k.value if k else "none")
-def test_stretch_ends_exactly_on_grid_aligned_edges(kind):
+def test_stretch_ends_exactly_on_grid_aligned_edges(kind, controller):
     # dyadic speed, step, geometry and times: positions and clock are
-    # exact, so the car lands on each gap start at the end of a step, and
-    # the first drain and a request fall due exactly at a step's end
+    # exact, so the car lands on each gap start and end at the end of a
+    # step, and the first drain, a request and each reboot after a
+    # brownout in the first gap fall due exactly at a step's end
     layout = TrackLayout([
         Segment(SegmentKind.STRAIGHT, 0.5),
         Segment(SegmentKind.LANE_CHANGE, 0.5, (0.125, 0.3125), 0.0625),
@@ -493,25 +518,27 @@ def test_stretch_ends_exactly_on_grid_aligned_edges(kind):
     ], dock_position=0.0625)
     cfg = ScenarioConfig(
         params=EnergyModelParams.calibrated(), layout=layout, speed=1.0,
-        dt=2.0**-10, duration=3.0, strategy=kind,
+        dt=2.0**-10, duration=3.0, strategy=kind, controller=controller,
         wireless=WirelessLinkParams(connect_latency=0.25),
         workload_rate=0.0 if kind is None else 3.0,
         schedule=HostRequestSchedule(times=(1.5,)),
-        drain_interval=0.5,
+        drain_interval=0.5, reboot_dead_time=0.25,
     )
     sim = assert_same_run(cfg)
     entries = {ev.detail for ev in sim.events if ev.kind is EventKind.GAP_ENTERED}
     assert entries == {"pos=0.6250", "pos=0.8125"}
+    exits = {ev.detail for ev in sim.events if ev.kind is EventKind.GAP_EXITED}
+    assert exits == {"pos=0.6875", "pos=0.8750"}
+    brownouts = [ev.time for ev in sim.events if ev.kind is EventKind.BROWNOUT]
+    reboots = [ev.time for ev in sim.events if ev.kind is EventKind.REBOOT]
+    assert brownouts and reboots == [t + 0.25 for t in brownouts]
     requests = [ev.time for ev in sim.events if ev.kind is EventKind.REQUEST_ARRIVED]
     assert requests == [1.5]
 
 
-@pytest.mark.parametrize(
-    "kind", [None, StrategyKind.STOP_AND_RADIO, StrategyKind.SAVE_AND_PRINT_LATER],
-    ids=lambda k: k.value if k else "none")
-def test_pending_requests_leave_stretches_to_next_wake(kind, monkeypatch):
-    # requests wait for the next drain, or for nobody without a driver;
-    # while they wait, most steps still run in quiet stretches
+@pytest.fixture
+def step_calls(monkeypatch):
+    """`Simulation.step` calls, counted per simulation."""
     calls = collections.Counter()
     plain_step = Simulation.step
 
@@ -520,6 +547,15 @@ def test_pending_requests_leave_stretches_to_next_wake(kind, monkeypatch):
         plain_step(sim)
 
     monkeypatch.setattr(Simulation, "step", counted_step)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kind", [None, StrategyKind.STOP_AND_RADIO, StrategyKind.SAVE_AND_PRINT_LATER],
+    ids=lambda k: k.value if k else "none")
+def test_pending_requests_leave_stretches_to_next_wake(kind, step_calls):
+    # requests wait for the next drain, or for nobody without a driver;
+    # while they wait, most steps still run in quiet stretches
     cfg = load_scenario(
         importlib.resources.files("powergap") / "scenarios" / "reference_workload.scn"
     ).build()
@@ -527,7 +563,21 @@ def test_pending_requests_leave_stretches_to_next_wake(kind, monkeypatch):
         cfg, strategy=kind, schedule=HostRequestSchedule(times=tuple(map(float, range(1, 29, 3)))))
     sim = assert_same_run(cfg)
     assert sim.requests_arrived == 10
-    assert calls[sim] <= 0.15 * round(cfg.duration / cfg.dt)
+    assert step_calls[sim] <= 0.15 * round(cfg.duration / cfg.dt)
+
+
+@pytest.mark.parametrize("name,controller", [
+    ("gap_aligned_c160.scn", False),
+    ("gap_aligned_c160.scn", True),
+    ("reference_workload.scn", True),
+], ids=["gap_aligned-gate_off", "gap_aligned-gate_on", "reference-gate_on"])
+def test_gaps_reboots_and_gate_deferrals_run_in_stretches(name, controller, step_calls):
+    # gap interiors, reboots on powered track and steps on which the gate
+    # holds waiting work all run in quiet stretches
+    cfg = load_scenario(importlib.resources.files("powergap") / "scenarios" / name).build()
+    cfg = dataclasses.replace(cfg, controller=controller)
+    sim = assert_same_run(cfg)
+    assert step_calls[sim] <= 0.05 * round(cfg.duration / cfg.dt)
 
 
 @pytest.mark.parametrize("rate", [3.0, 20.0])
@@ -544,12 +594,29 @@ def test_stretch_waits_while_the_gate_defers_on_the_budget(rate):
     assert_same_run(cfg)
 
 
+def test_car_stopped_in_a_gap_falls_back_to_step():
+    # with no path to divide by the speed, `step` discharges for all of dt
+    layout = TrackLayout([Segment(SegmentKind.LANE_CHANGE, 0.5, (0.0, 0.25), 0.0625)])
+    cfg = ScenarioConfig(params=EnergyModelParams.calibrated(), layout=layout, speed=0.0,
+                         duration=0.25, reboot_dead_time=0.05)
+    sim = assert_same_run(cfg)
+    assert [ev.kind for ev in sim.events] == [EventKind.GAP_ENTERED, EventKind.BROWNOUT]
+
+
 @st.composite
 def stretch_configs(draw):
-    layout = draw(layouts())
+    # on the grid, dyadic geometry, speed and step land the car exactly on
+    # every gap edge at the end of a step
+    grid = draw(st.booleans())
+    layout = draw(layouts(quantum=2.0**-8 if grid else None))
     dock = draw(st.floats(0.0, layout.total_length, exclude_max=True))
     assume(not layout.in_gap(dock))
-    dt = draw(st.one_of(st.sampled_from([1e-4, 5e-4, 1e-3]), st.floats(1e-4, 5e-3)))
+    if grid:
+        dt = 2.0**-10
+        speed = draw(st.sampled_from([0.0, 0.25, 1.0, 4.0]))
+    else:
+        dt = draw(st.one_of(st.sampled_from([1e-4, 5e-4, 1e-3]), st.floats(1e-4, 5e-3)))
+        speed = draw(st.one_of(st.just(0.0), st.floats(0.05, 8.0)))
     duration = draw(st.integers(1, 1500)) * dt
     times = draw(st.lists(st.floats(0.0, 1.1 * duration), max_size=4))
     schedule = draw(st.sampled_from([
@@ -557,20 +624,25 @@ def stretch_configs(draw):
         HostRequestSchedule(times=tuple(sorted(times))),
         HostRequestSchedule(gap_aligned=True),
     ]))
+    # a low brownout drop browns out mid-gap; long airtimes span a gap
+    brownout_drop = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
     return ScenarioConfig(
-        params=EnergyModelParams.calibrated(),
+        params=EnergyModelParams.calibrated(brownout_drop=brownout_drop),
         layout=TrackLayout(layout.segments, dock_position=dock),
-        speed=draw(st.one_of(st.just(0.0), st.floats(0.05, 8.0))),
+        speed=speed,
         dt=dt,
         duration=duration,
         seed=draw(st.integers(0, 2**16)),
         initial_state=draw(st.sampled_from(ALL_POWER_STATES)),
         strategy=draw(st.sampled_from([None, *StrategyKind])),
         controller=draw(st.booleans()),
-        budget=EnergyBudget(max_allowed_drop=draw(st.floats(0.5, 3.9)),
+        budget=EnergyBudget(max_allowed_drop=brownout_drop * draw(st.floats(0.1, 0.975)),
                             lookahead=draw(st.floats(0.0, 0.05))),
         wireless=WirelessLinkParams(
             connect_latency=draw(st.floats(0.0, 0.2)),
+            connect_extra_current=draw(st.floats(0.0, 0.2)),
+            per_frame_airtime=draw(st.floats(0.0, 0.05)),
+            reply_airtime=draw(st.floats(0.0, 0.05)),
             loss_rate=draw(st.sampled_from([0.0, 0.1, 0.5])),
         ),
         workload_rate=draw(st.one_of(st.just(0.0), st.floats(0.0, 400.0))),
