@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Mapping
+from itertools import accumulate, repeat
+from typing import IO, Iterator, Mapping
 
 
 class ClockTier(Enum):
@@ -99,6 +100,9 @@ class EnergyModelParams:
                 f"nominal_voltage ({self.nominal_voltage})",
                 ("energy", "brownout_drop"), ("energy", "nominal_voltage"),
             )
+        for state in ALL_POWER_STATES:
+            if state not in self.current_table:
+                raise ConfigError(f"no current configured for state {state}")
         for state, current in self.current_table.items():
             if current < 0:
                 raise ConfigError(f"negative current for state {state}")
@@ -125,19 +129,38 @@ class EnergyModelParams:
         return params
 
 
-@dataclass
 class VoltageTrace:
-    """Uniformly sampled supply and capacitor voltages."""
+    """Uniformly sampled supply and capacitor voltages, held as runs of
+    equal samples: `runs` is a list of (count, supply_v, cap_v).  Row k's
+    time is `dt` added k + 1 times to 0.0, the sum the simulation makes."""
 
-    samples: list[tuple[float, float, float]]  # (time_s, supply_v, cap_v)
+    def __init__(self, runs: list[tuple[int, float, float]], dt: float) -> None:
+        self.runs = runs
+        self.dt = dt
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return sum(n for n, _, _ in self.runs)
+
+    def _times(self) -> Iterator[tuple[tuple[float, ...], float, float]]:
+        """Each run's row times, with its supply and cap voltages."""
+        t = 0.0
+        for n, supply, cap in self.runs:
+            times = tuple(accumulate(repeat(self.dt, n), initial=t))[1:]
+            t = times[-1]
+            yield times, supply, cap
+
+    def __iter__(self) -> Iterator[tuple[float, float, float]]:
+        for times, supply, cap in self._times():
+            for t in times:
+                yield t, supply, cap
 
     def write_csv(self, fp: IO[str]) -> None:
-        # the same bytes as csv.writer: formatted numbers need no quoting
+        # the same bytes as csv.writer: formatted numbers need no quoting;
+        # a run's voltages are formatted once, its times in one operation
         fp.write("time_s,supply_v,cap_v\n")
-        fp.write("".join(["%.6f,%.6f,%.6f\n" % s for s in self.samples]))
+        for times, supply, cap in self._times():
+            row = "%%.6f,%.6f,%.6f\n" % (supply, cap)
+            fp.write(row * len(times) % times)
 
 
 def discharge_current(

@@ -79,7 +79,6 @@ _NUMBERS: dict[tuple[str, str], _Number] = {
     ("energy", "brownout_drop"): _Number("params", "brownout_drop", 0.0, True),
     ("energy", "gap_duration"): _Number("params", "gap_duration", 0.0, True),
     ("energy", "burst_current"): _Number("calibration", "burst_current", 0.0),
-    ("energy", "ripple_amplitude"): _Number("config", "ripple_amplitude", 0.0),
     ("energy", "recharge_rate"): _Number("config", "recharge_rate", 0.0, True),
     **{("energy", f"drop_{k}"): _Number("drops", s, 0) for k, s in _STATE_KEYS.items()},
     **{("energy", f"current_{k}"): _Number("currents", s, 0.0)
@@ -235,11 +234,11 @@ class ScenarioSpec:
     def build(self) -> ScenarioConfig:
         args = self._arguments()
         params = EnergyModelParams(**args["params"])
-        self._check(params.validate)
         params.current_table = calibrate_currents(
             {**MEASURED_DROPS, **args["drops"]}, params, **args["calibration"]
         )
         params.current_table.update(args["currents"])
+        self._check(params.validate)
         default_state = ScenarioConfig.initial_state
         cfg = ScenarioConfig(
             params=params,

@@ -75,15 +75,15 @@ def controller_gate(budget: EnergyBudget, sim: Simulation) -> Gate:
 
 
 class HostCollector:
-    """Host-side endpoint: dedups by seq, presents each record once."""
+    """Host-side endpoint: presents each record once.  The sender is
+    stop-and-wait, lowest seq first, so a seq not above the last one
+    presented is a retransmission."""
 
     def __init__(self) -> None:
-        self.received: set[int] = set()
         self.presented: list[tuple[int, bytes]] = []
 
     def receive_log(self, seq: int, payload: bytes) -> int:
-        if seq not in self.received:
-            self.received.add(seq)
+        if not self.presented or seq > self.presented[-1][0]:
             self.presented.append((seq, payload))
         return seq  # cumulative ack: sender is stop-and-wait, lowest first
 

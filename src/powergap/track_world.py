@@ -29,6 +29,7 @@ from enum import Enum
 from typing import IO, Iterable, Optional, Sequence
 
 from .energy_model import (
+    ALL_POWER_STATES,
     ClockTier,
     ConfigError,
     EnergyModelParams,
@@ -210,8 +211,8 @@ def events_to_csv(events: list[Event], fp: IO[str]) -> None:
 
 #: The largest run a `Simulation` accepts, so that every run ends: at
 #: most MAX_STEPS fixed steps (`duration / dt`; 10**7 is about 83
-#: simulated minutes at the default 0.5 ms, and its trace about 1 GB in
-#: memory) and MAX_RECORDS appended records (`workload_rate * duration`).
+#: simulated minutes at the default 0.5 ms, and its trace CSV about
+#: 300 MB) and MAX_RECORDS appended records (`workload_rate * duration`).
 MAX_STEPS = 10**7
 MAX_RECORDS = 10**7
 
@@ -236,7 +237,6 @@ class ScenarioConfig:
     wired_frame_time: float = 0.001   # seconds per frame on the dock link
     reboot_dead_time: float = 0.5
     recharge_rate: Optional[float] = None  # volts/second; None = instant
-    ripple_amplitude: float = 0.0     # supply trace cosmetics only
     ram_capacity: int = 256
     flash_capacity: int = 65536
     name: str = "scenario"
@@ -344,6 +344,10 @@ class ScenarioResult:
     metrics: DeliveryMetrics
 
 
+#: each power state by (clock, radio), so a radio switch builds none
+_POWER_STATES = {(s.clock, s.radio): s for s in ALL_POWER_STATES}
+
+
 class Simulation:
     """Single deterministic scenario run."""
 
@@ -383,7 +387,8 @@ class Simulation:
         self._backlog_every = max(cfg.duration / 16.0, cfg.dt)
         self._next_backlog_at = 0.0
 
-        self._samples: list[tuple[float, float, float]] = []
+        # the trace: (count, supply_v, cap_v) runs of equal samples
+        self._runs: list[tuple[int, float, float]] = []
 
         self.host = HostCollector()
         self.driver = make_driver(cfg.strategy, self) if cfg.strategy else None
@@ -395,7 +400,7 @@ class Simulation:
         return self.rebooting_until is None
 
     def set_radio(self, mode: RadioMode) -> None:
-        self.car.power_state = replace(self.car.power_state, radio=mode)
+        self.car.power_state = _POWER_STATES[self.car.power_state.clock, mode]
 
     def note_delivered(self, record: LogRecord, at: float) -> None:
         """Record delivery latency for one acked log record."""
@@ -409,6 +414,13 @@ class Simulation:
 
     # -- event helpers ------------------------------------------------------
 
+    def _record(self, n: int, supply: float, cap: float) -> None:
+        """Add `n` trace samples, merged into the last run if it is equal."""
+        runs = self._runs
+        if runs and runs[-1][1] == supply and runs[-1][2] == cap:
+            n += runs.pop()[0]
+        runs.append((n, supply, cap))
+
     def _emit(self, t: float, kind: EventKind, detail: str = "") -> None:
         self.events.append(Event(t, kind, detail))
 
@@ -421,7 +433,7 @@ class Simulation:
         self._emit(t, EventKind.BROWNOUT, f"cap_v={self.min_cap_v:.3f}")
         self.store.on_brownout()
         self.extra_current = 0.0
-        self.car.power_state = PowerState(self.cfg.initial_state.clock, RadioMode.OFF)
+        self.car.power_state = _POWER_STATES[self.cfg.initial_state.clock, RadioMode.OFF]
         if self.driver is not None:
             self.driver.on_brownout()
         self.rebooting_until = t + self.cfg.reboot_dead_time
@@ -517,14 +529,7 @@ class Simulation:
             self._backlog_samples.append(stored)
             self._next_backlog_at += self._backlog_every
 
-        supply = 0.0
-        if powered:
-            supply = cfg.params.nominal_voltage
-            if cfg.ripple_amplitude:
-                # square-wave modulation of the track protocol; cosmetic only
-                phase = (t1 % 0.075) < 0.0375
-                supply += cfg.ripple_amplitude if phase else -cfg.ripple_amplitude
-        self._samples.append((t1, supply, car.capacitor_v))
+        self._record(1, cfg.params.nominal_voltage if powered else 0.0, car.capacitor_v)
         self.now = t1
 
     def _quiet_stretch(self, limit: int) -> int:
@@ -534,12 +539,13 @@ class Simulation:
         start on powered track, its end in a gap), appends no record,
         meets no timed request and falls before the driver's `next_wake`,
         which is not asked while the device reboots.  On powered track the
-        capacitor stays full, there is no ripple, and a reboot does not
-        end.  In a gap the car moves and the step does not brown out.  On
-        such a step `step` changes only the clock, the position, the
-        workload accumulator, the capacitor (in a gap), the radio-on time,
-        the backlog samples and the trace; this loop makes those float
-        operations in the same order, so every output is byte-identical.
+        capacitor stays full and a reboot does not end.  In a gap the car
+        moves and the step does not brown out.  On such a step `step`
+        changes only the clock, the position, the workload accumulator,
+        the capacitor (in a gap), the radio-on time, the backlog samples
+        and the trace; this loop makes those float operations in the same
+        order, so every output is byte-identical.  It records a powered
+        stretch's trace as one run at its end, a gap's sample by sample.
         """
         if limit <= 0:
             return 0
@@ -561,7 +567,7 @@ class Simulation:
         if powered:
             rate = cfg.recharge_rate
             v_next = nominal if rate is None else min(nominal, v + rate * dt)
-            if v_next != v or nominal - v >= drop or cfg.ripple_amplitude:
+            if v_next != v or nominal - v >= drop:
                 return 0
         elif speed:
             current = params.current(car.power_state) + self.extra_current
@@ -574,14 +580,13 @@ class Simulation:
         x = x_prev = car.position
         dist = speed * dt
         lim = cfg.layout.edge_ahead(x)
-        supply = nominal if powered else 0.0
         min_v = self.min_cap_v
         radio_on = active and car.power_state.radio is not RadioMode.OFF
         radio_on_s = self.radio_on_s
         stored = self.store.flash_bytes
         backlog_at, every = self._next_backlog_at, self._backlog_every
         backlog = self._backlog_samples
-        sample = self._samples.append
+        record = self._record
         n = 0
         while n < limit:
             t1 = t + dt
@@ -597,15 +602,17 @@ class Simulation:
                 if v1 < min_v:
                     min_v = v1
                 v = v1
+                record(1, 0.0, v)
             t, x_prev, x, acc = t1, x, end, a
             if radio_on:
                 radio_on_s += dt
             if t1 >= backlog_at:
                 backlog.append(stored)
                 backlog_at += every
-            sample((t1, supply, v))
             n += 1
         if n:
+            if powered:
+                record(n, nominal, v)
             self.now = t
             if dist:
                 car.position = x
@@ -626,7 +633,7 @@ class Simulation:
             done += 1
             done += self._quiet_stretch(n_steps - done)
         return ScenarioResult(
-            trace=VoltageTrace(self._samples),
+            trace=VoltageTrace(self._runs, self.cfg.dt),
             events=self.events,
             metrics=self._metrics(),
         )

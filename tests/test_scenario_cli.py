@@ -72,6 +72,10 @@ class TestParser:
         assert "line 2" in str(exc.value)
         assert "duraton" in str(exc.value)
 
+    def test_removed_ripple_amplitude_is_an_unknown_key(self):
+        with pytest.raises(ScenarioError, match="line 2: unknown key 'ripple_amplitude'"):
+            parse_scenario("[energy]\nripple_amplitude = 0.2\n")
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ScenarioError) as exc:
             parse_scenario("[rocket]\nthrust = 9\n")
@@ -268,7 +272,6 @@ nominal_voltage = 10.0
 brownout_drop = 5.0
 gap_duration = 0.03
 burst_current = 0.3
-ripple_amplitude = 0.2
 recharge_rate = 50
 drop_c80_off = 1.0
 drop_c80_idle = 1.1
@@ -402,7 +405,6 @@ class TestRejectionCorpus:
             wired_frame_time=0.002,
             reboot_dead_time=0.25,
             recharge_rate=50.0,
-            ripple_amplitude=0.2,
             ram_capacity=64,
             flash_capacity=4096,
         )

@@ -185,6 +185,23 @@ def test_exactly_once_presentation(kind):
     assert 0 < sim.requests_answered <= sim.requests_arrived
 
 
+def test_ack_lost_retransmission_is_presented_once():
+    cfg = base_config(strategy=StrategyKind.WIRELESS_CONTINUOUS,
+                      wireless=WirelessLinkParams(loss_rate=0.5), duration=10.0)
+    sim = Simulation(cfg)
+    received = []
+    receive = sim.host.receive_log
+
+    def spy(seq, payload):
+        received.append(seq)
+        return receive(seq, payload)
+
+    sim.host.receive_log = spy
+    sim.run()
+    assert len(received) > len(set(received))  # a lost ack made the frame go again
+    assert [seq for seq, _ in sim.host.presented] == sorted(set(received))
+
+
 @pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
 def test_evicted_records_presented_with_their_payload(kind):
     # the golden FLOOD workload evicts records while their frames are in flight

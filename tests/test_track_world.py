@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import importlib.resources
+import io
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -206,7 +207,7 @@ class TestStep:
         cfg.speed = 0.0
         cfg.duration = 0.1
         result = run_scenario(cfg)
-        assert all(cap == 9.0 for _, _, cap in result.trace.samples)
+        assert all(cap == 9.0 for _, _, cap in list(result.trace))
         assert result.events == []
 
     def test_flat_trace_without_gaps(self):
@@ -216,8 +217,18 @@ class TestStep:
             duration=0.5,
         )
         result = run_scenario(cfg)
-        assert all(cap == 9.0 for _, _, cap in result.trace.samples)
+        assert all(cap == 9.0 for _, _, cap in list(result.trace))
         assert result.metrics.max_drop_v == 0.0
+
+    def test_gapless_run_holds_one_trace_run(self):
+        cfg = ScenarioConfig(
+            params=EnergyModelParams.calibrated(),
+            layout=TrackLayout([Segment(SegmentKind.STRAIGHT, 2.0)]),
+            duration=40.0,
+        )
+        sim = Simulation(cfg)
+        assert len(sim.run().trace) == 80_000
+        assert sim._runs == [(80_000, 9.0, 9.0)]
 
 
 class TestBrownout:
@@ -294,7 +305,7 @@ class TestRunScenario:
     def test_determinism(self):
         a = run_scenario(crossing_config(seed=5))
         b = run_scenario(crossing_config(seed=5))
-        assert a.trace.samples == b.trace.samples
+        assert list(a.trace) == list(b.trace)
         assert a.events == b.events
         assert a.metrics == b.metrics
 
@@ -361,10 +372,17 @@ class TestRunScenario:
         # a 16-byte payload and 16 bytes of record overhead fit exactly
         run_scenario(dataclasses.replace(cfg, flash_capacity=32))
 
+    @pytest.mark.parametrize("kept,first", [(0, "c80_off"), (5, "c160_tx")])
+    def test_current_table_must_cover_every_state(self, kept, first):
+        # refused up front, not on the first gap step that needs the current
+        params = EnergyModelParams(current_table=dict.fromkeys(ALL_POWER_STATES[:kept], 0.1))
+        with pytest.raises(ConfigError, match=f"no current configured for state {first}$"):
+            Simulation(dataclasses.replace(crossing_config(), params=params))
+
     def test_power_duality(self):
         result = run_scenario(crossing_config())
         prev_cap = 9.0
-        for _, supply, cap in result.trace.samples:
+        for _, supply, cap in list(result.trace):
             if supply > 0:
                 assert cap == 9.0
             else:
@@ -375,7 +393,7 @@ class TestRunScenario:
         # unpowered samples per crossing ~= 2 * gap_length / speed
         cfg = crossing_config()
         result = run_scenario(cfg)
-        unpowered = sum(1 for _, s, _ in result.trace.samples if s == 0.0) * cfg.dt
+        unpowered = sum(1 for _, s, _ in list(result.trace) if s == 0.0) * cfg.dt
         assert unpowered == pytest.approx(2 * 0.06 / 3.0, abs=2 * cfg.dt)
 
     def test_event_ordering(self):
@@ -420,20 +438,12 @@ class TestRecharge:
         cfg.recharge_rate = 50.0  # volts/second
         result = run_scenario(cfg)
         # after the first gap the capacitor needs ~32 ms to climb 1.62 V back
-        caps = [cap for _, _, cap in result.trace.samples]
+        caps = [cap for _, _, cap in list(result.trace)]
         assert min(caps) == pytest.approx(9.0 - 1.62, rel=0.01)
         t_full_again = next(
-            t for t, _, cap in result.trace.samples if 0.15 < t and cap == 9.0
+            t for t, _, cap in list(result.trace) if 0.15 < t and cap == 9.0
         )
         assert t_full_again > 0.15
-
-    def test_supply_ripple_is_cosmetic(self):
-        cfg = crossing_config()
-        cfg.ripple_amplitude = 0.3
-        result = run_scenario(cfg)
-        supplies = {s for _, s, _ in result.trace.samples if s > 0}
-        assert supplies == {8.7, 9.3}
-        assert result.metrics.max_drop_v == pytest.approx(1.62, rel=0.01)
 
 
 # -- quiet stretches against the plain step loop ------------------------------
@@ -450,7 +460,7 @@ def run_state(sim):
     """Everything a finished run holds that a stretch could get wrong."""
     store, driver = sim.store, sim.driver
     state = {
-        "samples": sim._samples,
+        "runs": sim._runs,
         "events": sim.events,
         "metrics": sim._metrics(),
         "store": (list(store.ram), list(store.flash), store.flash_bytes,
@@ -651,7 +661,6 @@ def stretch_configs(draw):
         drain_interval=draw(st.floats(0.01, 1.0)),
         reboot_dead_time=draw(st.floats(0.0, 0.2)),
         recharge_rate=draw(st.one_of(st.none(), st.floats(1.0, 500.0))),
-        ripple_amplitude=draw(st.one_of(st.just(0.0), st.floats(0.01, 0.5))),
         ram_capacity=draw(st.integers(1, 64)),
     )
 
@@ -660,3 +669,24 @@ def stretch_configs(draw):
 @given(cfg=stretch_configs())
 def test_stretches_match_plain_loop_on_random_runs(cfg):
     assert_same_run(cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=stretch_configs())
+def test_trace_rows_follow_its_runs_on_the_dt_sum(cfg):
+    sim = Simulation(cfg)
+    trace = sim.run().trace
+    rows = list(trace)
+    t, times = 0.0, []
+    for _ in range(round(cfg.duration / cfg.dt)):
+        t += cfg.dt
+        times.append(t)
+    assert len(trace) == len(rows) == len(times)
+    assert [row[0] for row in rows] == times and times[-1] == sim.now
+    # canonical runs, so equal traces are equal run lists
+    assert all(run[0] > 0 for run in sim._runs)
+    assert all(a[1:] != b[1:] for a, b in zip(sim._runs, sim._runs[1:]))
+    buf = io.StringIO()
+    trace.write_csv(buf)
+    assert buf.getvalue() == "time_s,supply_v,cap_v\n" + "".join(
+        "%.6f,%.6f,%.6f\n" % row for row in rows)
