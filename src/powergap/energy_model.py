@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from typing import IO, Iterator, Mapping
 
 
@@ -129,10 +129,17 @@ class EnergyModelParams:
         return params
 
 
+#: Rows `VoltageTrace.write_csv` fills in one format operation and one write.
+CSV_CHUNK_ROWS = 4096
+
+
 class VoltageTrace:
     """Uniformly sampled supply and capacitor voltages, held as runs of
     equal samples: `runs` is a list of (count, supply_v, cap_v).  Row k's
-    time is `dt` added k + 1 times to 0.0, the sum the simulation makes."""
+    time is `dt` added k + 1 times to 0.0, the sum the simulation makes;
+    one running sum serves the whole trace.  `write_csv` fills up to
+    CSV_CHUNK_ROWS rows per `%` operation and write, splitting a longer
+    run, so a long run never becomes one huge string."""
 
     def __init__(self, runs: list[tuple[int, float, float]], dt: float) -> None:
         self.runs = runs
@@ -141,26 +148,32 @@ class VoltageTrace:
     def __len__(self) -> int:
         return sum(n for n, _, _ in self.runs)
 
-    def _times(self) -> Iterator[tuple[tuple[float, ...], float, float]]:
-        """Each run's row times, with its supply and cap voltages."""
-        t = 0.0
-        for n, supply, cap in self.runs:
-            times = tuple(accumulate(repeat(self.dt, n), initial=t))[1:]
-            t = times[-1]
-            yield times, supply, cap
-
     def __iter__(self) -> Iterator[tuple[float, float, float]]:
-        for times, supply, cap in self._times():
-            for t in times:
+        times = accumulate(repeat(self.dt))
+        for n, supply, cap in self.runs:
+            for t in islice(times, n):
                 yield t, supply, cap
 
     def write_csv(self, fp: IO[str]) -> None:
         # the same bytes as csv.writer: formatted numbers need no quoting;
-        # a run's voltages are formatted once, its times in one operation
+        # a run's voltages are formatted once, into a row template
         fp.write("time_s,supply_v,cap_v\n")
-        for times, supply, cap in self._times():
+        times = accumulate(repeat(self.dt))
+        chunk: list[str] = []
+        space = CSV_CHUNK_ROWS
+        for n, supply, cap in self.runs:
             row = "%%.6f,%.6f,%.6f\n" % (supply, cap)
-            fp.write(row * len(times) % times)
+            while n >= space:
+                chunk.append(row * space)
+                fp.write("".join(chunk) % tuple(islice(times, CSV_CHUNK_ROWS)))
+                chunk = []
+                n -= space
+                space = CSV_CHUNK_ROWS
+            if n:
+                chunk.append(row * n)
+                space -= n
+        if chunk:
+            fp.write("".join(chunk) % tuple(islice(times, CSV_CHUNK_ROWS - space)))
 
 
 def discharge_current(

@@ -226,10 +226,7 @@ class ScenarioSpec:
             raise ScenarioError(
                 line, f"requests: expected 'none', 'gap_aligned' or times, got {raw!r}"
             ) from None
-        try:
-            return HostRequestSchedule(times=times)
-        except ValueError as exc:
-            raise ScenarioError(line, f"requests: {exc}") from None
+        return HostRequestSchedule(times=times)
 
     def build(self) -> ScenarioConfig:
         args = self._arguments()

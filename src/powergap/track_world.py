@@ -180,12 +180,6 @@ class HostRequestSchedule:
     times: tuple[float, ...] = ()
     gap_aligned: bool = False
 
-    def __post_init__(self) -> None:
-        if any(t < 0 for t in self.times):
-            raise ValueError("request times must be non-negative")
-        if list(self.times) != sorted(self.times):
-            raise ValueError("request times must be sorted")
-
 
 class EventKind(Enum):
     GAP_ENTERED = "GapEntered"
@@ -203,10 +197,9 @@ class Event:
 
 
 def events_to_csv(events: list[Event], fp: IO[str]) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["time_s", "event", "detail"])
-    for ev in events:
-        writer.writerow([f"{ev.time:.6f}", ev.kind.value, ev.detail])
+    # the same bytes as csv.writer: no field holds a comma, quote or newline
+    fp.write("time_s,event,detail\n" + "".join(
+        ["%.6f,%s,%s\n" % (ev.time, ev.kind.value, ev.detail) for ev in events]))
 
 
 #: The largest run a `Simulation` accepts, so that every run ends: at
@@ -247,6 +240,13 @@ class ScenarioConfig:
         self.params.validate()
         self.layout.validate()
         self.wireless.validate()
+        times = self.schedule.times
+        if any(t < 0 for t in times):
+            raise LayoutError("request times must be non-negative",
+                              ("schedule", "requests"), keyed=True)
+        if list(times) != sorted(times):
+            raise LayoutError("request times must be sorted",
+                              ("schedule", "requests"), keyed=True)
         if self.dt <= 0 or self.duration <= 0:
             raise LayoutError("dt and duration must be > 0")
         if self.speed < 0:
@@ -586,7 +586,7 @@ class Simulation:
         stored = self.store.flash_bytes
         backlog_at, every = self._next_backlog_at, self._backlog_every
         backlog = self._backlog_samples
-        record = self._record
+        record, runs = self._record, self._runs
         n = 0
         while n < limit:
             t1 = t + dt
@@ -596,13 +596,18 @@ class Simulation:
                 break
             if not powered:
                 # `unpowered_overlap` of a step inside one gap is end - x
-                v1 = max(0.0, v - current * ((end - x) / speed) / capacitance)
+                v1 = v - current * ((end - x) / speed) / capacitance
+                if not v1 > 0.0:  # max(0.0, v1), for -0.0 and NaN too
+                    v1 = 0.0
                 if active and nominal - v1 >= drop:
                     break
                 if v1 < min_v:
                     min_v = v1
+                if v1 != v:  # the last run's cap is v: nothing to merge
+                    runs.append((1, 0.0, v1))
+                else:
+                    record(1, 0.0, v1)
                 v = v1
-                record(1, 0.0, v)
             t, x_prev, x, acc = t1, x, end, a
             if radio_on:
                 radio_on_s += dt

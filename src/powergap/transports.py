@@ -32,11 +32,8 @@ MAX_PAYLOAD = 255
 
 
 class FrameKind(Enum):
+    # wire codes: a LOG frame carries one record, a REPLY answers a request
     LOG = 1
-    ACK = 2
-    OTA_CHUNK = 3
-    OTA_ACK = 4
-    REQUEST = 5
     REPLY = 6
 
 

@@ -1,7 +1,10 @@
 import collections
+import csv
 import dataclasses
 import importlib.resources
 import io
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,12 +12,15 @@ from hypothesis import assume, given, settings, strategies as st
 from powergap.energy_model import (
     ALL_POWER_STATES,
     ClockTier,
+    CSV_CHUNK_ROWS,
     ConfigError,
     EnergyModelParams,
     PowerState,
     RadioMode,
+    VoltageTrace,
 )
 from powergap.track_world import (
+    Event,
     EventKind,
     HostRequestSchedule,
     MAX_RECORDS,
@@ -25,6 +31,7 @@ from powergap.track_world import (
     SegmentKind,
     Simulation,
     TrackLayout,
+    events_to_csv,
     run_scenario,
 )
 from powergap.scenario import load_scenario
@@ -409,11 +416,16 @@ class TestRunScenario:
 
 
 class TestSchedule:
-    def test_times_validation(self):
-        with pytest.raises(ValueError):
-            HostRequestSchedule(times=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            HostRequestSchedule(times=(-1.0,))
+    @pytest.mark.parametrize("times,message", [
+        ((2.0, 1.0), "must be sorted"),
+        ((-1.0,), "must be non-negative"),
+    ], ids=["unsorted", "negative"])
+    def test_times_validation(self, times, message):
+        # refused by ScenarioConfig.validate, blaming the requests key
+        cfg = crossing_config(schedule=HostRequestSchedule(times=times))
+        with pytest.raises(LayoutError, match=message) as exc:
+            Simulation(cfg)
+        assert exc.value.keys == (("schedule", "requests"),)
 
     def test_timed_requests_emitted(self):
         cfg = crossing_config(schedule=HostRequestSchedule(times=(0.05, 0.10)))
@@ -690,3 +702,106 @@ def test_trace_rows_follow_its_runs_on_the_dt_sum(cfg):
     trace.write_csv(buf)
     assert buf.getvalue() == "time_s,supply_v,cap_v\n" + "".join(
         "%.6f,%.6f,%.6f\n" % row for row in rows)
+
+
+def test_gap_clamped_at_zero_volts_merges_into_one_run():
+    # a 0.5 s gap drains c80_off to 0 V in about 0.11 s; the capacitor then
+    # sits at 0 V for hundreds of steps while the device reboots in the gap
+    layout = TrackLayout([Segment(SegmentKind.LANE_CHANGE, 2.0, (0.5, 1.25), 0.25)])
+    cfg = ScenarioConfig(params=EnergyModelParams.calibrated(), layout=layout,
+                         speed=0.5, duration=3.0)
+    sim = assert_same_run(cfg)
+    assert sim.brownout_count >= 1
+    clamped = [run for run in sim._runs if run[1:] == (0.0, 0.0)]
+    assert clamped and all(n > 100 for n, _, _ in clamped)
+
+
+# -- the CSV writers against csv.writer -----------------------------------------
+
+def csv_reference(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def trace_reference(trace):
+    """csv.writer rows, with times from a fresh `t += dt` loop."""
+    t, rows = 0.0, []
+    for n, supply, cap in trace.runs:
+        for _ in range(n):
+            t += trace.dt
+            rows.append([f"{t:.6f}", f"{supply:.6f}", f"{cap:.6f}"])
+    return csv_reference(["time_s", "supply_v", "cap_v"], rows)
+
+
+def mixed_runs(total, seed):
+    """Runs of `total` rows: long stretches of one-row runs, runs across
+    chunk edges, and -0.0 and 0.0 voltages."""
+    rng = random.Random(seed)
+    voltages = [9.0, 0.0, -0.0, 4.5, 1e-7, 8.999999, 0.1234565]
+    runs, left = [], total
+    while left:
+        n = min(left, rng.choice([1, 1, 1, 2, 3, 1000, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1]))
+        if n == 1:  # a stretch of one-row runs
+            for _ in range(min(left, rng.randint(1, 3000))):
+                runs.append((1, rng.choice(voltages), rng.choice(voltages)))
+                left -= 1
+            continue
+        runs.append((n, rng.choice(voltages), rng.choice(voltages)))
+        left -= n
+    return runs
+
+
+@pytest.mark.parametrize("dt", [5e-4, 2.0**-10, 0.1])
+@pytest.mark.parametrize("total", [0, 1, 4095, 4096, 4097, 8193])
+def test_trace_csv_at_chunk_edges(total, dt):
+    assert CSV_CHUNK_ROWS == 4096
+    for seed in range(3):
+        trace = VoltageTrace(mixed_runs(total, seed), dt)
+        assert len(trace) == total
+        buf = io.StringIO()
+        trace.write_csv(buf)
+        assert buf.getvalue() == trace_reference(trace)
+
+
+@pytest.mark.parametrize("runs", [
+    [(100_000, 9.0, 9.0)],
+    [(1, 0.0, -0.0), (100_000, 9.0, 9.0), (1, -0.0, 0.0)],
+    [(1, 0.0, 9.0 - k * 1e-3) for k in range(9000)],
+], ids=["one_long_run", "long_run_off_the_edge", "one_row_runs"])
+def test_trace_csv_long_runs(runs):
+    trace = VoltageTrace(runs, 5e-4)
+    buf = io.StringIO()
+    trace.write_csv(buf)
+    assert buf.getvalue() == trace_reference(trace)
+
+
+def test_trace_csv_splits_a_long_run():
+    class Discard:
+        def write(self, text):
+            pass
+
+    trace = VoltageTrace([(1_000_000, 9.0, 9.0)], 5e-4)
+    tracemalloc.start()
+    try:
+        trace.write_csv(Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # the whole text would be about 27 MB
+
+
+def test_events_csv_matches_csv_writer():
+    # every kind, with the details the simulation writes, and an empty one
+    cfg = dataclasses.replace(crossing_config(state=C240_TX), duration=1.2,
+                              schedule=HostRequestSchedule(gap_aligned=True))
+    events = run_scenario(cfg).events
+    assert {ev.kind for ev in events} == set(EventKind)
+    events += [Event(0.0, kind) for kind in EventKind]
+    buf = io.StringIO()
+    events_to_csv(events, buf)
+    assert buf.getvalue() == csv_reference(
+        ["time_s", "event", "detail"],
+        [[f"{ev.time:.6f}", ev.kind.value, ev.detail] for ev in events])

@@ -50,8 +50,8 @@ def test_crc16_matches_bitwise_reference(data, init):
 
 
 class TestFrameCodec:
-    def test_empty_ack_is_nine_bytes(self):
-        frame = Frame(FrameKind.ACK, 7)
+    def test_empty_reply_is_nine_bytes(self):
+        frame = Frame(FrameKind.REPLY, 7)
         wire = frame_encode(frame)
         assert len(wire) == 9
         assert frame_decode(wire) == frame
@@ -77,7 +77,7 @@ class TestFrameCodec:
             frame_decode(wire[:-1])
 
     def test_bad_sync(self):
-        wire = frame_encode(Frame(FrameKind.ACK, 0))
+        wire = frame_encode(Frame(FrameKind.REPLY, 0))
         with pytest.raises(BadSync):
             frame_decode(b"\x00" + wire[1:])
         with pytest.raises(BadSync):
