@@ -5,7 +5,7 @@ Subcommands:
   compare  run one workload under several strategies, emit a comparison CSV
   table1   run the shipped table1_<state>.scn files, check their drops
 
-Exit codes: 0 success, 1 suite mismatch, 2 validation error, 3 brownout
+Exit codes: 0 ok, 1 suite mismatch, 2 scenario or I/O error, 3 brownout
 with --fail-on-brownout.  POWERGAP_OUT overrides the output directory.
 """
 
@@ -34,6 +34,9 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_VALIDATION = 2
 EXIT_BROWNOUT = 3
+
+#: a scenario that cannot be read or is refused, or an unwritable output
+_USER_ERRORS = (ScenarioError, ConfigError, OSError, UnicodeDecodeError)
 
 
 def _out_dir(flag_value: Optional[str]) -> Path:
@@ -77,7 +80,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     for path in args.scenario:
         try:
             name, brownouts = _run_one(path, args.seed, out)
-        except (ScenarioError, ConfigError, FileNotFoundError) as exc:
+        except _USER_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         print(f"{name}: brownouts={brownouts}")
@@ -107,7 +110,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if args.controller:
             cfg.controller = True
         rows = evaluate_strategies(cfg, kinds)
-    except (ScenarioError, ConfigError, FileNotFoundError) as exc:
+    except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     buf = io.StringIO()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, islice, repeat
-from typing import IO, Iterator, Mapping
+from typing import IO, Iterator, Mapping, Optional
 
 
 class ClockTier(Enum):
@@ -66,7 +66,8 @@ class ConfigError(ValueError):
 
     `keys` names the scenario-file `(section, key)` pairs the error
     blames, best first: a file's error cites the line of the first one
-    the file sets, prefixed with that key's name when `keyed`.
+    the file sets, prefixed with that key's name when `keyed`.  Ranges are
+    checked (`check_range`) by the dataclass that owns each field.
     """
 
     def __init__(self, message: str, *keys: tuple[str, str], keyed: bool = False) -> None:
@@ -75,8 +76,21 @@ class ConfigError(ValueError):
         self.keyed = keyed
 
 
-class CalibrationError(ValueError):
-    """Invalid calibration input (e.g. a negative voltage drop)."""
+def check_range(value: float, key: tuple[str, str], minimum: float,
+                exclusive: bool = False, maximum: Optional[float] = None,
+                error: type[ConfigError] = ConfigError) -> None:
+    """Refuse `value` below `minimum` (or at it, if `exclusive`) or above
+    `maximum`, in the scenario file's words for `key`, which it blames.
+    Every comparison with NaN is false, so NaN is refused too."""
+    if not (value > minimum if exclusive else value >= minimum):
+        raise error(f"{key[1]}: must be {'>' if exclusive else '>='} {minimum}", key)
+    if maximum is not None and not value <= maximum:
+        raise error(f"{key[1]}: must be <= {maximum}", key)
+
+
+class CalibrationError(ConfigError):
+    """Invalid calibration input: a negative drop or burst current, blaming
+    its `("energy", "drop_<state>")` or `("energy", "burst_current")` key."""
 
 
 @dataclass
@@ -88,24 +102,22 @@ class EnergyModelParams:
     current_table: dict[PowerState, float] = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.capacitance <= 0:
-            raise ConfigError("capacitance must be > 0")
-        if self.gap_duration <= 0:
-            raise ConfigError("gap_duration must be > 0")
-        if self.brownout_drop <= 0:
-            raise ConfigError("brownout_drop must be > 0")
+        self.validate_supply()
+        for state in ALL_POWER_STATES:
+            if state not in self.current_table:
+                raise ConfigError(f"no current configured for state {state}")
+            check_range(self.current_table[state], ("energy", f"current_{state}"), 0.0)
+
+    def validate_supply(self) -> None:
+        """The capacitor values, which `calibrate_currents` reads too."""
+        for key in ("capacitance", "nominal_voltage", "brownout_drop", "gap_duration"):
+            check_range(getattr(self, key), ("energy", key), 0.0, exclusive=True)
         if not self.brownout_drop < self.nominal_voltage:
             raise ConfigError(
                 f"brownout_drop ({self.brownout_drop}) must be below "
                 f"nominal_voltage ({self.nominal_voltage})",
                 ("energy", "brownout_drop"), ("energy", "nominal_voltage"),
             )
-        for state in ALL_POWER_STATES:
-            if state not in self.current_table:
-                raise ConfigError(f"no current configured for state {state}")
-        for state, current in self.current_table.items():
-            if current < 0:
-                raise ConfigError(f"negative current for state {state}")
 
     def current(self, state: PowerState) -> float:
         try:
@@ -192,13 +204,13 @@ def calibrate_currents(
 
     States absent from `drops` get `burst_current`; with the defaults that
     models a drop beyond the brownout threshold, matching observed
-    behavior for the unmeasurable configurations.
+    behavior for the unmeasurable configurations.  C and T are checked
+    first, so a zero gap_duration is refused, not divided by.
     """
-    table: dict[PowerState, float] = {}
+    params.validate_supply()
+    check_range(burst_current, ("energy", "burst_current"), 0.0, error=CalibrationError)
+    table = dict.fromkeys(ALL_POWER_STATES, burst_current)
     for state, drop in drops.items():
-        if drop < 0:
-            raise CalibrationError(f"negative drop {drop} for state {state}")
+        check_range(drop, ("energy", f"drop_{state}"), 0, error=CalibrationError)
         table[state] = params.capacitance * drop / params.gap_duration
-    for state in ALL_POWER_STATES:
-        table.setdefault(state, burst_current)
     return table

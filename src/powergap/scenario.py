@@ -3,14 +3,16 @@
 Plain-text sectioned key=value format, chosen over a richer config
 language so acceptance scenarios diff cleanly and can be written by
 hand.  Parsing is total: any rejection carries the offending line
-number, and unknown sections and keys are refused.  The parser checks
-each key's own range and the one file-level rule (a seed for lossy
-links); the rules tying values together (threshold ordering, run-size
-caps, dock placement) are `ScenarioConfig.validate`'s, the same that
-refuse a config built in Python, and the parser only cites the line of
-the key their error blames.  A key a file leaves out is not passed on,
-so it takes the default of the config dataclass field or function
-argument it sets.
+number, and unknown sections and keys are refused.  The parser only
+parses: it refuses text that is not a number, an integer or one of a
+key's choices, and infinities, and it checks the one file-level rule (a
+seed for lossy links).  Each value's range and each rule tying values
+together live with the fields, in the dataclasses' `validate` methods
+and `calibrate_currents`, which refuse a config built in Python in the
+same words; the parser prefixes their error with the line of the key it
+blames.  NaN passes the parser and fails every range.  A key a file
+leaves out is not passed on, so it takes the default of the config
+dataclass field or function argument it sets.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .energy_model import (
     ALL_POWER_STATES,
@@ -34,13 +36,12 @@ from .energy_model import (
 from .strategies import EnergyBudget, StrategyKind
 from .track_world import (
     HostRequestSchedule,
-    LayoutError,
     ScenarioConfig,
     Segment,
     SegmentKind,
     TrackLayout,
 )
-from .transports import MAX_PAYLOAD, WirelessLinkParams
+from .transports import WirelessLinkParams
 
 
 class ScenarioError(ValueError):
@@ -59,13 +60,11 @@ _SEGMENT_KINDS = {k.value: k for k in SegmentKind}
 
 
 class _Number(NamedTuple):
-    """Where a numeric key goes and which values it accepts."""
+    """Where a numeric key goes and how it is parsed; its range is checked
+    where the value lands."""
 
     dest: str                          # the group of arguments it joins
     arg: object                        # its argument name, or the PowerState
-    minimum: Optional[float] = None
-    exclusive: bool = False            # the minimum itself is refused
-    maximum: Optional[float] = None
     integer: bool = False
 
 
@@ -74,35 +73,30 @@ class _Number(NamedTuple):
 #: `segment` Segment, `layout` TrackLayout, `budget` EnergyBudget,
 #: `wireless` WirelessLinkParams, `config` ScenarioConfig.
 _NUMBERS: dict[tuple[str, str], _Number] = {
-    ("energy", "capacitance"): _Number("params", "capacitance", 0.0, True),
-    ("energy", "nominal_voltage"): _Number("params", "nominal_voltage", 0.0, True),
-    ("energy", "brownout_drop"): _Number("params", "brownout_drop", 0.0, True),
-    ("energy", "gap_duration"): _Number("params", "gap_duration", 0.0, True),
-    ("energy", "burst_current"): _Number("calibration", "burst_current", 0.0),
-    ("energy", "recharge_rate"): _Number("config", "recharge_rate", 0.0, True),
-    **{("energy", f"drop_{k}"): _Number("drops", s, 0) for k, s in _STATE_KEYS.items()},
-    **{("energy", f"current_{k}"): _Number("currents", s, 0.0)
-       for k, s in _STATE_KEYS.items()},
-    ("track", "gap_length"): _Number("segment", "gap_length", 0.0, True),
+    **{("energy", k): _Number("params", k) for k in (
+        "capacitance", "nominal_voltage", "brownout_drop", "gap_duration")},
+    ("energy", "burst_current"): _Number("calibration", "burst_current"),
+    ("energy", "recharge_rate"): _Number("config", "recharge_rate"),
+    **{("energy", f"drop_{k}"): _Number("drops", s) for k, s in _STATE_KEYS.items()},
+    **{("energy", f"current_{k}"): _Number("currents", s) for k, s in _STATE_KEYS.items()},
+    ("track", "gap_length"): _Number("segment", "gap_length"),
     ("track", "dock_position"): _Number("layout", "dock_position"),
-    ("car", "speed"): _Number("config", "speed", 0.0),
-    ("strategy", "drain_interval"): _Number("config", "drain_interval", 0.0, True),
-    ("strategy", "reboot_dead_time"): _Number("config", "reboot_dead_time", 0.0),
-    ("budget", "max_allowed_drop"): _Number("budget", "max_allowed_drop", 0.0, True),
-    ("budget", "lookahead"): _Number("budget", "lookahead", 0.0),
-    **{("wireless", k): _Number("wireless", k, 0.0) for k in (
+    ("car", "speed"): _Number("config", "speed"),
+    ("strategy", "drain_interval"): _Number("config", "drain_interval"),
+    ("strategy", "reboot_dead_time"): _Number("config", "reboot_dead_time"),
+    ("budget", "max_allowed_drop"): _Number("budget", "max_allowed_drop"),
+    ("budget", "lookahead"): _Number("budget", "lookahead"),
+    **{("wireless", k): _Number("wireless", k) for k in (
         "connect_latency", "connect_extra_current", "per_frame_airtime",
-        "reply_airtime")},
-    ("wireless", "loss_rate"): _Number("wireless", "loss_rate", 0.0, maximum=1.0),
-    ("workload", "rate"): _Number("config", "workload_rate", 0.0),
-    ("workload", "payload_size"): _Number(
-        "config", "workload_payload", 0, maximum=MAX_PAYLOAD, integer=True),
-    ("run", "duration"): _Number("config", "duration", 0.0, True),
+        "reply_airtime", "loss_rate")},
+    ("workload", "rate"): _Number("config", "workload_rate"),
+    ("workload", "payload_size"): _Number("config", "workload_payload", integer=True),
+    ("run", "duration"): _Number("config", "duration"),
     ("run", "seed"): _Number("config", "seed", integer=True),
-    ("run", "dt"): _Number("config", "dt", 0.0, True),
-    ("run", "ram_capacity"): _Number("config", "ram_capacity", 1, integer=True),
-    ("run", "flash_capacity"): _Number("config", "flash_capacity", 1, integer=True),
-    ("run", "wired_frame_time"): _Number("config", "wired_frame_time", 0.0, True),
+    ("run", "dt"): _Number("config", "dt"),
+    ("run", "ram_capacity"): _Number("config", "ram_capacity", integer=True),
+    ("run", "flash_capacity"): _Number("config", "flash_capacity", integer=True),
+    ("run", "wired_frame_time"): _Number("config", "wired_frame_time"),
 }
 
 _KEYS = (*_NUMBERS, ("track", "segments"), ("car", "clock"), ("car", "radio"),
@@ -114,7 +108,7 @@ DEFAULT_SEGMENTS = "straight:0.30 lanechange:0.48:0.09:0.36 straight:0.30"
 
 @dataclass
 class ScenarioSpec:
-    """Parsed, validated scenario; `build` produces the runnable config."""
+    """Parsed scenario; `build` produces the validated, runnable config."""
 
     name: str = "scenario"
     values: dict[tuple[str, str], str] = field(default_factory=dict)
@@ -123,33 +117,25 @@ class ScenarioSpec:
     def _line(self, section: str, key: str) -> int:
         return self.lines.get((section, key), 0)
 
-    def _number(self, section: str, key: str, spec: _Number) -> Union[int, float]:
-        raw = self.values[(section, key)]
+    def _number(self, section: str, key: str, raw: str, spec: _Number) -> Union[int, float]:
         line = self.lines[(section, key)]
         try:
             value = int(raw) if spec.integer else float(raw)
         except ValueError:
             kind = "an integer" if spec.integer else "a number"
             raise ScenarioError(line, f"{key}: expected {kind}, got {raw!r}") from None
-        if spec.minimum is not None and not (
-            value > spec.minimum if spec.exclusive else value >= spec.minimum
-        ):
-            op = ">" if spec.exclusive else ">="
-            raise ScenarioError(line, f"{key}: must be {op} {spec.minimum}")
-        if spec.maximum is not None and value > spec.maximum:
-            raise ScenarioError(line, f"{key}: must be <= {spec.maximum}")
-        if not math.isfinite(value):
+        if math.isinf(value):
             raise ScenarioError(line, f"{key}: must be finite, got {raw!r}")
         return value
 
     def _arguments(self) -> defaultdict[str, dict]:
-        """The numeric keys the file sets, checked, as arguments per destination."""
+        """The numeric keys the file sets, parsed, as arguments per destination."""
         args: defaultdict[str, dict] = defaultdict(dict)
         for (section, key), raw in self.values.items():
             spec = _NUMBERS.get((section, key))
             if spec is None or (key == "recharge_rate" and raw == "instant"):
                 continue
-            args[spec.dest][spec.arg] = self._number(section, key, spec)
+            args[spec.dest][spec.arg] = self._number(section, key, raw, spec)
         return args
 
     def _choice(self, section: str, key: str, table: dict, default):
@@ -191,25 +177,7 @@ class ScenarioSpec:
             segments.append(
                 Segment(kind, numbers[0], tuple(numbers[1:]), **args["segment"])
             )
-        # the segments alone first, so that a dock error names its own key
-        for key, layout in (("segments", TrackLayout(segments)),
-                            ("dock_position", TrackLayout(segments, **args["layout"]))):
-            try:
-                layout.validate()
-            except LayoutError as exc:
-                raise ScenarioError(self._line("track", key), f"{key}: {exc}") from None
-        return layout
-
-    def _check(self, validate: Callable[[], None]) -> None:
-        """Run `validate`, citing the first key its error blames that this
-        file sets."""
-        try:
-            validate()
-        except ConfigError as exc:
-            blamed = [k for k in exc.keys if k in self.lines] or [*exc.keys, ("", "")]
-            section, key = blamed[0]
-            message = f"{key}: {exc}" if exc.keyed else str(exc)
-            raise ScenarioError(self._line(section, key), message) from None
+        return TrackLayout(segments, **args["layout"])
 
     def _build_schedule(self) -> HostRequestSchedule:
         raw = self.values.get(("schedule", "requests"), "none")
@@ -229,15 +197,34 @@ class ScenarioSpec:
         return HostRequestSchedule(times=times)
 
     def build(self) -> ScenarioConfig:
+        """The validated config.  A ConfigError from calibration or
+        validation cites the first key it blames that this file sets."""
+        try:
+            cfg = self._config()
+            cfg.validate()
+        except ConfigError as exc:
+            blamed = [k for k in exc.keys if k in self.lines] or [*exc.keys, ("", "")]
+            section, key = blamed[0]
+            message = f"{key}: {exc}" if exc.keyed else str(exc)
+            raise ScenarioError(self._line(section, key), message) from None
+        if (cfg.wireless.loss_rate > 0 and ("run", "seed") not in self.values
+                and cfg.strategy in (StrategyKind.STOP_AND_RADIO,
+                                     StrategyKind.WIRELESS_CONTINUOUS)):
+            raise ScenarioError(
+                self._line("wireless", "loss_rate"),
+                "a seed in [run] is mandatory when loss_rate > 0",
+            )
+        return cfg
+
+    def _config(self) -> ScenarioConfig:
         args = self._arguments()
         params = EnergyModelParams(**args["params"])
         params.current_table = calibrate_currents(
             {**MEASURED_DROPS, **args["drops"]}, params, **args["calibration"]
         )
         params.current_table.update(args["currents"])
-        self._check(params.validate)
         default_state = ScenarioConfig.initial_state
-        cfg = ScenarioConfig(
+        return ScenarioConfig(
             params=params,
             layout=self._build_layout(args),
             initial_state=PowerState(
@@ -254,15 +241,6 @@ class ScenarioSpec:
             name=self.name,
             **args["config"],
         )
-        self._check(cfg.validate)
-        if (cfg.wireless.loss_rate > 0 and ("run", "seed") not in self.values
-                and cfg.strategy in (StrategyKind.STOP_AND_RADIO,
-                                     StrategyKind.WIRELESS_CONTINUOUS)):
-            raise ScenarioError(
-                self._line("wireless", "loss_rate"),
-                "a seed in [run] is mandatory when loss_rate > 0",
-            )
-        return cfg
 
 
 def parse_scenario(text: str, name: str = "scenario") -> ScenarioSpec:
@@ -298,4 +276,4 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioSpec:
 
 def load_scenario(path: Union[str, Path]) -> ScenarioSpec:
     path = Path(path)
-    return parse_scenario(path.read_text(), name=path.stem)
+    return parse_scenario(path.read_text(encoding="utf-8"), name=path.stem)

@@ -5,9 +5,9 @@ two short unpowered gaps.  While powered the capacitor sits at the rail
 voltage; inside a gap it discharges according to the active power state.
 Gap occupancy is integrated exactly within each fixed step, so measured
 drops do not depend on how gap edges align with the step grid.
-`ScenarioConfig.validate`, called by `Simulation`, states every rule
-tying config values together once, so a bad config built in Python and
-a bad scenario file are refused alike, in the same words.
+`ScenarioConfig.validate`, called by `Simulation`, checks each value's
+range and each rule tying values together, so a bad config built in
+Python and a bad scenario file are refused alike, in the same words.
 After every step, `Simulation.run` runs the quiet stretch that follows
 (short of the next gap edge, no record, timed request, reboot end or
 brownout due; the driver's `next_wake` decides the rest), on powered
@@ -36,6 +36,7 @@ from .energy_model import (
     PowerState,
     RadioMode,
     VoltageTrace,
+    check_range,
     discharge_current,
 )
 from .log_store import RECORD_OVERHEAD, LogRecord, LogStore, Severity
@@ -45,6 +46,16 @@ from .transports import MAX_PAYLOAD, WirelessLinkParams
 
 class LayoutError(ConfigError):
     """Invalid track layout, or scenario config values that do not fit."""
+
+
+def _range(value: float, key: tuple[str, str], minimum: float, exclusive: bool = False,
+           maximum: Optional[float] = None) -> None:
+    check_range(value, key, minimum, exclusive, maximum, LayoutError)
+
+
+_SEGMENTS = ("track", "segments")
+_GAPS = (_SEGMENTS, ("track", "gap_length"))  # gap_length moves every gap
+_DOCK = ("track", "dock_position")
 
 
 class SegmentKind(Enum):
@@ -62,19 +73,21 @@ class Segment:
 
     def validate(self) -> None:
         if self.length <= 0:
-            raise LayoutError("segment length must be > 0")
-        if self.gap_length <= 0:
-            raise LayoutError("gap length must be > 0")
+            raise LayoutError("segment length must be > 0", _SEGMENTS, keyed=True)
+        _range(self.gap_length, ("track", "gap_length"), 0.0, exclusive=True)
         if self.kind is SegmentKind.LANE_CHANGE:
             if len(self.gap_offsets) != 2:
-                raise LayoutError("lane-change segment needs exactly two gaps")
+                raise LayoutError("lane-change segment needs exactly two gaps",
+                                  _SEGMENTS, keyed=True)
             a, b = sorted(self.gap_offsets)
             if a < 0 or b + self.gap_length > self.length:
-                raise LayoutError("gaps must lie fully inside the segment")
+                raise LayoutError("gaps must lie fully inside the segment",
+                                  *_GAPS, keyed=True)
             if a + self.gap_length > b:
-                raise LayoutError("gaps must not overlap")
+                raise LayoutError("gaps must not overlap", *_GAPS, keyed=True)
         elif self.gap_offsets:
-            raise LayoutError(f"{self.kind.value} segments carry no gaps")
+            raise LayoutError(f"{self.kind.value} segments carry no gaps",
+                              _SEGMENTS, keyed=True)
 
 
 @dataclass
@@ -97,14 +110,15 @@ class TrackLayout:
 
     def validate(self) -> None:
         if not self.segments:
-            raise LayoutError("layout needs at least one segment")
+            raise LayoutError("layout needs at least one segment", _SEGMENTS, keyed=True)
         for seg in self.segments:
             seg.validate()
         if self.dock_position is not None:
             if not 0 <= self.dock_position < self.total_length:
-                raise LayoutError("dock position outside the track")
+                raise LayoutError("dock position outside the track", _DOCK, keyed=True)
             if self.in_gap(self.dock_position):
-                raise LayoutError("dock position may not lie inside a gap")
+                raise LayoutError("dock position may not lie inside a gap",
+                                  _DOCK, keyed=True)
 
     @property
     def gaps(self) -> list[tuple[float, float]]:
@@ -247,28 +261,21 @@ class ScenarioConfig:
         if list(times) != sorted(times):
             raise LayoutError("request times must be sorted",
                               ("schedule", "requests"), keyed=True)
-        if self.dt <= 0 or self.duration <= 0:
-            raise LayoutError("dt and duration must be > 0")
-        if self.speed < 0:
-            raise LayoutError("speed must be >= 0")
-        # each `not v >= 0` and `not v > 0` also refuses NaN
-        if not self.workload_rate >= 0:
-            raise LayoutError(f"workload_rate ({self.workload_rate}) must be >= 0",
-                              ("workload", "rate"))
-        if self.recharge_rate is not None and not self.recharge_rate > 0:
-            raise LayoutError(f"recharge_rate ({self.recharge_rate}) must be > 0",
-                              ("energy", "recharge_rate"))
-        if not self.budget.max_allowed_drop > 0:
-            raise LayoutError(
-                f"max_allowed_drop ({self.budget.max_allowed_drop}) must be > 0",
-                ("budget", "max_allowed_drop"))
-        if not self.budget.lookahead >= 0:
-            raise LayoutError(f"lookahead ({self.budget.lookahead}) must be >= 0",
-                              ("budget", "lookahead"))
-        if not 0 <= self.workload_payload <= MAX_PAYLOAD:
-            raise LayoutError(
-                f"workload_payload ({self.workload_payload}) must lie in [0, {MAX_PAYLOAD}]"
-            )
+        _range(self.duration, ("run", "duration"), 0.0, exclusive=True)
+        _range(self.dt, ("run", "dt"), 0.0, exclusive=True)
+        _range(self.speed, ("car", "speed"), 0.0)
+        _range(self.workload_rate, ("workload", "rate"), 0.0)
+        if self.recharge_rate is not None:
+            _range(self.recharge_rate, ("energy", "recharge_rate"), 0.0, exclusive=True)
+        _range(self.budget.max_allowed_drop, ("budget", "max_allowed_drop"), 0.0,
+               exclusive=True)
+        _range(self.budget.lookahead, ("budget", "lookahead"), 0.0)
+        _range(self.workload_payload, ("workload", "payload_size"), 0, maximum=MAX_PAYLOAD)
+        _range(self.drain_interval, ("strategy", "drain_interval"), 0.0, exclusive=True)
+        _range(self.reboot_dead_time, ("strategy", "reboot_dead_time"), 0.0)
+        _range(self.wired_frame_time, ("run", "wired_frame_time"), 0.0, exclusive=True)
+        _range(self.ram_capacity, ("run", "ram_capacity"), 1)
+        _range(self.flash_capacity, ("run", "flash_capacity"), 1)
         steps = self.duration / self.dt
         if not steps <= MAX_STEPS:  # also refuses NaN and inf
             raise LayoutError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .energy_model import ConfigError
+from .energy_model import check_range
 
 
 # --- CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) -----------------------
@@ -183,12 +183,10 @@ class WirelessLinkParams:
     loss_rate: float = 0.0                # per-frame loss probability
 
     def validate(self) -> None:
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ConfigError("loss_rate must be within [0, 1]", ("wireless", "loss_rate"))
+        check_range(self.loss_rate, ("wireless", "loss_rate"), 0.0, maximum=1.0)
         for key in ("connect_latency", "connect_extra_current", "per_frame_airtime",
                     "reply_airtime"):
-            if not getattr(self, key) >= 0:  # also refuses NaN
-                raise ConfigError(f"{key} must be >= 0", ("wireless", key))
+            check_range(getattr(self, key), ("wireless", key), 0.0)
 
 
 class WirelessLink:

@@ -121,6 +121,10 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate_currents({C80_OFF: -0.1}, EnergyModelParams())
 
+    def test_zero_gap_duration_refused_before_division(self):
+        with pytest.raises(ConfigError, match="^gap_duration: must be > 0.0$"):
+            EnergyModelParams.calibrated(gap_duration=0.0)
+
     def test_roundtrip_through_discharge(self, params):
         # calibrated current reproduces the measured drop over one gap
         for state, drop in MEASURED_DROPS.items():

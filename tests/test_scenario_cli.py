@@ -14,11 +14,14 @@ from powergap.cli import (
     run_table1_suite,
 )
 from powergap.energy_model import (
+    MEASURED_DROPS,
+    CalibrationError,
     ClockTier,
     ConfigError,
     EnergyModelParams,
     PowerState,
     RadioMode,
+    calibrate_currents,
 )
 from powergap.scenario import _NUMBERS, ScenarioError, load_scenario, parse_scenario
 from powergap.strategies import EnergyBudget, StrategyKind
@@ -115,6 +118,13 @@ class TestParser:
             for raw in ("inf", "-inf"):
                 with pytest.raises(ScenarioError, match="^line 2: "):
                     parse_scenario(f"[{section}]\n{key} = {raw}\n").build()
+
+    def test_gap_length_misfit_names_its_own_line(self):
+        # default segments, whose gaps no longer fit: the file's only
+        # track key is cited, not a line 0 for segments it never set
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario("[track]\ngap_length = 0.2\n").build()
+        assert str(exc.value) == "line 2: gap_length: gaps must lie fully inside the segment"
 
     def test_dockless_save_and_print_rejected(self):
         text = "[strategy]\nkind = save_and_print_later\n"
@@ -333,7 +343,51 @@ def assert_same_config(got: ScenarioConfig, expected: ScenarioConfig) -> None:
         assert getattr(got, f.name) == getattr(expected, f.name), f.name
 
 
+#: the numeric keys with no range: any finite seed runs, and a dock
+#: position is judged by the track it must lie on
+UNRANGED = {("run", "seed"), ("track", "dock_position")}
+#: every ranged key at -1, and float keys at NaN too
+RANGED_CASES = [(key, raw) for key, spec in _NUMBERS.items() if key not in UNRANGED
+                for raw in ("-1",) + (() if spec.integer else ("nan",))]
+
+
+def default_layout(gap_length=0.06) -> TrackLayout:
+    return TrackLayout([
+        Segment(SegmentKind.STRAIGHT, 0.30, (), gap_length),
+        Segment(SegmentKind.LANE_CHANGE, 0.48, (0.09, 0.36), gap_length),
+        Segment(SegmentKind.STRAIGHT, 0.30, (), gap_length),
+    ])
+
+
+def refuse_in_python(spec, raw):
+    """Put one parsed value where its key's `dest` sends it, in a config
+    built in Python, and run what validates it there."""
+    value = int(raw) if spec.integer else float(raw)
+    if spec.dest == "drops":
+        return calibrate_currents({**MEASURED_DROPS, spec.arg: value}, EnergyModelParams())
+    if spec.dest == "calibration":
+        return calibrate_currents(MEASURED_DROPS, EnergyModelParams(), **{spec.arg: value})
+    params = EnergyModelParams.calibrated()
+    overrides = {}
+    if spec.dest == "params":
+        params = replace(params, **{spec.arg: value})
+    elif spec.dest == "currents":
+        params.current_table[spec.arg] = value
+    elif spec.dest == "budget":
+        overrides["budget"] = EnergyBudget(**{spec.arg: value})
+    elif spec.dest == "wireless":
+        overrides["wireless"] = WirelessLinkParams(**{spec.arg: value})
+    elif spec.dest == "config":
+        overrides[spec.arg] = value
+    layout = default_layout(value) if spec.dest == "segment" else default_layout()
+    return Simulation(ScenarioConfig(params=params, layout=layout, **overrides))
+
+
 class TestRejectionCorpus:
+    def test_ranged_cases_cover_every_key_and_value(self):
+        assert len({key for key, _ in RANGED_CASES}) == 42
+        assert len(RANGED_CASES) == 81
+
     @pytest.mark.parametrize("case", sorted(REJECTIONS))
     def test_single_fault_message(self, case):
         text, message = REJECTIONS[case]
@@ -355,6 +409,21 @@ class TestRejectionCorpus:
         with pytest.raises(ConfigError) as exc:
             Simulation(ScenarioConfig(params=params, layout=layout, **overrides))
         assert str(exc.value) == re.sub(r"^line \d+: (\w+: )?", "", REJECTIONS[case][1])
+
+    @pytest.mark.parametrize("key,raw", RANGED_CASES,
+                             ids=[f"{k}={raw}" for (_, k), raw in RANGED_CASES])
+    def test_python_config_refused_in_the_file_words(self, key, raw):
+        # each range lives with its field: a Python-built config holding the
+        # value is refused as the file is, only without the line number
+        section, name = key
+        with pytest.raises(ScenarioError) as file_exc:
+            parse_scenario(f"[{section}]\n{name} = {raw}\n").build()
+        with pytest.raises(ConfigError) as exc:
+            refuse_in_python(_NUMBERS[key], raw)
+        assert str(exc.value) == re.sub(r"^line 2: ", "", str(file_exc.value))
+        assert exc.value.keys[0] == key
+        calibration = _NUMBERS[key].dest in ("drops", "calibration")
+        assert isinstance(exc.value, CalibrationError) == calibration
 
     def test_empty_file_builds_dataclass_defaults(self):
         expected = ScenarioConfig(
@@ -447,6 +516,16 @@ def write_scenario(tmp_path, text, name="case.scn"):
     return str(path)
 
 
+def unreadable_scenario(tmp_path, case):
+    """A directory, or a file that is not UTF-8 text."""
+    path = tmp_path / "bad.scn"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"[run]\nduration = 1.0 # \xff\xfe\n")
+    return str(path)
+
+
 class TestCliRun:
     def test_outputs_and_exit_ok(self, tmp_path, capsys):
         scn = write_scenario(tmp_path, MINIMAL)
@@ -488,6 +567,14 @@ class TestCliRun:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "no.scn")]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("case", ["directory", "not_utf8"])
+    def test_unreadable_file_exit_2(self, tmp_path, capsys, case):
+        scn = unreadable_scenario(tmp_path, case)
+        assert main(["run", scn, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_fail_on_brownout_exit_3(self, tmp_path):
         text = MINIMAL + "[car]\nclock = c240\nradio = tx\n"
@@ -572,6 +659,15 @@ class TestCliCompare:
         code = main(["compare", scn, "--strategies", "carrier_pigeon"])
         assert code == EXIT_VALIDATION
         assert "carrier_pigeon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["directory", "not_utf8"])
+    def test_unreadable_workload_exit_2(self, tmp_path, capsys, case):
+        scn = unreadable_scenario(tmp_path, case)
+        assert main(["compare", scn, "--out", str(tmp_path)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "compare.csv").exists()
 
     def test_dockless_workload_exit_2(self, tmp_path, capsys):
         # save_and_print_later, in the default strategy list, needs a dock

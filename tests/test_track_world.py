@@ -322,18 +322,19 @@ class TestRunScenario:
         with pytest.raises(LayoutError):
             Simulation(cfg)
 
-    @pytest.mark.parametrize("overrides", [
-        {"duration": 1e300},
-        {"duration": float("inf")},
-        {"duration": float("nan")},
-        {"dt": 1e-12},
-        {"duration": 0.01, "workload_rate": 1e12},
-        {"workload_rate": float("inf")},
+    @pytest.mark.parametrize("overrides,message", [
+        ({"duration": 1e300}, "above the cap"),
+        ({"duration": float("inf")}, "above the cap"),
+        # NaN fails duration's range before it reaches the cap
+        ({"duration": float("nan")}, "^duration: must be > 0.0$"),
+        ({"dt": 1e-12}, "above the cap"),
+        ({"duration": 0.01, "workload_rate": 1e12}, "above the cap"),
+        ({"workload_rate": float("inf")}, "above the cap"),
     ], ids=["duration_1e300", "duration_inf", "duration_nan", "dt_tiny",
             "records_above_cap", "rate_inf"])
-    def test_run_size_caps_enforced_by_constructor(self, overrides):
+    def test_run_size_caps_enforced_by_constructor(self, overrides, message):
         # a config built in Python, not parsed, must still be refused
-        with pytest.raises(LayoutError, match="above the cap"):
+        with pytest.raises(LayoutError, match=message):
             Simulation(dataclasses.replace(crossing_config(), **overrides))
 
     @pytest.mark.parametrize("overrides", [
@@ -348,8 +349,8 @@ class TestRunScenario:
     @pytest.mark.parametrize("overrides,error,blamed", [
         ({"budget": EnergyBudget(max_allowed_drop=5.0)}, LayoutError,
          ("budget", "max_allowed_drop")),
-        ({"workload_payload": 300}, LayoutError, None),
-        ({"workload_payload": -1}, LayoutError, None),
+        ({"workload_payload": 300}, LayoutError, ("workload", "payload_size")),
+        ({"workload_payload": -1}, LayoutError, ("workload", "payload_size")),
         ({"workload_rate": -50.0}, LayoutError, ("workload", "rate")),
         ({"recharge_rate": 0.0}, LayoutError, ("energy", "recharge_rate")),
         ({"recharge_rate": -1.0}, LayoutError, ("energy", "recharge_rate")),
@@ -369,7 +370,7 @@ class TestRunScenario:
         # payload no record can carry, or in the driver on a loss rate
         with pytest.raises(error) as exc:
             Simulation(dataclasses.replace(crossing_config(), **overrides))
-        assert exc.value.keys[:1] == ((blamed,) if blamed else ())
+        assert exc.value.keys[:1] == (blamed,)
 
     def test_flash_must_hold_one_record(self):
         # refused up front, not with a StoreError at the first flush
@@ -378,6 +379,18 @@ class TestRunScenario:
             Simulation(cfg)
         # a 16-byte payload and 16 bytes of record overhead fit exactly
         run_scenario(dataclasses.replace(cfg, flash_capacity=32))
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"ram_capacity": 0}, "ram_capacity: must be >= 1"),
+        ({"wired_frame_time": 0.0}, "wired_frame_time: must be > 0.0"),
+        ({"drain_interval": -1.0}, "drain_interval: must be > 0.0"),
+        ({"reboot_dead_time": -1.0}, "reboot_dead_time: must be >= 0.0"),
+    ], ids=["ram_zero", "wired_frame_time_zero", "drain_negative", "dead_time_negative"])
+    def test_ranges_once_held_by_the_parser_alone(self, overrides, message):
+        # these ran, or failed later with a StoreError, when built in Python
+        with pytest.raises(LayoutError) as exc:
+            Simulation(dataclasses.replace(crossing_config(), **overrides))
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("kept,first", [(0, "c80_off"), (5, "c160_tx")])
     def test_current_table_must_cover_every_state(self, kept, first):
