@@ -81,7 +81,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         try:
             name, brownouts = _run_one(path, args.seed, out)
         except _USER_ERRORS as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {path}: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         print(f"{name}: brownouts={brownouts}")
         if args.fail_on_brownout and brownouts > 0:
@@ -111,7 +111,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             cfg.controller = True
         rows = evaluate_strategies(cfg, kinds)
     except _USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {args.workload}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     buf = io.StringIO()
     write_comparison_csv(rows, buf)

@@ -14,6 +14,7 @@ one.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Optional
@@ -114,13 +115,19 @@ class Driver:
         raise NotImplementedError
 
     def next_wake(self, now: float) -> Optional[float]:
-        """The first time at which `tick` may act, if no work arrives.
+        """The first time at which `tick` may act.
 
         Every tick before it is a no-op, so the scenario loop may skip
-        those; `None` means not before a record or request arrives.  The
-        default, `now`, lets no tick be skipped.  Work already waiting
-        (a pending request, an unacked record) counts here: the scenario
-        loop asks nothing else about the driver before it skips ticks.
+        those.  `None` means at the next record or request: the loop
+        then ends a skip at each record.  A time, `math.inf` included,
+        means not before it, whatever records arrive, so once work waits
+        the loop appends records within a skip.  A driver reads the log
+        store here only through `_idle()`, and a tick before a time wake
+        returns before it touches the store.  The default, `now`, lets
+        no tick be skipped.  Work already waiting (a pending request, an
+        unacked record) counts here: the scenario loop asks nothing else
+        about the driver before it skips ticks.  Position limits (gap
+        edges, the dock) belong to the loop, which never skips past one.
         A tick on which the transmission gate defers is a no-op too: the
         loop skips ticks only up to the next gap edge and while the
         capacitor stays as it is on powered track, and the gate's answer
@@ -343,6 +350,11 @@ class StopAndRadioDriver(_DrainCycleDriver, _RadioDriver):
 
 class SaveAndPrintLaterDriver(_DrainCycleDriver):
     """Drive, periodically stop at the dock, drain over the wired link."""
+
+    def next_wake(self, now: float) -> Optional[float]:
+        # stopping acts only on the step that crosses the dock, and the
+        # scenario loop stops short of the dock by itself
+        return math.inf if self.state == "stop" else super().next_wake(now)
 
     def _approach(self, now: float) -> None:
         sim = self.sim

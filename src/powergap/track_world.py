@@ -9,10 +9,14 @@ drops do not depend on how gap edges align with the step grid.
 range and each rule tying values together, so a bad config built in
 Python and a bad scenario file are refused alike, in the same words.
 After every step, `Simulation.run` runs the quiet stretch that follows
-(short of the next gap edge, no record, timed request, reboot end or
-brownout due; the driver's `next_wake` decides the rest), on powered
-track or inside a gap, in a tight inner loop that makes the same float
-operations as `step`, so skipping the full step there changes no output.
+(short of the next gap edge, a timed request, a reboot end, a brownout
+and, for save_and_print_later, the dock; the driver's `next_wake`
+decides the rest), on powered track or inside a gap, in a tight inner
+loop that makes the same float operations as `step`, so skipping the
+full step there changes no output.  On powered track the loop also
+appends and flushes the records that fall due, when no driver reads
+them or the driver's wake is a time and work already waits; otherwise
+a record ends the stretch.
 `evaluate_strategies` runs one workload under several strategies and
 `write_comparison_csv` tabulates their delivery metrics.
 """
@@ -399,6 +403,9 @@ class Simulation:
 
         self.host = HostCollector()
         self.driver = make_driver(cfg.strategy, self) if cfg.strategy else None
+        # where save_and_print_later stops: quiet stretches stop short of it
+        self._dock = (cfg.layout.dock_position
+                      if cfg.strategy is StrategyKind.SAVE_AND_PRINT_LATER else None)
 
     # -- hooks used by strategy drivers -----------------------------------
 
@@ -543,31 +550,46 @@ class Simulation:
         """Run up to `limit` quiet steps in a tight loop; return how many.
 
         A quiet step starts and ends short of the next gap edge (a gap's
-        start on powered track, its end in a gap), appends no record,
-        meets no timed request and falls before the driver's `next_wake`,
-        which is not asked while the device reboots.  On powered track the
-        capacitor stays full and a reboot does not end.  In a gap the car
-        moves and the step does not brown out.  On such a step `step`
-        changes only the clock, the position, the workload accumulator,
-        the capacitor (in a gap), the radio-on time, the backlog samples
-        and the trace; this loop makes those float operations in the same
-        order, so every output is byte-identical.  It records a powered
-        stretch's trace as one run at its end, a gap's sample by sample.
+        start on powered track, its end in a gap) and, under
+        save_and_print_later, of the dock; it meets no timed request and
+        falls before the driver's `next_wake`, which is not asked while
+        the device reboots.  On powered track the capacitor stays full
+        and a reboot does not end.  In a gap the car moves, the step does
+        not brown out and appends no record.  On
+        such a step `step` changes only the clock, the position, the
+        workload accumulator, the capacitor (in a gap), the radio-on time,
+        the backlog samples and the trace, and on powered track the log
+        store and its peak; this loop makes those operations in the same
+        order, so every output is byte-identical.  A powered step appends
+        the records that fall due, and flushes them under a driver, only
+        when no driver reads them or the wake is a time and work already
+        waits: such a wake holds whatever records arrive, and its tick
+        touches nothing.  A `None` wake's tick would pick a frame again
+        (`Driver.record`), so there a record ends the stretch.  The loop
+        records a powered stretch's trace as one run at its end, a gap's
+        sample by sample.
         """
         if limit <= 0:
             return 0
-        cfg, car = self.cfg, self.car
+        cfg, car, driver = self.cfg, self.car, self.driver
         dt, params, powered = cfg.dt, cfg.params, car.powered
         t = self.now
         active = self.rebooting_until is None
         # the first step time that is not quiet
         stop = math.inf if active or not powered else self.rebooting_until
-        if active and self.driver is not None:
-            wake = self.driver.next_wake(t)
-            if wake is not None:
+        # whether a powered step may append records: no driver reads them,
+        # or its wake is a time, which more records cannot move once work
+        # waits (a `None` wake's tick would pick a frame)
+        carry = powered
+        if active and driver is not None:
+            wake = driver.next_wake(t)
+            if wake is None:
+                carry = False
+            else:
                 stop = wake
+                carry = powered and not driver._idle()
         acc, inc = self._workload_acc, cfg.workload_rate * dt if active else 0.0
-        if t + dt >= stop or acc + inc >= 1.0:
+        if t + dt >= stop or acc + inc >= 1.0 and not carry:
             return 0
         nominal, v, speed = params.nominal_voltage, car.capacitor_v, car.speed
         drop, capacitance = params.brownout_drop, params.capacitance
@@ -587,10 +609,16 @@ class Simulation:
         x = x_prev = car.position
         dist = speed * dt
         lim = cfg.layout.edge_ahead(x)
+        # no quiet step reaches the dock: if fl(x + dist) < dock, then
+        # fl(dock - x) >= dist and `crosses` is false
+        dock = self._dock
+        if dock is not None and dist and x <= dock < lim:
+            lim = dock
         min_v = self.min_cap_v
         radio_on = active and car.power_state.radio is not RadioMode.OFF
         radio_on_s = self.radio_on_s
-        stored = self.store.flash_bytes
+        store = self.store
+        stored = store.flash_bytes
         backlog_at, every = self._next_backlog_at, self._backlog_every
         backlog = self._backlog_samples
         record, runs = self._record, self._runs
@@ -600,7 +628,10 @@ class Simulation:
             end = x + dist
             a = acc + inc
             if t1 >= stop or end >= lim or a >= 1.0:
-                break
+                if not carry or t1 >= stop or end >= lim:
+                    break
+                a = self._append_due(a, t1)
+                stored = store.flash_bytes
             if not powered:
                 # `unpowered_overlap` of a step inside one gap is end - x
                 v1 = v - current * ((end - x) / speed) / capacitance
@@ -635,6 +666,22 @@ class Simulation:
             self.radio_on_s = radio_on_s
             self._next_backlog_at = backlog_at
         return n
+
+    def _append_due(self, acc: float, t: float) -> float:
+        """A quiet step's share of `step`'s log work at `t`: append the
+        records due, flush them under a driver (whose tick is a no-op)
+        and raise the stored peak; return what the accumulator keeps.
+        A call of its own keeps `_quiet_stretch`'s loop short enough for
+        CPython 3.11 to specialize its compares and jumps."""
+        store = self.store
+        while acc >= 1.0:
+            acc -= 1.0
+            store.append(Severity.INFO, self._workload_payload, t)
+        if self.driver is not None:
+            store.flush()
+            if store.flash_bytes > self.bytes_stored_peak:
+                self.bytes_stored_peak = store.flash_bytes
+        return acc
 
     def run(self) -> ScenarioResult:
         n_steps = round(self.cfg.duration / self.cfg.dt)

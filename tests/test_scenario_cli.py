@@ -550,6 +550,18 @@ class TestCliRun:
         assert "line 2" in err
         assert (tmp_path / "good_trace.csv").exists()
 
+    @pytest.mark.parametrize("case", ["refused", "not_utf8"])
+    def test_error_names_the_failing_file(self, tmp_path, capsys, case):
+        good = write_scenario(tmp_path, MINIMAL, "good.scn")
+        if case == "refused":
+            bad = write_scenario(tmp_path, "[run]\nduration = nope\n", "bad.scn")
+        else:
+            bad = unreadable_scenario(tmp_path, case)
+        assert main(["run", good, bad, "--out", str(tmp_path)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "good: brownouts=0\n"
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
     def test_error_stops_before_later_files(self, tmp_path, capsys):
         bad = write_scenario(tmp_path, "[run]\nduration = nope\n", "bad.scn")
         good = write_scenario(tmp_path, MINIMAL, "good.scn")
@@ -674,7 +686,8 @@ class TestCliCompare:
         scn = write_scenario(tmp_path, MINIMAL)
         code = main(["compare", scn, "--out", str(tmp_path)])
         assert code == EXIT_VALIDATION
-        assert "error: save_and_print_later needs a dock" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {scn}: save_and_print_later needs a dock_position in [track]\n")
         assert not (tmp_path / "compare.csv").exists()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 from test_golden import FLOOD
@@ -305,12 +306,17 @@ class TestNextWake:
         assert sim.driver.state == "cruise"
         assert sim.driver.next_wake(1.0) == sim.cfg.drain_interval
 
-    @pytest.mark.parametrize(
-        "kind", [StrategyKind.STOP_AND_RADIO, StrategyKind.SAVE_AND_PRINT_LATER])
-    def test_drain_cycle_stopping_ticks_now(self, kind):
-        sim = idle_sim(kind)
+    def test_stop_and_radio_stopping_ticks_now(self):
+        sim = idle_sim(StrategyKind.STOP_AND_RADIO)
         sim.driver.state = "stop"
         assert sim.driver.next_wake(5.0) == 5.0
+
+    def test_save_and_print_later_stopping_waits_for_the_dock(self):
+        # only the step that crosses the dock acts, and the scenario loop
+        # stops short of the dock by position, not by time
+        sim = idle_sim(StrategyKind.SAVE_AND_PRINT_LATER)
+        sim.driver.state = "stop"
+        assert sim.driver.next_wake(5.0) == math.inf
 
     @pytest.mark.parametrize(
         "kind", [StrategyKind.STOP_AND_RADIO, StrategyKind.SAVE_AND_PRINT_LATER])
@@ -349,6 +355,67 @@ class TestNextWake:
         driver.tick(0.0)
         assert driver.in_flight is not None and driver.channel.queue
         assert driver.next_wake(0.0) == driver.channel.next_boundary - 2e-12
+
+
+def drain_state(state, **attrs):
+    def setup(driver):
+        driver.state = state
+        vars(driver).update(attrs)
+    return setup
+
+
+def associated(driver):
+    driver.link.associated = True
+
+
+def frame_sent(driver):
+    associated(driver)
+    driver._start(5.0, Frame(FrameKind.LOG, 1, b"x"))
+
+
+def powerline_sending(driver):
+    driver.tick(5.0)
+    assert driver.in_flight is not None
+
+
+WAKE_STATES = {
+    "save_and_print_later-cruise": (StrategyKind.SAVE_AND_PRINT_LATER, drain_state("cruise")),
+    "save_and_print_later-stop": (StrategyKind.SAVE_AND_PRINT_LATER, drain_state("stop")),
+    "save_and_print_later-sending": (StrategyKind.SAVE_AND_PRINT_LATER,
+                                     drain_state("drain", tx_until=5.002)),
+    "save_and_print_later-overhead": (StrategyKind.SAVE_AND_PRINT_LATER,
+                                      drain_state("overhead", overhead_until=5.5)),
+    "stop_and_radio-cruise": (StrategyKind.STOP_AND_RADIO, drain_state("cruise")),
+    "stop_and_radio-stop": (StrategyKind.STOP_AND_RADIO, drain_state("stop")),
+    "stop_and_radio-connecting": (StrategyKind.STOP_AND_RADIO,
+                                  drain_state("connecting", connecting_until=5.4)),
+    "stop_and_radio-sending": (StrategyKind.STOP_AND_RADIO,
+                               drain_state("drain", tx_until=5.002)),
+    "stop_and_radio-overhead": (StrategyKind.STOP_AND_RADIO,
+                                drain_state("overhead", overhead_until=5.5)),
+    "wireless-unassociated": (StrategyKind.WIRELESS_CONTINUOUS, lambda driver: None),
+    "wireless-connecting": (StrategyKind.WIRELESS_CONTINUOUS,
+                            lambda driver: driver._begin_connect(5.0)),
+    "wireless-associated": (StrategyKind.WIRELESS_CONTINUOUS, associated),
+    "wireless-sending": (StrategyKind.WIRELESS_CONTINUOUS, frame_sent),
+    "powerline-frame_waiting": (StrategyKind.POWERLINE_CONTINUOUS, lambda driver: None),
+    "powerline-sending": (StrategyKind.POWERLINE_CONTINUOUS, powerline_sending),
+}
+
+
+@pytest.mark.parametrize("kind,setup", WAKE_STATES.values(), ids=WAKE_STATES)
+def test_float_wake_with_work_waiting_ignores_more_records(kind, setup):
+    # the scenario loop appends records within a quiet stretch only when
+    # the wake is a time and work already waits: more records must not
+    # move that wake
+    sim = idle_sim(kind)
+    stored_record(sim)
+    setup(sim.driver)
+    wake = sim.driver.next_wake(5.0)
+    assert isinstance(wake, float)
+    for _ in range(3):
+        stored_record(sim, 5.0)
+    assert sim.driver.next_wake(5.0) == wake
 
 
 class TestSaveAndPrintLater:

@@ -1,9 +1,11 @@
 import collections
 import csv
 import dataclasses
+import dis
 import importlib.resources
 import io
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -34,6 +36,7 @@ from powergap.track_world import (
     events_to_csv,
     run_scenario,
 )
+from powergap.log_store import RECORD_OVERHEAD
 from powergap.scenario import load_scenario
 from powergap.strategies import EnergyBudget, StrategyKind
 from powergap.transports import WirelessLinkParams
@@ -638,6 +641,69 @@ def test_car_stopped_in_a_gap_falls_back_to_step():
     assert [ev.kind for ev in sim.events] == [EventKind.GAP_ENTERED, EventKind.BROWNOUT]
 
 
+@pytest.mark.parametrize("duration", [round(0.5 + 0.05 * i, 2) for i in range(40)])
+def test_gate_deferral_ends_a_stretch_at_each_record(duration):
+    # while the gate defers waiting work, each tick picks the oldest
+    # unacked record again (`Driver.record`), and 200 B of flash evicts
+    # the oldest every few records: a stretch that carried records past
+    # a deferred tick would leave a stale pick wherever the run ends
+    cfg = ScenarioConfig(
+        params=EnergyModelParams.calibrated(), layout=lane_change_layout(),
+        duration=duration, strategy=StrategyKind.WIRELESS_CONTINUOUS, controller=True,
+        budget=EnergyBudget(lookahead=0.2),
+        wireless=WirelessLinkParams(connect_latency=0.1, per_frame_airtime=0.02),
+        workload_rate=400.0, workload_payload=20, flash_capacity=200,
+    )
+    sim = assert_same_run(cfg)
+    assert sim.store.evicted > 0
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="CPython 3.11 bytecode")
+def test_quiet_stretch_takes_no_extended_jumps():
+    # a jump across more than 255 code units needs an EXTENDED_ARG, which
+    # keeps CPython 3.11 from specializing the compare in front of it; in
+    # the stretch loop's `while` test that cost the drive benchmark about
+    # 4 % of its simulation rate
+    ops = [ins.opname for ins in dis.get_instructions(Simulation._quiet_stretch)]
+    assert "EXTENDED_ARG" not in ops
+
+
+@pytest.mark.parametrize("rate", [1000.0, 2000.0])
+def test_gap_stretch_carries_no_record(rate):
+    # a record falls due every step or every other one; `step` appends
+    # before it checks for a brownout, so a gap stretch, which stops short
+    # of the brownout step, ends at each record instead of carrying it
+    cfg = crossing_config(C240_TX, workload_rate=rate)
+    sim = assert_same_run(cfg)
+    assert sim.brownout_count == 1
+
+
+#: full steps per strategy on the flood-like run below, as a share of its
+#: 2000 steps; while every record ended a stretch, each was 0.23 or more
+FLOOD_STEP_SHARE = {
+    StrategyKind.SAVE_AND_PRINT_LATER: 0.1,
+    StrategyKind.STOP_AND_RADIO: 0.15,
+    StrategyKind.POWERLINE_CONTINUOUS: 0.1,
+    StrategyKind.WIRELESS_CONTINUOUS: 0.3,
+}
+
+
+@pytest.mark.parametrize("kind", StrategyKind, ids=lambda k: k.value)
+def test_records_and_the_dock_approach_run_in_stretches(kind, step_calls):
+    # 400 records/s of 200 B: a record falls due every fifth step; once
+    # work waits, quiet stretches carry them, and the approach to the dock
+    cfg = ScenarioConfig(
+        params=EnergyModelParams.calibrated(), layout=lane_change_layout(dock=0.15),
+        duration=1.0, strategy=kind,
+        wireless=WirelessLinkParams(connect_latency=0.15, loss_rate=0.05),
+        workload_rate=400.0, workload_payload=200, drain_interval=0.4,
+        flash_capacity=8000,
+    )
+    sim = assert_same_run(cfg)
+    assert sim.store.evicted > 0
+    assert step_calls[sim] <= FLOOD_STEP_SHARE[kind] * round(cfg.duration / cfg.dt)
+
+
 @st.composite
 def stretch_configs(draw):
     # on the grid, dyadic geometry, speed and step land the car exactly on
@@ -661,6 +727,10 @@ def stretch_configs(draw):
     ]))
     # a low brownout drop browns out mid-gap; long airtimes span a gap
     brownout_drop = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+    # a flash of one record up to a few evicts records inside stretches
+    payload = draw(st.integers(0, 40))
+    record_size = payload + RECORD_OVERHEAD
+    flash = draw(st.one_of(st.just(65536), st.integers(record_size, 4 * record_size)))
     return ScenarioConfig(
         params=EnergyModelParams.calibrated(brownout_drop=brownout_drop),
         layout=TrackLayout(layout.segments, dock_position=dock),
@@ -681,12 +751,13 @@ def stretch_configs(draw):
             loss_rate=draw(st.sampled_from([0.0, 0.1, 0.5])),
         ),
         workload_rate=draw(st.one_of(st.just(0.0), st.floats(0.0, 400.0))),
-        workload_payload=draw(st.integers(0, 40)),
+        workload_payload=payload,
         schedule=schedule,
         drain_interval=draw(st.floats(0.01, 1.0)),
         reboot_dead_time=draw(st.floats(0.0, 0.2)),
         recharge_rate=draw(st.one_of(st.none(), st.floats(1.0, 500.0))),
         ram_capacity=draw(st.integers(1, 64)),
+        flash_capacity=flash,
     )
 
 
