@@ -46,6 +46,12 @@ def _out_dir(flag_value: Optional[str]) -> Path:
     return path
 
 
+def _out_error(exc: OSError) -> int:
+    """Report an output directory that cannot be made or written."""
+    print(f"error: output directory: {exc}", file=sys.stderr)
+    return EXIT_VALIDATION
+
+
 def _write_atomic(path: Path, content: str) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(content)
@@ -75,7 +81,10 @@ def _run_one(path: str, seed_override: Optional[int], out: Path) -> tuple[str, i
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    out = _out_dir(args.out)
+    try:
+        out = _out_dir(args.out)
+    except OSError as exc:
+        return _out_error(exc)
     status = EXIT_OK
     for path in args.scenario:
         try:
@@ -116,8 +125,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     buf = io.StringIO()
     write_comparison_csv(rows, buf)
     sys.stdout.write(buf.getvalue())
-    out = _out_dir(args.out)
-    _write_atomic(out / "compare.csv", buf.getvalue())
+    try:
+        _write_atomic(_out_dir(args.out) / "compare.csv", buf.getvalue())
+    except OSError as exc:
+        return _out_error(exc)
     return EXIT_OK
 
 
@@ -147,8 +158,10 @@ def cmd_table1(args: argparse.Namespace) -> int:
         lines.append(f"{state},{expected:.6f},{got:.6f},{verdict}")
         if not ok:
             status = EXIT_MISMATCH
-    out = _out_dir(args.out)
-    _write_atomic(out / "table1.csv", "\n".join(lines) + "\n")
+    try:
+        _write_atomic(_out_dir(args.out) / "table1.csv", "\n".join(lines) + "\n")
+    except OSError as exc:
+        return _out_error(exc)
     return status
 
 

@@ -119,9 +119,9 @@ class Driver:
 
         Every tick before it is a no-op, so the scenario loop may skip
         those.  `None` means at the next record or request: the loop
-        then ends a skip at each record.  A time, `math.inf` included,
-        means not before it, whatever records arrive, so once work waits
-        the loop appends records within a skip.  A driver reads the log
+        then ticks at each record.  A time, `math.inf` included, means
+        not before it, whatever records arrive, so once work waits the
+        loop appends records without a tick.  A driver reads the log
         store here only through `_idle()`, and a tick before a time wake
         returns before it touches the store.  The default, `now`, lets
         no tick be skipped.  Work already waiting (a pending request, an
@@ -131,7 +131,10 @@ class Driver:
         A tick on which the transmission gate defers is a no-op too: the
         loop skips ticks only up to the next gap edge and while the
         capacitor stays as it is on powered track, and the gate's answer
-        holds that long.
+        holds that long.  On powered track the loop runs the tick at the
+        wake (or at a record) inside its stretch, with the car's position
+        and `last_step` already set; that tick may stop or start the car,
+        which ends the stretch, but must not move it.
         """
         return now
 

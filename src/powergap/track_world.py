@@ -10,13 +10,13 @@ range and each rule tying values together, so a bad config built in
 Python and a bad scenario file are refused alike, in the same words.
 After every step, `Simulation.run` runs the quiet stretch that follows
 (short of the next gap edge, a timed request, a reboot end, a brownout
-and, for save_and_print_later, the dock; the driver's `next_wake`
-decides the rest), on powered track or inside a gap, in a tight inner
-loop that makes the same float operations as `step`, so skipping the
-full step there changes no output.  On powered track the loop also
-appends and flushes the records that fall due, when no driver reads
-them or the driver's wake is a time and work already waits; otherwise
-a record ends the stretch.
+and, for save_and_print_later, the dock), on powered track or inside a
+gap, in a tight inner loop that makes the same float operations as
+`step`, so skipping the full step there changes no output.  On powered
+track the loop also does the steps on which a record falls due or the
+driver's `next_wake` comes: it appends and flushes the records and
+ticks the driver, as `step` does, and a tick that stops or starts the
+car ends the stretch.  In a gap a record or a wake ends the stretch.
 `evaluate_strategies` runs one workload under several strategies and
 `write_comparison_csv` tabulates their delivery metrics.
 """
@@ -551,23 +551,23 @@ class Simulation:
 
         A quiet step starts and ends short of the next gap edge (a gap's
         start on powered track, its end in a gap) and, under
-        save_and_print_later, of the dock; it meets no timed request and
-        falls before the driver's `next_wake`, which is not asked while
-        the device reboots.  On powered track the capacitor stays full
-        and a reboot does not end.  In a gap the car moves, the step does
-        not brown out and appends no record.  On
-        such a step `step` changes only the clock, the position, the
-        workload accumulator, the capacitor (in a gap), the radio-on time,
-        the backlog samples and the trace, and on powered track the log
-        store and its peak; this loop makes those operations in the same
-        order, so every output is byte-identical.  A powered step appends
-        the records that fall due, and flushes them under a driver, only
-        when no driver reads them or the wake is a time and work already
-        waits: such a wake holds whatever records arrive, and its tick
-        touches nothing.  A `None` wake's tick would pick a frame again
-        (`Driver.record`), so there a record ends the stretch.  The loop
-        records a powered stretch's trace as one run at its end, a gap's
-        sample by sample.
+        save_and_print_later, of the dock, and meets no timed request.
+        On powered track the capacitor stays full and a reboot does not
+        end.  In a gap the car moves, the step does not brown out, and
+        it meets no record and no driver wake (not asked while the
+        device reboots).  On such a step `step` changes only the clock,
+        the position, the workload accumulator, the capacitor (in a
+        gap), the radio-on time, the backlog samples and the trace; this
+        loop makes those operations in the same order, so every output
+        is byte-identical.  A powered step on which a record falls due
+        or the driver's `next_wake` comes does the rest of `step`'s work
+        in `_due_step`: it appends the records, flushes them and ticks
+        the driver, as `step` does; only while the wake is a time and
+        work already waits does it append without a tick, since such a
+        wake holds whatever records arrive.  A tick that stops or starts
+        the car ends the stretch after its own step.  The loop records a
+        powered stretch's trace as one run at its end, a gap's sample by
+        sample.
         """
         if limit <= 0:
             return 0
@@ -575,21 +575,20 @@ class Simulation:
         dt, params, powered = cfg.dt, cfg.params, car.powered
         t = self.now
         active = self.rebooting_until is None
-        # the first step time that is not quiet
-        stop = math.inf if active or not powered else self.rebooting_until
-        # whether a powered step may append records: no driver reads them,
-        # or its wake is a time, which more records cannot move once work
-        # waits (a `None` wake's tick would pick a frame)
-        carry = powered
+        # the first step time that must run in `step`: a timed request,
+        # or the end of a reboot on powered track
+        hard = math.inf if active or not powered else self.rebooting_until
+        sched = cfg.schedule
+        if not sched.gap_aligned and self._next_request_idx < len(sched.times):
+            hard = min(hard, sched.times[self._next_request_idx])
+        # the first step time at which the loop ticks the driver (where a
+        # gap or `hard` ends it instead), and whether a record due before
+        # it is appended without a tick
+        stop, carry = hard, True
         if active and driver is not None:
-            wake = driver.next_wake(t)
-            if wake is None:
-                carry = False
-            else:
-                stop = wake
-                carry = powered and not driver._idle()
+            stop, carry = self._wake(t, hard)
         acc, inc = self._workload_acc, cfg.workload_rate * dt if active else 0.0
-        if t + dt >= stop or acc + inc >= 1.0 and not carry:
+        if t + dt >= hard or not powered and (t + dt >= stop or acc + inc >= 1.0):
             return 0
         nominal, v, speed = params.nominal_voltage, car.capacitor_v, car.speed
         drop, capacitance = params.brownout_drop, params.capacitance
@@ -602,9 +601,6 @@ class Simulation:
             current = params.current(car.power_state) + self.extra_current
         else:
             return 0
-        sched = cfg.schedule
-        if not sched.gap_aligned and self._next_request_idx < len(sched.times):
-            stop = min(stop, sched.times[self._next_request_idx])
 
         x = x_prev = car.position
         dist = speed * dt
@@ -617,21 +613,20 @@ class Simulation:
         min_v = self.min_cap_v
         radio_on = active and car.power_state.radio is not RadioMode.OFF
         radio_on_s = self.radio_on_s
-        store = self.store
-        stored = store.flash_bytes
+        stored = self.store.flash_bytes
         backlog_at, every = self._next_backlog_at, self._backlog_every
         backlog = self._backlog_samples
-        record, runs = self._record, self._runs
+        record, runs, due_step = self._record, self._runs, self._due_step
         n = 0
         while n < limit:
             t1 = t + dt
             end = x + dist
             a = acc + inc
             if t1 >= stop or end >= lim or a >= 1.0:
-                if not carry or t1 >= stop or end >= lim:
+                if end >= lim or t1 >= hard or not powered:
                     break
-                a = self._append_due(a, t1)
-                stored = store.flash_bytes
+                a, stop, carry, lim, radio_on, stored = due_step(
+                    a, t1, x, end, stop, carry, lim, hard)
             if not powered:
                 # `unpowered_overlap` of a step inside one gap is end - x
                 v1 = v - current * ((end - x) / speed) / capacitance
@@ -667,21 +662,51 @@ class Simulation:
             self._next_backlog_at = backlog_at
         return n
 
-    def _append_due(self, acc: float, t: float) -> float:
-        """A quiet step's share of `step`'s log work at `t`: append the
-        records due, flush them under a driver (whose tick is a no-op)
-        and raise the stored peak; return what the accumulator keeps.
-        A call of its own keeps `_quiet_stretch`'s loop short enough for
-        CPython 3.11 to specialize its compares and jumps."""
-        store = self.store
+    def _wake(self, t: float, hard: float) -> tuple[float, bool]:
+        """A stretch's (stop, carry) under an active driver: stop at its
+        `next_wake(t)` or at `hard`, whichever comes first; carry records
+        without a tick only while a time wake holds waiting work (a
+        `None` wake's tick would pick a frame, an idle driver's would
+        start one)."""
+        driver = self.driver
+        wake = driver.next_wake(t)
+        if wake is None:
+            return hard, False
+        return min(wake, hard), not driver._idle()
+
+    def _due_step(self, acc: float, t: float, x0: float, x: float, stop: float,
+                  carry: bool, lim: float, hard: float
+                  ) -> tuple[float, float, bool, float, bool, int]:
+        """A powered quiet step's share of `step`'s work at `t`, from
+        `x0` to `x`, on which a record falls due or the driver's wake
+        has come.  In `step`'s order: append the records due; under a
+        driver flush them and, unless `carry` holds them before `stop`,
+        set the car's position and `last_step` and tick, then ask the
+        wake again; raise the stored peak.  Return the loop's new
+        (acc, stop, carry, lim, radio_on, stored); `lim` falls to -inf
+        when the tick stopped or started the car, which ends the stretch
+        after this step.  A call of its own keeps `_quiet_stretch`'s
+        loop short enough for CPython 3.11 to specialize its compares
+        and jumps."""
+        car, store, driver = self.car, self.store, self.driver
         while acc >= 1.0:
             acc -= 1.0
             store.append(Severity.INFO, self._workload_payload, t)
-        if self.driver is not None:
-            store.flush()
-            if store.flash_bytes > self.bytes_stored_peak:
-                self.bytes_stored_peak = store.flash_bytes
-        return acc
+        if driver is not None:
+            store.flush()  # data must survive a gap while driving
+            if t >= stop or not carry:
+                speed = car.speed
+                if speed:
+                    car.position = x
+                self.last_step = (x0, speed * self.cfg.dt)
+                driver.tick(t)
+                if car.speed != speed:
+                    lim = -math.inf
+                stop, carry = self._wake(t, hard)
+        stored = store.flash_bytes
+        if stored > self.bytes_stored_peak:
+            self.bytes_stored_peak = stored
+        return acc, stop, carry, lim, car.power_state.radio is not RadioMode.OFF, stored
 
     def run(self) -> ScenarioResult:
         n_steps = round(self.cfg.duration / self.cfg.dt)

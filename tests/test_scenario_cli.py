@@ -526,6 +526,16 @@ def unreadable_scenario(tmp_path, case):
     return str(path)
 
 
+def unmakeable_out(tmp_path):
+    """An output directory below a regular file, which cannot be made."""
+    (tmp_path / "file").write_text("")
+    return str(tmp_path / "file" / "sub")
+
+
+def assert_out_dir_error(err, out_dir):
+    assert err == f"error: output directory: [Errno 20] Not a directory: {out_dir!r}\n"
+
+
 class TestCliRun:
     def test_outputs_and_exit_ok(self, tmp_path, capsys):
         scn = write_scenario(tmp_path, MINIMAL)
@@ -614,6 +624,14 @@ class TestCliRun:
             b = (out_b / f"case{suffix}").read_bytes()
             assert a == b
 
+    def test_unmakeable_out_dir_exit_2(self, tmp_path, capsys):
+        scn = write_scenario(tmp_path, MINIMAL)
+        out_dir = unmakeable_out(tmp_path)
+        assert main(["run", scn, "--out", out_dir]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_out_dir_error(err, out_dir)
+
     def test_env_var_overrides_out_flag(self, tmp_path, monkeypatch):
         scn = write_scenario(tmp_path, MINIMAL)
         env_dir = tmp_path / "from_env"
@@ -690,6 +708,15 @@ class TestCliCompare:
             f"error: {scn}: save_and_print_later needs a dock_position in [track]\n")
         assert not (tmp_path / "compare.csv").exists()
 
+    def test_unmakeable_out_dir_exit_2(self, tmp_path, capsys):
+        # the comparison runs first and is printed; only the file fails
+        scn = write_scenario(tmp_path, WORKLOAD)
+        out_dir = unmakeable_out(tmp_path)
+        assert main(["compare", scn, "--out", out_dir]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 1 + len(StrategyKind)
+        assert_out_dir_error(err, out_dir)
+
 
 class TestCliTable1:
     def test_suite_passes_at_one_percent(self, tmp_path, capsys):
@@ -706,6 +733,13 @@ class TestCliTable1:
         # float-exact simulation may or may not hit 1e-6 %; both codes legal,
         # but a mismatch must map to the dedicated exit code
         assert code in (EXIT_OK, EXIT_MISMATCH)
+
+    def test_unmakeable_out_dir_exit_2(self, tmp_path, capsys):
+        out_dir = unmakeable_out(tmp_path)
+        assert main(["table1", "--out", out_dir]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out.count("PASS") == 7
+        assert_out_dir_error(err, out_dir)
 
     def test_suite_covers_seven_states(self):
         rows = run_table1_suite()

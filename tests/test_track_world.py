@@ -38,7 +38,7 @@ from powergap.track_world import (
 )
 from powergap.log_store import RECORD_OVERHEAD
 from powergap.scenario import load_scenario
-from powergap.strategies import EnergyBudget, StrategyKind
+from powergap.strategies import EnergyBudget, StopAndRadioDriver, StrategyKind
 from powergap.transports import WirelessLinkParams
 
 C80_OFF = PowerState(ClockTier.C80, RadioMode.OFF)
@@ -679,12 +679,14 @@ def test_gap_stretch_carries_no_record(rate):
 
 
 #: full steps per strategy on the flood-like run below, as a share of its
-#: 2000 steps; while every record ended a stretch, each was 0.23 or more
+#: 2000 steps (measured 0.012 / 0.011 / 0.036 / 0.0485); while every send,
+#: drain and slot boundary ended a stretch, they were 0.045 / 0.125 /
+#: 0.083 / 0.233, and while every record did, 0.23 or more
 FLOOD_STEP_SHARE = {
-    StrategyKind.SAVE_AND_PRINT_LATER: 0.1,
-    StrategyKind.STOP_AND_RADIO: 0.15,
-    StrategyKind.POWERLINE_CONTINUOUS: 0.1,
-    StrategyKind.WIRELESS_CONTINUOUS: 0.3,
+    StrategyKind.SAVE_AND_PRINT_LATER: 0.02,
+    StrategyKind.STOP_AND_RADIO: 0.02,
+    StrategyKind.POWERLINE_CONTINUOUS: 0.05,
+    StrategyKind.WIRELESS_CONTINUOUS: 0.07,
 }
 
 
@@ -704,8 +706,68 @@ def test_records_and_the_dock_approach_run_in_stretches(kind, step_calls):
     assert step_calls[sim] <= FLOOD_STEP_SHARE[kind] * round(cfg.duration / cfg.dt)
 
 
+#: full steps per strategy on `reference_workload.scn` (60,000 steps),
+#: measured 372 / 294 / 620 / 482; while sends, drains and powerline slot
+#: boundaries ended stretches they were 905 / 718 / 3,591 / 1,375
+REFERENCE_FULL_STEPS = {
+    StrategyKind.SAVE_AND_PRINT_LATER: 500,
+    StrategyKind.STOP_AND_RADIO: 400,
+    StrategyKind.POWERLINE_CONTINUOUS: 1000,
+    StrategyKind.WIRELESS_CONTINUOUS: 650,
+}
+
+
+@pytest.mark.parametrize("kind", StrategyKind, ids=lambda k: k.value)
+def test_reference_ticks_run_in_stretches(kind, step_calls):
+    # sends, drains and slot boundaries tick inside quiet stretches; what
+    # still takes a full step is mostly gap edges and the steps in gaps
+    # on which a record or a wake falls
+    cfg = dataclasses.replace(load_scenario(
+        importlib.resources.files("powergap") / "scenarios" / "reference_workload.scn"
+    ).build(), strategy=kind)
+    sim = Simulation(cfg)
+    sim.run()
+    assert sim.delivered_records > 0
+    assert step_calls[sim] <= REFERENCE_FULL_STEPS[kind]
+
+
+def test_stop_and_radio_stops_and_resumes_inside_stretches(monkeypatch):
+    # each drain falls due on powered track: the tick that stops the car
+    # and the one that sends it cruising again both run inside a quiet
+    # stretch, which ends after that step
+    full, moves = collections.defaultdict(set), collections.defaultdict(list)
+    plain_step, plain_tick = Simulation.step, StopAndRadioDriver.tick
+
+    def step(sim):
+        full[sim].add(sim.now + sim.cfg.dt)
+        plain_step(sim)
+
+    def tick(driver, now):
+        speed = driver.sim.car.speed
+        plain_tick(driver, now)
+        if driver.sim.car.speed != speed:
+            moves[driver.sim].append(now)
+
+    monkeypatch.setattr(Simulation, "step", step)
+    monkeypatch.setattr(StopAndRadioDriver, "tick", tick)
+    cfg = ScenarioConfig(
+        params=EnergyModelParams.calibrated(), layout=lane_change_layout(),
+        duration=3.0, strategy=StrategyKind.STOP_AND_RADIO,
+        wireless=WirelessLinkParams(connect_latency=0.05, loss_rate=0.1),
+        workload_rate=20.0, drain_interval=0.55,
+    )
+    sim = assert_same_run(cfg)
+    assert len(moves[sim]) >= 4 and sim.delivered_records > 0
+    assert not full[sim] & set(moves[sim])
+
+
 @st.composite
-def stretch_configs(draw):
+def stretch_configs(draw, ticking=False):
+    """Random runs for the stretch-vs-plain-loop comparison.  With
+    `ticking`, every run has a driver, the gate on, a moving car, 500
+    steps or more, connections of at most 20 ms, airtimes of at most 5 ms
+    and 1 to 400 records/s: most ticks then fall inside stretches, some
+    of them where the gate's lookahead reaches a gap."""
     # on the grid, dyadic geometry, speed and step land the car exactly on
     # every gap edge at the end of a step
     grid = draw(st.booleans())
@@ -714,11 +776,12 @@ def stretch_configs(draw):
     assume(not layout.in_gap(dock))
     if grid:
         dt = 2.0**-10
-        speed = draw(st.sampled_from([0.0, 0.25, 1.0, 4.0]))
+        speed = draw(st.sampled_from([0.25, 1.0, 4.0] if ticking else [0.0, 0.25, 1.0, 4.0]))
     else:
         dt = draw(st.one_of(st.sampled_from([1e-4, 5e-4, 1e-3]), st.floats(1e-4, 5e-3)))
-        speed = draw(st.one_of(st.just(0.0), st.floats(0.05, 8.0)))
-    duration = draw(st.integers(1, 1500)) * dt
+        speed = draw(st.floats(0.5, 8.0) if ticking
+                     else st.one_of(st.just(0.0), st.floats(0.05, 8.0)))
+    duration = draw(st.integers(500 if ticking else 1, 1500)) * dt
     times = draw(st.lists(st.floats(0.0, 1.1 * duration), max_size=4))
     schedule = draw(st.sampled_from([
         HostRequestSchedule(),
@@ -731,6 +794,7 @@ def stretch_configs(draw):
     payload = draw(st.integers(0, 40))
     record_size = payload + RECORD_OVERHEAD
     flash = draw(st.one_of(st.just(65536), st.integers(record_size, 4 * record_size)))
+    airtime = st.floats(0.0, 0.005 if ticking else 0.05)
     return ScenarioConfig(
         params=EnergyModelParams.calibrated(brownout_drop=brownout_drop),
         layout=TrackLayout(layout.segments, dock_position=dock),
@@ -739,18 +803,20 @@ def stretch_configs(draw):
         duration=duration,
         seed=draw(st.integers(0, 2**16)),
         initial_state=draw(st.sampled_from(ALL_POWER_STATES)),
-        strategy=draw(st.sampled_from([None, *StrategyKind])),
-        controller=draw(st.booleans()),
+        strategy=draw(st.sampled_from([*StrategyKind] if ticking else [None, *StrategyKind])),
+        controller=ticking or draw(st.booleans()),
         budget=EnergyBudget(max_allowed_drop=brownout_drop * draw(st.floats(0.1, 0.975)),
-                            lookahead=draw(st.floats(0.0, 0.05))),
+                            lookahead=draw(st.floats(0.01, 0.2) if ticking
+                                           else st.floats(0.0, 0.05))),
         wireless=WirelessLinkParams(
-            connect_latency=draw(st.floats(0.0, 0.2)),
+            connect_latency=draw(st.floats(0.0, 0.02 if ticking else 0.2)),
             connect_extra_current=draw(st.floats(0.0, 0.2)),
-            per_frame_airtime=draw(st.floats(0.0, 0.05)),
-            reply_airtime=draw(st.floats(0.0, 0.05)),
+            per_frame_airtime=draw(airtime),
+            reply_airtime=draw(airtime),
             loss_rate=draw(st.sampled_from([0.0, 0.1, 0.5])),
         ),
-        workload_rate=draw(st.one_of(st.just(0.0), st.floats(0.0, 400.0))),
+        workload_rate=draw(st.floats(1.0, 400.0) if ticking
+                           else st.one_of(st.just(0.0), st.floats(0.0, 400.0))),
         workload_payload=payload,
         schedule=schedule,
         drain_interval=draw(st.floats(0.01, 1.0)),
@@ -764,6 +830,12 @@ def stretch_configs(draw):
 @settings(max_examples=300, deadline=None)
 @given(cfg=stretch_configs())
 def test_stretches_match_plain_loop_on_random_runs(cfg):
+    assert_same_run(cfg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=stretch_configs(ticking=True))
+def test_ticks_inside_stretches_match_plain_loop(cfg):
     assert_same_run(cfg)
 
 
