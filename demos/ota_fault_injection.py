@@ -6,7 +6,7 @@ progress marker lets every retry resume at the interrupted chunk, and
 the active image stays untouched until the new slot verifies.
 """
 
-from powergap.strategies import OtaDevice, image_digest, run_ota_transfer
+from powergap.ota import OtaDevice, image_digest, run_ota_transfer
 
 IMAGE = bytes((i * 13 + 7) % 256 for i in range(64 * 1024))
 

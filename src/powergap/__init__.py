@@ -16,12 +16,8 @@ from .strategies import (
     EnergyBudget,
     Gate,
     HostCollector,
-    OtaDevice,
-    OtaSession,
-    OtaState,
     StrategyKind,
     controller_gate,
-    run_ota_transfer,
 )
 from .track_world import (
     CarState,
@@ -46,11 +42,8 @@ from .transports import (
     WirelessLink,
     WirelessLinkParams,
     crc16_ccitt,
-    frame_decode,
     frame_encode,
-    powerline_bandwidth,
     powerline_pack,
-    powerline_unpack,
     wired_available,
 )
 

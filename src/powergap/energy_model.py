@@ -95,6 +95,8 @@ class CalibrationError(ConfigError):
 
 @dataclass
 class EnergyModelParams:
+    """Capacitor and per-power-state current figures the energy model runs on."""
+
     capacitance: float = 1.0e-3          # farads
     nominal_voltage: float = 9.0         # volts
     brownout_drop: float = 4.0           # volts below nominal that reboots

@@ -32,6 +32,8 @@ class StoreError(ValueError):
 
 @dataclass(frozen=True)
 class LogRecord:
+    """One debug log entry, with the CRC that covers all its fields."""
+
     seq: int
     timestamp: float
     severity: Severity
@@ -55,14 +57,6 @@ class LogRecord:
             raise StoreError(f"payload exceeds {MAX_PAYLOAD} bytes")
         crc = crc16_ccitt(cls._crc_input(seq, timestamp, severity, payload))
         return cls(seq, timestamp, severity, payload, crc)
-
-    def crc_valid(self) -> bool:
-        return (
-            crc16_ccitt(
-                self._crc_input(self.seq, self.timestamp, self.severity, self.payload)
-            )
-            == self.crc
-        )
 
     @property
     def wire_size(self) -> int:

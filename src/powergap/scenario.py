@@ -133,7 +133,7 @@ class ScenarioSpec:
         args: defaultdict[str, dict] = defaultdict(dict)
         for (section, key), raw in self.values.items():
             spec = _NUMBERS.get((section, key))
-            if spec is None or (key == "recharge_rate" and raw == "instant"):
+            if spec is None or (key == "recharge_rate" and raw.lower() == "instant"):
                 continue
             args[spec.dest][spec.arg] = self._number(section, key, raw, spec)
         return args
@@ -182,9 +182,10 @@ class ScenarioSpec:
     def _build_schedule(self) -> HostRequestSchedule:
         raw = self.values.get(("schedule", "requests"), "none")
         line = self._line("schedule", "requests")
-        if raw == "none":
+        word = raw.lower()
+        if word == "none":
             return HostRequestSchedule()
-        if raw == "gap_aligned":
+        if word == "gap_aligned":
             return HostRequestSchedule(gap_aligned=True)
         try:
             times = tuple(float(p) for p in raw.split(","))
@@ -276,4 +277,5 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioSpec:
 
 def load_scenario(path: Union[str, Path]) -> ScenarioSpec:
     path = Path(path)
-    return parse_scenario(path.read_text(encoding="utf-8"), name=path.stem)
+    # utf-8-sig: a byte-order mark some editors write is not part of line 1
+    return parse_scenario(path.read_text(encoding="utf-8-sig"), name=path.stem)

@@ -70,6 +70,8 @@ class SegmentKind(Enum):
 
 @dataclass(frozen=True)
 class Segment:
+    """One piece of track: straight, curve or lane change, with its gaps."""
+
     kind: SegmentKind
     length: float
     gap_offsets: tuple[float, ...] = ()
@@ -96,6 +98,8 @@ class Segment:
 
 @dataclass
 class TrackLayout:
+    """A closed loop of segments, with an optional dock position."""
+
     segments: list[Segment]
     dock_position: Optional[float] = None
 
@@ -186,6 +190,8 @@ class TrackLayout:
 
 @dataclass
 class CarState:
+    """The car's position, speed, supply and capacitor state at one instant."""
+
     position: float = 0.0
     speed: float = 0.0
     powered: bool = True
@@ -195,6 +201,8 @@ class CarState:
 
 @dataclass(frozen=True)
 class HostRequestSchedule:
+    """When the host asks the car for a reply: fixed times or each gap entry."""
+
     times: tuple[float, ...] = ()
     gap_aligned: bool = False
 
@@ -209,6 +217,8 @@ class EventKind(Enum):
 
 @dataclass(frozen=True)
 class Event:
+    """One timed entry in a run's event log."""
+
     time: float
     kind: EventKind
     detail: str = ""
@@ -230,6 +240,8 @@ MAX_RECORDS = 10**7
 
 @dataclass
 class ScenarioConfig:
+    """Everything one simulation run needs: energy, track, strategy and workload."""
+
     params: EnergyModelParams
     layout: TrackLayout
     speed: float = 3.0
@@ -316,6 +328,8 @@ class ScenarioConfig:
 
 @dataclass
 class DeliveryMetrics:
+    """Per-run delivery, latency, energy and storage figures."""
+
     appended_records: int = 0
     delivered_records: int = 0
     delivered_bytes: int = 0
@@ -350,6 +364,8 @@ def _fmt(value) -> str:
 
 @dataclass
 class ScenarioResult:
+    """What a run produces: the voltage trace, its events and its metrics."""
+
     trace: VoltageTrace
     events: list[Event]
     metrics: DeliveryMetrics

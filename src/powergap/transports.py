@@ -13,7 +13,6 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .energy_model import check_range
 
@@ -38,23 +37,13 @@ class FrameKind(Enum):
 
 
 class FrameError(ValueError):
-    """Base class for frame decode failures."""
-
-
-class BadSync(FrameError):
-    pass
-
-
-class BadCrc(FrameError):
-    pass
-
-
-class Truncated(FrameError):
-    pass
+    """A frame that cannot be built or decoded."""
 
 
 @dataclass(frozen=True)
 class Frame:
+    """One framed message on a link: a log record or a reply to a request."""
+
     kind: FrameKind
     seq: int
     payload: bytes = b""
@@ -73,28 +62,6 @@ def frame_encode(frame: Frame) -> bytes:
     return bytes([SYNC_BYTE]) + body + crc.to_bytes(2, "big")
 
 
-def frame_decode(data: bytes) -> Frame:
-    if len(data) < 1 or data[0] != SYNC_BYTE:
-        raise BadSync("missing sync byte")
-    if len(data) < FRAME_OVERHEAD:
-        raise Truncated(f"need at least {FRAME_OVERHEAD} bytes, got {len(data)}")
-    length = data[1]
-    if len(data) < FRAME_OVERHEAD + length:
-        raise Truncated(
-            f"payload length {length} but only {len(data) - FRAME_OVERHEAD} present"
-        )
-    body = data[1 : 7 + length]
-    crc = int.from_bytes(data[7 + length : 9 + length], "big")
-    if crc16_ccitt(body) != crc:
-        raise BadCrc("frame checksum mismatch")
-    try:
-        kind = FrameKind(data[2])
-    except ValueError:
-        raise FrameError(f"unknown frame kind {data[2]}") from None
-    seq = int.from_bytes(data[3:7], "big")
-    return Frame(kind=kind, seq=seq, payload=bytes(data[7 : 7 + length]))
-
-
 # --- Powerline slot codec ------------------------------------------------
 
 SLOT_BITS = 13
@@ -105,17 +72,6 @@ MAX_PACKED_BYTES = 2**SLOT_BITS - 1  # length header is a single slot
 
 class SlotError(ValueError):
     """Corrupted or malformed powerline slot stream."""
-
-
-def powerline_bandwidth(
-    cycle_period: float = DEFAULT_CYCLE_PERIOD,
-    slots: int = SLOTS_PER_CYCLE,
-    bits: int = SLOT_BITS,
-) -> float:
-    """Theoretical back-channel capacity in bits per second."""
-    if cycle_period <= 0 or slots <= 0 or bits <= 0:
-        raise ValueError("all capacity arguments must be > 0")
-    return slots * bits / cycle_period
 
 
 def powerline_pack(data: bytes) -> list[int]:
@@ -137,28 +93,6 @@ def powerline_pack(data: bytes) -> list[int]:
     return values
 
 
-def powerline_unpack(slots: Iterable[int]) -> bytes:
-    values = list(slots)
-    for v in values:
-        if not 0 <= v < 2**SLOT_BITS:
-            raise SlotError(f"slot value {v} exceeds {SLOT_BITS} bits")
-    if not values:
-        raise SlotError("missing length header slot")
-    n_bytes = values[0]
-    total_bits = n_bytes * 8
-    n_slots = -(-total_bits // SLOT_BITS)
-    if len(values) - 1 < n_slots:
-        raise SlotError(
-            f"length header promises {n_slots} data slots, got {len(values) - 1}"
-        )
-    acc = 0
-    for v in values[1 : 1 + n_slots]:
-        acc = (acc << SLOT_BITS) | v
-    if n_slots:
-        acc >>= n_slots * SLOT_BITS - total_bits
-    return acc.to_bytes(n_bytes, "big") if n_bytes else b""
-
-
 # --- Channels ------------------------------------------------------------
 
 class Outcome(Enum):
@@ -176,6 +110,8 @@ def wired_available(car, layout) -> bool:
 
 @dataclass
 class WirelessLinkParams:
+    """Timing, current and loss figures of the wireless link."""
+
     connect_latency: float = 1.5          # seconds to associate
     connect_extra_current: float = 0.050  # amperes extra during setup
     per_frame_airtime: float = 0.002      # seconds per log/ack frame

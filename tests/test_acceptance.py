@@ -7,6 +7,8 @@ off a plain `pytest -s tests/test_acceptance.py` run.
 import random
 import time
 
+from wire_decoders import crc_valid, powerline_bandwidth
+
 from powergap.cli import main, run_table1_suite
 from powergap.energy_model import (
     DEFAULT_BURST_CURRENT,
@@ -17,13 +19,11 @@ from powergap.energy_model import (
     RadioMode,
 )
 from powergap.log_store import LogStore, Severity
+from powergap.ota import OtaDevice, OtaState, image_digest
 from powergap.strategies import (
     EnergyBudget,
     HostCollector,
-    OtaDevice,
-    OtaState,
     StrategyKind,
-    image_digest,
 )
 from powergap.track_world import (
     HostRequestSchedule,
@@ -33,7 +33,7 @@ from powergap.track_world import (
     TrackLayout,
     run_scenario,
 )
-from powergap.transports import PowerlineChannel, powerline_bandwidth
+from powergap.transports import PowerlineChannel
 
 C80_OFF = PowerState(ClockTier.C80, RadioMode.OFF)
 C80_TX = PowerState(ClockTier.C80, RadioMode.TRANSMITTING)
@@ -133,7 +133,7 @@ def test_durability_under_randomized_brownouts():
 
         def deliver_one() -> None:
             for record in store.flash:
-                assert record.crc_valid()
+                assert crc_valid(record)
                 if rng.random() < 0.3:  # frame lost in flight
                     return
                 ack = host.receive_log(record.seq, record.payload)

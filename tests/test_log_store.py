@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from wire_decoders import crc_valid
 
 from powergap.log_store import (
     LogRecord,
@@ -36,7 +37,7 @@ class TestAppend:
         store.append(Severity.WARN, b"payload")
         store.flush()
         record = store.flash[0]
-        assert record.crc_valid()
+        assert crc_valid(record)
 
     def test_oversized_payload_rejected(self, store):
         with pytest.raises(StoreError):
@@ -91,7 +92,7 @@ class TestFlush:
         store.on_brownout()
         records = list(store.flash)
         assert len(records) == 5
-        assert all(r.crc_valid() for r in records)
+        assert all(crc_valid(r) for r in records)
         assert len(store.ram) == 0
         assert store.lost_unflushed == 10
 
@@ -170,7 +171,7 @@ class TestInvariants:
         seqs = [r.seq for r in store.flash]
         assert seqs == sorted(seqs)
         assert len(seqs) == len(set(seqs))
-        assert all(r.crc_valid() for r in store.flash)
+        assert all(crc_valid(r) for r in store.flash)
 
     def test_no_phantom_records(self):
         store = LogStore(ram_capacity=4)
@@ -203,7 +204,7 @@ class TestPrimitives:
     def test_tampered_record_fails_crc(self, field, value):
         # the CRC covers every field a record carries, and guards itself
         record = LogRecord.create(9, 1.5, Severity.WARN, b"abc")
-        assert record.crc_valid()
+        assert crc_valid(record)
         if field == "crc":
             value = record.crc ^ 0x0001
-        assert not replace(record, **{field: value}).crc_valid()
+        assert not crc_valid(replace(record, **{field: value}))

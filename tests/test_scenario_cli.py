@@ -131,6 +131,20 @@ class TestParser:
         with pytest.raises(ScenarioError):
             parse_scenario(text).build()
 
+    @pytest.mark.parametrize("section,key,raw", [
+        ("schedule", "requests", "GAP_ALIGNED"),
+        ("schedule", "requests", "Gap_Aligned"),
+        ("schedule", "requests", "None"),
+        ("schedule", "requests", "NONE"),
+        ("energy", "recharge_rate", "Instant"),
+        ("energy", "recharge_rate", "INSTANT"),
+    ])
+    def test_word_values_ignore_case(self, section, key, raw):
+        # as clock, radio, kind, controller and segment kinds do
+        text = f"[{section}]\n{key} = {{}}\n"
+        assert_same_config(parse_scenario(text.format(raw)).build(),
+                           parse_scenario(text.format(raw.lower())).build())
+
     @given(text=st.text(max_size=400))
     @settings(max_examples=300, deadline=None)
     def test_totality_on_arbitrary_text(self, text):
@@ -570,6 +584,25 @@ class TestCliRun:
         assert main(["run", good, bad, "--out", str(tmp_path)]) == EXIT_VALIDATION
         out, err = capsys.readouterr()
         assert out == "good: brownouts=0\n"
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+    def test_byte_order_mark_is_not_part_of_line_1(self, tmp_path, capsys):
+        text = "[run]\nduration = 0.36\n"
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "bom").mkdir()
+        plain = write_scenario(tmp_path / "plain", text)
+        bom = tmp_path / "bom" / "case.scn"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert_same_config(load_scenario(bom).build(), load_scenario(plain).build())
+        assert main(["run", str(bom), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert capsys.readouterr().out == "case: brownouts=0\n"
+
+    def test_byte_order_mark_before_bytes_that_are_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_bytes(b"\xef\xbb\xbf[run]\nduration = 1.0 # \xff\xfe\n")
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
 
     def test_error_stops_before_later_files(self, tmp_path, capsys):

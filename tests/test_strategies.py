@@ -11,17 +11,14 @@ from powergap.energy_model import (
     RadioMode,
 )
 from powergap.log_store import Severity
+from powergap.ota import OtaDevice, OtaState, image_digest, run_ota_transfer
 from powergap.scenario import parse_scenario
 from powergap.strategies import (
     Driver,
     EnergyBudget,
     Gate,
-    OtaDevice,
-    OtaState,
     StrategyKind,
     controller_gate,
-    image_digest,
-    run_ota_transfer,
 )
 from powergap.track_world import (
     EventKind,

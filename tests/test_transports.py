@@ -2,25 +2,27 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-
-from powergap.transports import (
+from wire_decoders import (
     BadCrc,
     BadSync,
+    Truncated,
+    frame_decode,
+    powerline_bandwidth,
+    powerline_unpack,
+)
+
+from powergap.transports import (
     Frame,
     FrameError,
     FrameKind,
     Outcome,
     PowerlineChannel,
     SlotError,
-    Truncated,
     WirelessLink,
     WirelessLinkParams,
     crc16_ccitt,
-    frame_decode,
     frame_encode,
-    powerline_bandwidth,
     powerline_pack,
-    powerline_unpack,
     wired_available,
 )
 from powergap.track_world import CarState, Segment, SegmentKind, TrackLayout
