@@ -44,7 +44,6 @@ from .transports import (
     crc16_ccitt,
     frame_encode,
     powerline_pack,
-    wired_available,
 )
 
 __version__ = "0.1.0"

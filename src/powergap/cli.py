@@ -71,10 +71,7 @@ def _emit_result(out: Path, name: str, result) -> None:
 
 
 def _run_one(path: str, seed_override: Optional[int], out: Path) -> tuple[str, int]:
-    spec = load_scenario(path)
-    cfg = spec.build()
-    if seed_override is not None:
-        cfg.seed = seed_override
+    cfg = load_scenario(path).build(seed_override)
     result = run_scenario(cfg)
     _emit_result(out, cfg.name, result)
     return cfg.name, result.metrics.brownout_count
@@ -99,23 +96,20 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    kinds = []
+    for token in args.strategies.split(","):
+        token = token.strip()
+        try:
+            kinds.append(StrategyKind(token))
+        except ValueError:
+            print(
+                f"error: unknown strategy {token!r} "
+                f"(choose from {[k.value for k in StrategyKind]})",
+                file=sys.stderr,
+            )
+            return EXIT_VALIDATION
     try:
-        spec = load_scenario(args.workload)
-        cfg = spec.build()
-        kinds = []
-        for token in args.strategies.split(","):
-            token = token.strip()
-            try:
-                kinds.append(StrategyKind(token))
-            except ValueError:
-                print(
-                    f"error: unknown strategy {token!r} "
-                    f"(choose from {[k.value for k in StrategyKind]})",
-                    file=sys.stderr,
-                )
-                return EXIT_VALIDATION
-        if args.seed is not None:
-            cfg.seed = args.seed
+        cfg = load_scenario(args.workload).build(args.seed, kinds)
         if args.controller:
             cfg.controller = True
         rows = evaluate_strategies(cfg, kinds)

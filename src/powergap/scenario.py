@@ -6,11 +6,11 @@ hand.  Parsing is total: any rejection carries the offending line
 number, and unknown sections and keys are refused.  The parser only
 parses: it refuses text that is not a number, an integer or one of a
 key's choices, and infinities, and it checks the one file-level rule (a
-seed for lossy links).  Each value's range and each rule tying values
-together live with the fields, in the dataclasses' `validate` methods
-and `calibrate_currents`, which refuse a config built in Python in the
-same words; the parser prefixes their error with the line of the key it
-blames.  NaN passes the parser and fails every range.  A key a file
+seed, from the file or the caller, for lossy radio links).  Each value's
+range and each rule tying values together live with the fields, in the
+dataclasses' `validate` methods and `calibrate_currents`, which refuse
+a config built in Python in the same words; the parser prefixes their
+error with the line of the key it blames.  NaN passes the parser and fails every range.  A key a file
 leaves out is not passed on, so it takes the default of the config
 dataclass field or function argument it sets.
 """
@@ -21,7 +21,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .energy_model import (
     ALL_POWER_STATES,
@@ -57,6 +57,8 @@ _STRATEGIES = {k.value: k for k in StrategyKind}
 _FLAGS = {"on": True, "off": False, "true": True, "false": False}
 _STATE_KEYS = {str(s): s for s in ALL_POWER_STATES}
 _SEGMENT_KINDS = {k.value: k for k in SegmentKind}
+#: the strategies whose radio link draws losses from the seed
+_RADIO = frozenset({StrategyKind.STOP_AND_RADIO, StrategyKind.WIRELESS_CONTINUOUS})
 
 
 class _Number(NamedTuple):
@@ -197,9 +199,13 @@ class ScenarioSpec:
             ) from None
         return HostRequestSchedule(times=times)
 
-    def build(self) -> ScenarioConfig:
-        """The validated config.  A ConfigError from calibration or
-        validation cites the first key it blames that this file sets."""
+    def build(self, seed: Optional[int] = None,
+              strategies: Optional[Iterable[StrategyKind]] = None) -> ScenarioConfig:
+        """The validated config, run on `seed` when one is given.  A
+        ConfigError from calibration or validation cites the first key it
+        blames that this file sets.  A lossy radio link needs a seed, from
+        the file or `seed`, if the file's strategy (or, when given, one of
+        the `strategies` a comparison runs) is a radio strategy."""
         try:
             cfg = self._config()
             cfg.validate()
@@ -208,9 +214,11 @@ class ScenarioSpec:
             section, key = blamed[0]
             message = f"{key}: {exc}" if exc.keyed else str(exc)
             raise ScenarioError(self._line(section, key), message) from None
-        if (cfg.wireless.loss_rate > 0 and ("run", "seed") not in self.values
-                and cfg.strategy in (StrategyKind.STOP_AND_RADIO,
-                                     StrategyKind.WIRELESS_CONTINUOUS)):
+        runs = (cfg.strategy,) if strategies is None else strategies
+        if seed is not None:
+            cfg.seed = seed
+        elif (cfg.wireless.loss_rate > 0 and ("run", "seed") not in self.values
+              and any(kind in _RADIO for kind in runs)):
             raise ScenarioError(
                 self._line("wireless", "loss_rate"),
                 "a seed in [run] is mandatory when loss_rate > 0",

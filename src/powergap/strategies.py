@@ -24,7 +24,6 @@ from .transports import (
     WirelessLink,
     frame_encode,
     powerline_pack,
-    wired_available,
 )
 
 if TYPE_CHECKING:
@@ -96,9 +95,10 @@ class Driver:
     frame reaches the host, `_finish` answers the request, or presents
     the record, acks it and records its latency from the record's own
     timestamp.  A link plugs in by overriding `_start`, which begins
-    sending a frame, and `_ack_lost`.  A timed link sets `tx_until`; the
-    strategy's `tick` calls `_finish` once it has passed.  Volatile
-    driver state resets on brownout.
+    sending a frame, and `_ack_lost`.  A timed link sets `tx_until`, the
+    send's end less a rounding margin; the strategy's `tick` calls
+    `_finish` once it is reached.  Volatile driver state resets on
+    brownout.
     """
 
     def __init__(self, sim: Simulation) -> None:
@@ -110,27 +110,17 @@ class Driver:
     def tick(self, now: float) -> None:
         raise NotImplementedError
 
-    def next_wake(self, now: float) -> Optional[float]:
-        """The first time at which `tick` may act.
+    def next_wake(self, now: float) -> float:
+        """The first step-end time at which `tick` can act, `math.inf`
+        if none; a tick before it changes nothing.
 
-        Every tick before it is a no-op, so the scenario loop may skip
-        those.  `None` means at the next record or request: the loop
-        then ticks at each record.  A time, `math.inf` included, means
-        not before it, whatever records arrive, so once work waits the
-        loop appends records without a tick.  A driver reads the log
-        store here only through `_idle()`, and a tick before a time wake
-        returns before it touches the store.  The default, `now`, lets
-        no tick be skipped.  Work already waiting (a pending request, an
-        unacked record) counts here: the scenario loop asks nothing else
-        about the driver before it skips ticks.  Position limits (gap
-        edges, the dock) belong to the loop, which never skips past one.
-        A tick on which the transmission gate defers is a no-op too: the
-        loop skips ticks only up to the next gap edge and while the
-        capacitor stays as it is on powered track, and the gate's answer
-        holds that long.  On powered track the loop runs the tick at the
-        wake (or at a record) inside its stretch, with the car's position
-        and `last_step` already set; that tick may stop or start the car,
-        which ends the stretch, but must not move it.
+        Work already waiting counts; a record arriving later may end an
+        idle driver's wait, so the scenario loop ticks at each record
+        while the driver is idle.  Position limits (gap edges, the dock)
+        belong to the loop, which never skips past one, and a gate's
+        deferral holds until the next gap edge while the capacitor stays
+        as it is.  The default, `now`, lets no tick be skipped.  A tick
+        may stop or start the car, but must not move it.
         """
         return now
 
@@ -170,7 +160,7 @@ class Driver:
             return  # lost frames stay unacked and get retransmitted
         sim = self.sim
         if frame.kind is FrameKind.REPLY:
-            sim.answer_request(frame.seq)
+            sim.answer_request()
             return
         ack_seq = sim.host.receive_log(frame.seq, frame.payload)
         if self._ack_lost():
@@ -196,16 +186,14 @@ class _RadioDriver(Driver):
         wp = self.sim.cfg.wireless
         self.sim.set_radio(RadioMode.IDLE_CONNECTED)
         self.sim.extra_current = wp.connect_extra_current
-        self.connecting_until = now + wp.connect_latency
+        self.connecting_until = now + wp.connect_latency - 1e-12
 
     def _connect_wake(self, now: float) -> float:
         """When the association in progress completes, else `now`."""
-        if self.connecting_until is None:
-            return now
-        return self.connecting_until - 1e-12
+        return now if self.connecting_until is None else self.connecting_until
 
     def _poll_connect(self, now: float) -> bool:
-        if self.connecting_until is not None and now >= self.connecting_until - 1e-12:
+        if self.connecting_until is not None and now >= self.connecting_until:
             self.connecting_until = None
             self.sim.extra_current = 0.0
             self.link.associated = True
@@ -216,7 +204,7 @@ class _RadioDriver(Driver):
         delivered = self.link.send_frame(frame) is Outcome.DELIVERED
         self.in_flight = frame if delivered else None
         airtime = wp.reply_airtime if frame.kind is FrameKind.REPLY else wp.per_frame_airtime
-        self.tx_until = now + airtime
+        self.tx_until = now + airtime - 1e-12
         self.sim.set_radio(RadioMode.TRANSMITTING)
 
     def _finish(self, now: float) -> None:
@@ -250,16 +238,16 @@ class _DrainCycleDriver(Driver):
     def _end_drain(self) -> None:
         pass
 
-    def next_wake(self, now: float) -> Optional[float]:
+    def next_wake(self, now: float) -> float:
         if self.tx_until is not None:
-            return self.tx_until - 1e-12
+            return self.tx_until
         if self.state == "cruise":
             return self.next_drain
         return self.overhead_until if self.state == "overhead" else now
 
     def tick(self, now: float) -> None:
         if self.tx_until is not None:
-            if now < self.tx_until - 1e-12:
+            if now < self.tx_until:
                 return
             self._finish(now)
         state = self.state
@@ -297,12 +285,12 @@ class _DrainCycleDriver(Driver):
 class WirelessContinuousDriver(_RadioDriver):
     """Radio stays associated; records stream out as they arrive."""
 
-    def next_wake(self, now: float) -> Optional[float]:
+    def next_wake(self, now: float) -> float:
         if not self.link.associated:
             return self._connect_wake(now)
         if self.tx_until is not None:
-            return self.tx_until - 1e-12
-        return None if self._idle() or self._gate_defers() else now
+            return self.tx_until
+        return math.inf if self._idle() or self._gate_defers() else now
 
     def _gate_defers(self) -> bool:
         sim = self.sim
@@ -315,19 +303,17 @@ class WirelessContinuousDriver(_RadioDriver):
             if not self._poll_connect(now):
                 return
         if self.tx_until is not None:
-            if now < self.tx_until - 1e-12:
+            if now < self.tx_until:
                 return
             self._finish(now)
-        frame = self._next_frame()
-        if frame is None or self._gate_defers():
-            return
-        self._start(now, frame)
+        if not (self._idle() or self._gate_defers()):
+            self._start(now, self._next_frame())
 
 
 class StopAndRadioDriver(_DrainCycleDriver, _RadioDriver):
     """Drive, periodically stop anywhere outside a gap, drain by radio."""
 
-    def next_wake(self, now: float) -> Optional[float]:
+    def next_wake(self, now: float) -> float:
         if self.state == "connecting":
             return self._connect_wake(now)
         return super().next_wake(now)
@@ -350,7 +336,7 @@ class StopAndRadioDriver(_DrainCycleDriver, _RadioDriver):
 class SaveAndPrintLaterDriver(_DrainCycleDriver):
     """Drive, periodically stop at the dock, drain over the wired link."""
 
-    def next_wake(self, now: float) -> Optional[float]:
+    def next_wake(self, now: float) -> float:
         # stopping acts only on the step that crosses the dock, and the
         # scenario loop stops short of the dock by itself
         return math.inf if self.state == "stop" else super().next_wake(now)
@@ -365,10 +351,10 @@ class SaveAndPrintLaterDriver(_DrainCycleDriver):
             self.state = "drain"
 
     def _start(self, now: float, frame: Frame) -> None:
-        # a frame the dock cannot take is not in flight; the next tick retries
-        if wired_available(self.sim.car, self.sim.cfg.layout):
-            self.in_flight = frame
-            self.tx_until = now + self.sim.cfg.wired_frame_time
+        # `_approach` parked the car at the dock, and it stays there until
+        # `_cruise`
+        self.in_flight = frame
+        self.tx_until = now + self.sim.cfg.wired_frame_time - 1e-12
 
 
 class PowerlineContinuousDriver(Driver):
@@ -382,11 +368,11 @@ class PowerlineContinuousDriver(Driver):
         super().__init__(sim)
         self.channel = PowerlineChannel()
 
-    def next_wake(self, now: float) -> Optional[float]:
+    def next_wake(self, now: float) -> float:
         if self.in_flight is None and not self._idle():
             return now
-        # the channel acts once a boundary is within 1e-12 of `now`; the
-        # wider margin keeps that exact after rounding
+        # `channel.tick` takes a boundary a margin past `now`; twice that
+        # margin keeps the wake short of it after rounding
         return self.channel.next_boundary - 2e-12
 
     def tick(self, now: float) -> None:

@@ -10,13 +10,13 @@ range and each rule tying values together, so a bad config built in
 Python and a bad scenario file are refused alike, in the same words.
 After every step, `Simulation.run` runs the quiet stretch that follows
 (short of the next gap edge, a timed request, a reboot end, a brownout
-and, for save_and_print_later, the dock), on powered track or inside a
-gap, in a tight inner loop that makes the same float operations as
-`step`, so skipping the full step there changes no output.  On powered
-track the loop also does the steps on which a record falls due or the
-driver's `next_wake` comes: it appends and flushes the records and
-ticks the driver, as `step` does, and a tick that stops or starts the
-car ends the stretch.  In a gap a record or a wake ends the stretch.
+and, for save_and_print_later, the dock) in a tight inner loop that
+makes the same float operations as `step`, so every output is
+byte-identical.  The loop needs one rule from a driver: `next_wake(now)`
+is the first step end at which its tick can act, and a tick before it
+changes nothing.  On powered track the loop appends records as they
+fall due and ticks at the wake, or at a record while the driver is
+idle; in a gap either ends the stretch.
 `evaluate_strategies` runs one workload under several strategies and
 `write_comparison_csv` tabulates their delivery metrics.
 """
@@ -438,9 +438,8 @@ class Simulation:
         self.delivered_records += 1
         self.delivered_bytes += len(record.payload)
 
-    def answer_request(self, req_id: int) -> None:
-        if req_id == self.requests_answered + 1:
-            self.requests_answered += 1
+    def answer_request(self) -> None:
+        self.requests_answered += 1
 
     # -- event helpers ------------------------------------------------------
 
@@ -574,16 +573,10 @@ class Simulation:
         device reboots).  On such a step `step` changes only the clock,
         the position, the workload accumulator, the capacitor (in a
         gap), the radio-on time, the backlog samples and the trace; this
-        loop makes those operations in the same order, so every output
-        is byte-identical.  A powered step on which a record falls due
-        or the driver's `next_wake` comes does the rest of `step`'s work
-        in `_due_step`: it appends the records, flushes them and ticks
-        the driver, as `step` does; only while the wake is a time and
-        work already waits does it append without a tick, since such a
-        wake holds whatever records arrive.  A tick that stops or starts
-        the car ends the stretch after its own step.  The loop records a
-        powered stretch's trace as one run at its end, a gap's sample by
-        sample.
+        loop makes those operations in the same order.  A powered step
+        at the driver's wake, or with a record due, does the rest of
+        `step`'s work in `_due_step`.  The loop records a powered
+        stretch's trace as one run at its end, a gap's sample by sample.
         """
         if limit <= 0:
             return 0
@@ -681,14 +674,10 @@ class Simulation:
     def _wake(self, t: float, hard: float) -> tuple[float, bool]:
         """A stretch's (stop, carry) under an active driver: stop at its
         `next_wake(t)` or at `hard`, whichever comes first; carry records
-        without a tick only while a time wake holds waiting work (a
-        `None` wake's tick would pick a frame, an idle driver's would
-        start one)."""
+        without a tick unless the driver is idle, when a record may be
+        what its tick acts on."""
         driver = self.driver
-        wake = driver.next_wake(t)
-        if wake is None:
-            return hard, False
-        return min(wake, hard), not driver._idle()
+        return min(driver.next_wake(t), hard), not driver._idle()
 
     def _due_step(self, acc: float, t: float, x0: float, x: float, stop: float,
                   carry: bool, lim: float, hard: float
@@ -774,8 +763,17 @@ class Simulation:
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    """Run one scenario to completion; deterministic per (config, seed)."""
-    return Simulation(cfg).run()
+    """Run one scenario to completion; deterministic per (config, seed).
+
+    The driver and the simulation refer to each other; dropping the
+    driver on return frees the run's state at once, not whenever the
+    cyclic collector next runs, so the memory a sequence of runs holds
+    does not depend on when that is."""
+    sim = Simulation(cfg)
+    try:
+        return sim.run()
+    finally:
+        sim.driver = None
 
 
 #: comparison column -> the DeliveryMetrics field it shows

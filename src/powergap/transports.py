@@ -101,13 +101,6 @@ class Outcome(Enum):
     UNAVAILABLE = "unavailable"
 
 
-def wired_available(car, layout) -> bool:
-    """Wired readout needs the car parked exactly at the dock."""
-    if layout.dock_position is None:
-        return False
-    return car.speed == 0 and abs(car.position - layout.dock_position) < 1e-9
-
-
 @dataclass
 class WirelessLinkParams:
     """Timing, current and loss figures of the wireless link."""
@@ -158,12 +151,8 @@ class PowerlineChannel:
     rails are interrupted there).
     """
 
-    def __init__(
-        self,
-        cycle_period: float = DEFAULT_CYCLE_PERIOD,
-        slots_per_cycle: int = SLOTS_PER_CYCLE,
-    ) -> None:
-        self.slot_time = cycle_period / slots_per_cycle
+    def __init__(self) -> None:
+        self.slot_time = DEFAULT_CYCLE_PERIOD / SLOTS_PER_CYCLE
         self.queue: deque[tuple[int, object]] = deque()
         self.next_boundary = self.slot_time
         self.delivered_bits = 0

@@ -107,6 +107,14 @@ class TestParser:
             parse_scenario(text).build()
         assert "seed" in str(exc.value)
 
+    def test_lossy_radio_seed_from_the_caller(self):
+        text = "[strategy]\nkind = wireless_continuous\n[wireless]\nloss_rate = 0.1\n"
+        assert parse_scenario(text).build(seed=3).seed == 3
+        powerline = parse_scenario(text.replace("wireless_continuous", "powerline_continuous"))
+        assert powerline.build().seed == 0  # no radio strategy runs
+        with pytest.raises(ScenarioError, match="^line 4: a seed in"):
+            powerline.build(strategies=[StrategyKind.STOP_AND_RADIO])
+
     def test_nan_rejected_by_bounded_keys(self):
         for section, key in (("car", "speed"), ("run", "duration"),
                              ("energy", "drop_c80_off"), ("wireless", "loss_rate")):
@@ -524,6 +532,18 @@ class TestShippedScenarios:
         assert cfg.seed == 7
 
 
+#: a lossy radio link and no seed in [run]; {kind} is the file's strategy
+LOSSY_UNSEEDED = """
+[strategy]
+kind = {kind}
+[wireless]
+loss_rate = 0.1
+connect_latency = 0.1
+[run]
+duration = 0.5
+"""
+
+
 def write_scenario(tmp_path, text, name="case.scn"):
     path = tmp_path / name
     path.write_text(text)
@@ -657,6 +677,18 @@ class TestCliRun:
             b = (out_b / f"case{suffix}").read_bytes()
             assert a == b
 
+    def test_seed_flag_satisfies_the_lossy_link_rule(self, tmp_path):
+        # --seed gives the lossy link its seed: the run matches the file
+        # that names the same seed in [run]
+        text = LOSSY_UNSEEDED.format(kind="wireless_continuous")
+        flagged = write_scenario(tmp_path, text)
+        seeded = write_scenario(tmp_path, text + "seed = 3\n", "seeded.scn")
+        assert main(["run", flagged, "--seed", "3", "--out", str(tmp_path)]) == EXIT_OK
+        assert main(["run", seeded, "--out", str(tmp_path)]) == EXIT_OK
+        for suffix in ("_trace.csv", "_events.csv", "_metrics.csv"):
+            assert ((tmp_path / f"case{suffix}").read_bytes()
+                    == (tmp_path / f"seeded{suffix}").read_bytes())
+
     def test_unmakeable_out_dir_exit_2(self, tmp_path, capsys):
         scn = write_scenario(tmp_path, MINIMAL)
         out_dir = unmakeable_out(tmp_path)
@@ -716,6 +748,22 @@ class TestCliCompare:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
         assert lines[1].startswith("wireless_continuous,")
+
+    def test_lossy_radio_strategies_run_need_a_seed(self, tmp_path, capsys):
+        # the file's own strategy has no radio, but the radio strategies
+        # compared draw losses: without a seed the comparison is refused
+        scn = write_scenario(tmp_path, LOSSY_UNSEEDED.format(kind="powerline_continuous"))
+        radios = ["--strategies", "wireless_continuous,stop_and_radio"]
+        assert main(["compare", scn, *radios, "--out", str(tmp_path)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {scn}: line 5: a seed in [run] is mandatory when loss_rate > 0\n"
+        assert not (tmp_path / "compare.csv").exists()
+        assert main(["compare", scn, *radios, "--seed", "3", "--out", str(tmp_path)]) == EXIT_OK
+        # a lossy file whose radio strategy is not compared needs none
+        scn = write_scenario(tmp_path, LOSSY_UNSEEDED.format(kind="wireless_continuous"))
+        assert main(["compare", scn, "--strategies", "powerline_continuous",
+                     "--out", str(tmp_path)]) == EXIT_OK
 
     def test_unknown_strategy_exit_2(self, tmp_path, capsys):
         scn = write_scenario(tmp_path, WORKLOAD)

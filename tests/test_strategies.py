@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -237,7 +238,9 @@ def stored_record(sim, at=0.0):
 
 
 class TestNextWake:
-    """`next_wake(now)`: ticks before it are no-ops; `None` means none due."""
+    """`next_wake(now)`: the first step end at which a tick can act, `inf`
+    if none; ticks before it are no-ops.  Deadlines hold their rounding
+    margin, so the wake is the stored deadline itself."""
 
     def test_base_driver_never_skips(self):
         sim = idle_sim(None)
@@ -253,13 +256,12 @@ class TestNextWake:
         driver = sim.driver
         assert not driver.link.associated
         wake = driver.next_wake(sim.now)
-        assert wake == driver.connecting_until - 1e-12
-        assert wake == pytest.approx(sim.now + 1.5)
+        assert wake == driver.connecting_until == sim.now + 1.5 - 1e-12
 
     def test_wireless_idle_waits_for_work(self):
         sim = idle_sim(StrategyKind.WIRELESS_CONTINUOUS)
         sim.driver.link.associated = True
-        assert sim.driver.next_wake(2.0) is None
+        assert sim.driver.next_wake(2.0) == math.inf
 
     def test_wireless_with_work_ticks_now(self):
         sim = idle_sim(StrategyKind.WIRELESS_CONTINUOUS)
@@ -272,10 +274,10 @@ class TestNextWake:
         assert sim.driver.next_wake(2.0) == 2.0
 
     @pytest.mark.parametrize("controller,position,wake", [
-        (True, 0.51 + 0.09 + 0.03, None),   # the gate defers in a gap
-        (True, 0.51 + 0.09 - 0.03, None),   # the lookahead overlaps the gap ahead
-        (True, 0.10, 2.0),                  # the gate allows
-        (False, 0.51 + 0.09 + 0.03, 2.0),   # no gate, even in a gap
+        (True, 0.51 + 0.09 + 0.03, math.inf),  # the gate defers in a gap
+        (True, 0.51 + 0.09 - 0.03, math.inf),  # the lookahead overlaps the gap ahead
+        (True, 0.10, 2.0),                     # the gate allows
+        (False, 0.51 + 0.09 + 0.03, 2.0),      # no gate, even in a gap
     ], ids=["gate_defers_in_gap", "gate_defers_before_gap", "gate_allows", "gate_off"])
     def test_wireless_with_work_waits_while_the_gate_defers(self, controller, position, wake):
         # a tick the gate defers is a no-op, and the deferral lasts until
@@ -292,8 +294,8 @@ class TestNextWake:
         driver.link.associated = True
         stored_record(sim)
         driver._start(2.0, Frame(FrameKind.LOG, 1, b"x"))
-        assert driver.tx_until == 2.0 + sim.cfg.wireless.per_frame_airtime
-        assert driver.next_wake(2.0) == driver.tx_until - 1e-12
+        assert driver.tx_until == 2.0 + sim.cfg.wireless.per_frame_airtime - 1e-12
+        assert driver.next_wake(2.0) == driver.tx_until
 
     @pytest.mark.parametrize(
         "kind", [StrategyKind.STOP_AND_RADIO, StrategyKind.SAVE_AND_PRINT_LATER])
@@ -322,7 +324,7 @@ class TestNextWake:
         driver = sim.driver
         driver.state = "drain"
         driver.tx_until = 5.002
-        assert driver.next_wake(5.0) == 5.002 - 1e-12
+        assert driver.next_wake(5.0) == 5.002
 
     def test_drain_cycle_overhead(self):
         sim = idle_sim(StrategyKind.STOP_AND_RADIO)
@@ -335,7 +337,7 @@ class TestNextWake:
         driver = sim.driver
         driver.state = "connecting"
         driver._begin_connect(5.0)
-        assert driver.next_wake(5.0) == driver.connecting_until - 1e-12
+        assert driver.next_wake(5.0) == driver.connecting_until == 5.0 + 1.5 - 1e-12
 
     def test_powerline_idle_until_slot_boundary(self):
         sim = idle_sim(StrategyKind.POWERLINE_CONTINUOUS)
@@ -370,6 +372,12 @@ def frame_sent(driver):
     driver._start(5.0, Frame(FrameKind.LOG, 1, b"x"))
 
 
+def gate_deferred(driver):
+    associated(driver)
+    driver.sim.cfg.controller = True
+    driver.sim.car.position = 0.51 + 0.09 + 0.03  # inside the first gap
+
+
 def powerline_sending(driver):
     driver.tick(5.0)
     assert driver.in_flight is not None
@@ -395,6 +403,7 @@ WAKE_STATES = {
                             lambda driver: driver._begin_connect(5.0)),
     "wireless-associated": (StrategyKind.WIRELESS_CONTINUOUS, associated),
     "wireless-sending": (StrategyKind.WIRELESS_CONTINUOUS, frame_sent),
+    "wireless-deferred": (StrategyKind.WIRELESS_CONTINUOUS, gate_deferred),
     "powerline-frame_waiting": (StrategyKind.POWERLINE_CONTINUOUS, lambda driver: None),
     "powerline-sending": (StrategyKind.POWERLINE_CONTINUOUS, powerline_sending),
 }
@@ -402,17 +411,24 @@ WAKE_STATES = {
 
 @pytest.mark.parametrize("kind,setup", WAKE_STATES.values(), ids=WAKE_STATES)
 def test_float_wake_with_work_waiting_ignores_more_records(kind, setup):
-    # the scenario loop appends records within a quiet stretch only when
-    # the wake is a time and work already waits: more records must not
-    # move that wake
+    # once work waits, the scenario loop appends records within a quiet
+    # stretch without a tick: more records must not move the wake, and a
+    # tick before the wake must change nothing
     sim = idle_sim(kind)
     stored_record(sim)
-    setup(sim.driver)
-    wake = sim.driver.next_wake(5.0)
+    driver = sim.driver
+    setup(driver)
+    wake = driver.next_wake(5.0)
     assert isinstance(wake, float)
     for _ in range(3):
         stored_record(sim, 5.0)
-    assert sim.driver.next_wake(5.0) == wake
+    assert driver.next_wake(5.0) == wake
+    if wake > 5.0:
+        def state():
+            return dict(vars(driver)), {k: copy.copy(v) for k, v in vars(sim.store).items()}
+        before = state()
+        driver.tick(5.0)
+        assert state() == before
 
 
 class TestSaveAndPrintLater:
@@ -444,6 +460,28 @@ class TestSaveAndPrintLater:
             base_config(strategy=StrategyKind.SAVE_AND_PRINT_LATER)
         )
         assert result.metrics.radio_on_s == 0.0
+
+    def test_every_send_starts_parked_at_the_dock(self):
+        # the wired link reads out only a car parked at the dock:
+        # `_approach` parks it there, and nothing moves it until `_cruise`
+        cfg = base_config(
+            strategy=StrategyKind.SAVE_AND_PRINT_LATER,
+            wireless=WirelessLinkParams(loss_rate=0.3),
+            schedule=HostRequestSchedule(times=(1.0, 2.5, 5.2, 5.3, 9.0, 12.5, 16.0)),
+        )
+        sim = Simulation(cfg)
+        driver, car = sim.driver, sim.car
+        start = driver._start
+        places = []
+
+        def spy(now, frame):
+            places.append((car.speed, car.position))
+            start(now, frame)
+
+        driver._start = spy
+        sim.run()
+        assert sim.requests_answered > 0 and sim.delivered_records > 0
+        assert set(places) == {(0.0, cfg.layout.dock_position)}
 
 
 class TestStopAndRadio:

@@ -2,6 +2,7 @@ import collections
 import csv
 import dataclasses
 import dis
+import gc
 import importlib.resources
 import io
 import random
@@ -318,6 +319,20 @@ class TestRunScenario:
         assert list(a.trace) == list(b.trace)
         assert a.events == b.events
         assert a.metrics == b.metrics
+
+    @pytest.mark.parametrize("kind", list(StrategyKind))
+    def test_run_frees_its_state_without_the_cyclic_collector(self, kind):
+        # garbage left to the collector is freed at a moment that depends on
+        # allocation counts, so the memory a sequence of runs holds would too
+        cfg = dataclasses.replace(crossing_config(strategy=kind, seed=1),
+                                  layout=lane_change_layout(dock=0.0))
+        gc.collect()
+        gc.disable()
+        try:
+            run_scenario(cfg)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_invalid_layout_rejected_before_run(self):
         cfg = crossing_config()
@@ -643,10 +658,10 @@ def test_car_stopped_in_a_gap_falls_back_to_step():
 
 @pytest.mark.parametrize("duration", [round(0.5 + 0.05 * i, 2) for i in range(40)])
 def test_gate_deferral_ends_a_stretch_at_each_record(duration):
-    # while the gate defers waiting work, each tick picks the oldest
-    # unacked record again (`Driver.record`), and 200 B of flash evicts
-    # the oldest every few records: a stretch that carried records past
-    # a deferred tick would leave a stale pick wherever the run ends
+    # while the gate defers waiting work, a stretch carries records past
+    # the deferred ticks, and 200 B of flash evicts the oldest every few
+    # records: a deferred tick that picked a record (`Driver.record`)
+    # would leave a stale pick wherever the run ends
     cfg = ScenarioConfig(
         params=EnergyModelParams.calibrated(), layout=lane_change_layout(),
         duration=duration, strategy=StrategyKind.WIRELESS_CONTINUOUS, controller=True,

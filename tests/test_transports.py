@@ -23,9 +23,7 @@ from powergap.transports import (
     crc16_ccitt,
     frame_encode,
     powerline_pack,
-    wired_available,
 )
-from powergap.track_world import CarState, Segment, SegmentKind, TrackLayout
 
 
 def crc16_bitwise(data: bytes, crc: int = 0xFFFF) -> int:
@@ -177,31 +175,6 @@ class TestBandwidth:
         delivered = channel.tick(0.075, powered=False)
         assert delivered == []
         assert channel.delivered_bits == 0
-
-
-def _dock_layout():
-    return TrackLayout(
-        [Segment(SegmentKind.STRAIGHT, 1.0), Segment(SegmentKind.STRAIGHT, 1.0)],
-        dock_position=0.5,
-    )
-
-
-class TestWiredLink:
-    def test_stopped_at_dock(self):
-        car = CarState(position=0.5, speed=0.0)
-        assert wired_available(car, _dock_layout())
-
-    def test_moving_anywhere(self):
-        car = CarState(position=0.5, speed=3.0)
-        assert not wired_available(car, _dock_layout())
-
-    def test_stopped_elsewhere(self):
-        car = CarState(position=1.2, speed=0.0)
-        assert not wired_available(car, _dock_layout())
-
-    def test_no_dock_never_available(self):
-        layout = TrackLayout([Segment(SegmentKind.STRAIGHT, 1.0)])
-        assert not wired_available(CarState(position=0.0, speed=0.0), layout)
 
 
 class TestWirelessLink:
