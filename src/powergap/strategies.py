@@ -114,13 +114,17 @@ class Driver:
         """The first step-end time at which `tick` can act, `math.inf`
         if none; a tick before it changes nothing.
 
-        Work already waiting counts; a record arriving later may end an
-        idle driver's wait, so the scenario loop ticks at each record
-        while the driver is idle.  Position limits (gap edges, the dock)
-        belong to the loop, which never skips past one, and a gate's
-        deferral holds until the next gap edge while the capacitor stays
-        as it is.  The default, `now`, lets no tick be skipped.  A tick
-        may stop or start the car, but must not move it.
+        Work already waiting counts.  Position limits (gap edges, the
+        dock) belong to the scenario loop, which never skips past one,
+        and a gate's deferral holds until the next gap edge while the
+        capacitor stays as it is.  Inside the loop's quiet stretches on
+        powered track requests arrive only on full steps and acks happen
+        only in ticks, so between ticks the wake can move only when a
+        record lands in an empty flash; once work waits, more records
+        leave it unchanged.  So the loop asks at the start of each
+        stretch, after each tick and after each such record.  The
+        default, `now`, lets no tick be skipped.  A tick may stop or
+        start the car, but must not move it.
         """
         return now
 
@@ -160,7 +164,7 @@ class Driver:
             return  # lost frames stay unacked and get retransmitted
         sim = self.sim
         if frame.kind is FrameKind.REPLY:
-            sim.answer_request()
+            sim.requests_answered += 1
             return
         ack_seq = sim.host.receive_log(frame.seq, frame.payload)
         if self._ack_lost():

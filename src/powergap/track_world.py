@@ -12,11 +12,10 @@ After every step, `Simulation.run` runs the quiet stretch that follows
 (short of the next gap edge, a timed request, a reboot end, a brownout
 and, for save_and_print_later, the dock) in a tight inner loop that
 makes the same float operations as `step`, so every output is
-byte-identical.  The loop needs one rule from a driver: `next_wake(now)`
-is the first step end at which its tick can act, and a tick before it
-changes nothing.  On powered track the loop appends records as they
-fall due and ticks at the wake, or at a record while the driver is
-idle; in a gap either ends the stretch.
+byte-identical.  The loop asks a driver one thing, `next_wake(now)`,
+and relies on the rule its docstring states.  On powered track the loop
+appends records as they fall due and ticks at the wake; in a gap a
+record or the wake ends the stretch.
 `evaluate_strategies` runs one workload under several strategies and
 `write_comparison_csv` tabulates their delivery metrics.
 """
@@ -271,6 +270,9 @@ class ScenarioConfig:
         self.layout.validate()
         self.wireless.validate()
         times = self.schedule.times
+        if not all(map(math.isfinite, times)):
+            raise LayoutError("request times must be finite",
+                              ("schedule", "requests"), keyed=True)
         if any(t < 0 for t in times):
             raise LayoutError("request times must be non-negative",
                               ("schedule", "requests"), keyed=True)
@@ -280,6 +282,9 @@ class ScenarioConfig:
         _range(self.duration, ("run", "duration"), 0.0, exclusive=True)
         _range(self.dt, ("run", "dt"), 0.0, exclusive=True)
         _range(self.speed, ("car", "speed"), 0.0)
+        for value, key in ((self.dt, ("run", "dt")), (self.speed, ("car", "speed"))):
+            if value == math.inf:  # no cap below catches it
+                raise LayoutError(f"{key[1]}: must be finite", key)
         _range(self.workload_rate, ("workload", "rate"), 0.0)
         if self.recharge_rate is not None:
             _range(self.recharge_rate, ("energy", "recharge_rate"), 0.0, exclusive=True)
@@ -438,9 +443,6 @@ class Simulation:
         self.delivered_records += 1
         self.delivered_bytes += len(record.payload)
 
-    def answer_request(self) -> None:
-        self.requests_answered += 1
-
     # -- event helpers ------------------------------------------------------
 
     def _record(self, n: int, supply: float, cap: float) -> None:
@@ -575,7 +577,8 @@ class Simulation:
         gap), the radio-on time, the backlog samples and the trace; this
         loop makes those operations in the same order.  A powered step
         at the driver's wake, or with a record due, does the rest of
-        `step`'s work in `_due_step`.  The loop records a powered
+        `step`'s work in `_due_step`, which asks the wake again where
+        `Driver.next_wake` says it can move.  The loop records a powered
         stretch's trace as one run at its end, a gap's sample by sample.
         """
         if limit <= 0:
@@ -591,11 +594,8 @@ class Simulation:
         if not sched.gap_aligned and self._next_request_idx < len(sched.times):
             hard = min(hard, sched.times[self._next_request_idx])
         # the first step time at which the loop ticks the driver (where a
-        # gap or `hard` ends it instead), and whether a record due before
-        # it is appended without a tick
-        stop, carry = hard, True
-        if active and driver is not None:
-            stop, carry = self._wake(t, hard)
+        # gap or `hard` ends it instead)
+        stop = min(driver.next_wake(t), hard) if active and driver is not None else hard
         acc, inc = self._workload_acc, cfg.workload_rate * dt if active else 0.0
         if t + dt >= hard or not powered and (t + dt >= stop or acc + inc >= 1.0):
             return 0
@@ -634,8 +634,7 @@ class Simulation:
             if t1 >= stop or end >= lim or a >= 1.0:
                 if end >= lim or t1 >= hard or not powered:
                     break
-                a, stop, carry, lim, radio_on, stored = due_step(
-                    a, t1, x, end, stop, carry, lim, hard)
+                a, stop, lim, radio_on, stored = due_step(a, t1, x, end, stop, lim, hard)
             if not powered:
                 # `unpowered_overlap` of a step inside one gap is end - x
                 v1 = v - current * ((end - x) / speed) / capacitance
@@ -671,47 +670,41 @@ class Simulation:
             self._next_backlog_at = backlog_at
         return n
 
-    def _wake(self, t: float, hard: float) -> tuple[float, bool]:
-        """A stretch's (stop, carry) under an active driver: stop at its
-        `next_wake(t)` or at `hard`, whichever comes first; carry records
-        without a tick unless the driver is idle, when a record may be
-        what its tick acts on."""
-        driver = self.driver
-        return min(driver.next_wake(t), hard), not driver._idle()
-
     def _due_step(self, acc: float, t: float, x0: float, x: float, stop: float,
-                  carry: bool, lim: float, hard: float
-                  ) -> tuple[float, float, bool, float, bool, int]:
+                  lim: float, hard: float) -> tuple[float, float, float, bool, int]:
         """A powered quiet step's share of `step`'s work at `t`, from
         `x0` to `x`, on which a record falls due or the driver's wake
         has come.  In `step`'s order: append the records due; under a
-        driver flush them and, unless `carry` holds them before `stop`,
-        set the car's position and `last_step` and tick, then ask the
-        wake again; raise the stored peak.  Return the loop's new
-        (acc, stop, carry, lim, radio_on, stored); `lim` falls to -inf
-        when the tick stopped or started the car, which ends the stretch
-        after this step.  A call of its own keeps `_quiet_stretch`'s
-        loop short enough for CPython 3.11 to specialize its compares
-        and jumps."""
+        driver flush them, set the car's position, ask the wake again if
+        they landed in an empty flash (see `Driver.next_wake`), and at
+        `stop` set `last_step`, tick and ask again; raise the stored
+        peak.  Return the loop's new (acc, stop, lim, radio_on, stored);
+        `lim` falls to -inf when the tick stopped or started the car,
+        which ends the stretch after this step.  A call of its own keeps
+        `_quiet_stretch`'s loop short enough for CPython 3.11 to
+        specialize its compares and jumps."""
         car, store, driver = self.car, self.store, self.driver
         while acc >= 1.0:
             acc -= 1.0
             store.append(Severity.INFO, self._workload_payload, t)
         if driver is not None:
+            held = len(store.flash)
             store.flush()  # data must survive a gap while driving
-            if t >= stop or not carry:
-                speed = car.speed
-                if speed:
-                    car.position = x
+            speed = car.speed
+            if speed:
+                car.position = x  # what the driver sees at `t`
+            if t < stop and not held:
+                stop = min(driver.next_wake(t), hard)
+            if t >= stop:
                 self.last_step = (x0, speed * self.cfg.dt)
                 driver.tick(t)
                 if car.speed != speed:
                     lim = -math.inf
-                stop, carry = self._wake(t, hard)
+                stop = min(driver.next_wake(t), hard)
         stored = store.flash_bytes
         if stored > self.bytes_stored_peak:
             self.bytes_stored_peak = stored
-        return acc, stop, carry, lim, car.power_state.radio is not RadioMode.OFF, stored
+        return acc, stop, lim, car.power_state.radio is not RadioMode.OFF, stored
 
     def run(self) -> ScenarioResult:
         n_steps = round(self.cfg.duration / self.cfg.dt)
