@@ -12,6 +12,7 @@ with --fail-on-brownout.  POWERGAP_OUT overrides the output directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.resources
 import io
 import os
@@ -24,6 +25,7 @@ from .energy_model import MEASURED_DROPS, ConfigError, PowerState
 from .scenario import ScenarioError, load_scenario, parse_scenario
 from .strategies import StrategyKind
 from .track_world import (
+    ScenarioConfig,
     evaluate_strategies,
     events_to_csv,
     run_scenario,
@@ -54,8 +56,13 @@ def _out_error(exc: OSError) -> int:
 
 def _write_atomic(path: Path, content: str) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(content)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(content)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def _emit_result(out: Path, name: str, result) -> None:
@@ -70,11 +77,11 @@ def _emit_result(out: Path, name: str, result) -> None:
     _write_atomic(out / f"{name}_metrics.csv", buf.getvalue())
 
 
-def _run_one(path: str, seed_override: Optional[int], out: Path) -> tuple[str, int]:
-    cfg = load_scenario(path).build(seed_override)
+def _run_one(cfg: ScenarioConfig, out: Path) -> int:
+    """Simulate `cfg` and write its CSVs; returns its brownout count."""
     result = run_scenario(cfg)
     _emit_result(out, cfg.name, result)
-    return cfg.name, result.metrics.brownout_count
+    return result.metrics.brownout_count
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -85,11 +92,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     status = EXIT_OK
     for path in args.scenario:
         try:
-            name, brownouts = _run_one(path, args.seed, out)
+            cfg = load_scenario(path).build(args.seed)
         except _USER_ERRORS as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
-        print(f"{name}: brownouts={brownouts}")
+        try:
+            brownouts = _run_one(cfg, out)
+        except OSError as exc:
+            return _out_error(exc)
+        print(f"{cfg.name}: brownouts={brownouts}")
         if args.fail_on_brownout and brownouts > 0:
             status = EXIT_BROWNOUT
     return status

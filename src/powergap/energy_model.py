@@ -9,6 +9,7 @@ maximum voltage drops over a known gap duration via I = C*dV/T.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, islice, repeat
@@ -143,17 +144,41 @@ class EnergyModelParams:
         return params
 
 
-#: Rows `VoltageTrace.write_csv` fills in one format operation and one write.
+#: Most rows `VoltageTrace.write_csv` puts in one write.
 CSV_CHUNK_ROWS = 4096
+
+
+def csv_micro_step(dt: float, rows: int) -> int:
+    """`dt` in whole microseconds `m` when, over `rows` rows, the k-th
+    running sum `t += dt` prints with `%.6f` as k*m microseconds; else 0.
+
+    `m` must divide one second into at most CSV_CHUNK_ROWS steps.  Each
+    sum then lies within rows*ulp(2*rows*dt)/2 (rounding) plus
+    rows*|dt - m*1e-6| (drift) of its whole microsecond; the check below,
+    in exact integers, holds that under a quarter microsecond, so `%.6f`
+    cannot round it elsewhere.
+    """
+    if not 1.0 / CSV_CHUNK_ROWS <= dt <= 1.0:
+        return 0
+    m = round(dt * 1_000_000)
+    if 1_000_000 % m or 1_000_000 // m > CSV_CHUNK_ROWS:
+        return 0
+    p, q = dt.as_integer_ratio()
+    a, b = math.ulp(2 * rows * dt).as_integer_ratio()
+    # the bound times 4e6*q*b
+    rounding = 2_000_000 * rows * a * q
+    drift = 4 * rows * b * abs(p * 1_000_000 - m * q)
+    return m if rounding + drift < q * b else 0
 
 
 class VoltageTrace:
     """Uniformly sampled supply and capacitor voltages, held as runs of
     equal samples: `runs` is a list of (count, supply_v, cap_v).  Row k's
     time is `dt` added k + 1 times to 0.0, the sum the simulation makes;
-    one running sum serves the whole trace.  `write_csv` fills up to
-    CSV_CHUNK_ROWS rows per `%` operation and write, splitting a longer
-    run, so a long run never becomes one huge string."""
+    one running sum serves the whole trace, or, where `csv_micro_step`
+    allows, whole microseconds that print the same.  `write_csv` puts at
+    most CSV_CHUNK_ROWS rows in one write, splitting a longer run, so a
+    long run never becomes one huge string."""
 
     def __init__(self, runs: list[tuple[int, float, float]], dt: float) -> None:
         self.runs = runs
@@ -169,9 +194,52 @@ class VoltageTrace:
                 yield t, supply, cap
 
     def write_csv(self, fp: IO[str]) -> None:
-        # the same bytes as csv.writer: formatted numbers need no quoting;
-        # a run's voltages are formatted once, into a row template
+        # the same bytes as csv.writer: formatted numbers need no quoting
         fp.write("time_s,supply_v,cap_v\n")
+        step = csv_micro_step(self.dt, len(self))
+        if step:
+            self._write_micro(fp, step)
+        else:
+            self._write_summed(fp)
+
+    def _write_micro(self, fp: IO[str], step: int) -> None:
+        # the k-th time (k from 1) prints as k*step µs: its second's text,
+        # then a fraction from a table built per call; a run's rows inside
+        # one second are one join, its voltages formatted once into `tail`
+        per_s = 1_000_000 // step
+        last = per_s - 1
+        fracs = [".%06d" % (j * step) for j in range(per_s)]
+        sec, j = divmod(1, per_s)
+        prefix = str(sec)
+        chunk: list[str] = []
+        space = CSV_CHUNK_ROWS
+        for n, supply, cap in self.runs:
+            tail = ",%.6f,%.6f\n" % (supply, cap)
+            if n == 1 and j < last and space > 1:  # most runs: one row, no edge
+                chunk.append(prefix + fracs[j] + tail)
+                j += 1
+                space -= 1
+                continue
+            while n:
+                take = min(n, per_s - j, space)
+                chunk.append(prefix + (tail + prefix).join(fracs[j:j + take]) + tail)
+                n -= take
+                j += take
+                space -= take
+                if j == per_s:
+                    sec += 1
+                    j = 0
+                    prefix = str(sec)
+                if not space:
+                    fp.write("".join(chunk))
+                    chunk = []
+                    space = CSV_CHUNK_ROWS
+        if chunk:
+            fp.write("".join(chunk))
+
+    def _write_summed(self, fp: IO[str]) -> None:
+        # times from the running sum, CSV_CHUNK_ROWS of them per `%`
+        # operation; a run's voltages are formatted once, into a row template
         times = accumulate(repeat(self.dt))
         chunk: list[str] = []
         space = CSV_CHUNK_ROWS

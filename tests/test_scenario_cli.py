@@ -697,6 +697,19 @@ class TestCliRun:
         assert out == ""
         assert_out_dir_error(err, out_dir)
 
+    def test_unwritable_output_exit_2_and_no_temp_file(self, tmp_path, capsys):
+        # a directory where the trace CSV goes: the rename fails, the error
+        # blames the output, not the scenario, and no temp file is left
+        scn = write_scenario(tmp_path, MINIMAL)
+        out_dir = tmp_path / "out"
+        (out_dir / "case_trace.csv").mkdir(parents=True)
+        assert main(["run", scn, "--out", str(out_dir)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: output directory: [Errno 21] Is a directory: ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in out_dir.iterdir()) == ["case_trace.csv"]
+
     def test_env_var_overrides_out_flag(self, tmp_path, monkeypatch):
         scn = write_scenario(tmp_path, MINIMAL)
         env_dir = tmp_path / "from_env"

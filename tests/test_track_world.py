@@ -13,6 +13,7 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from powergap import energy_model
 from powergap.energy_model import (
     ALL_POWER_STATES,
     ClockTier,
@@ -22,6 +23,7 @@ from powergap.energy_model import (
     PowerState,
     RadioMode,
     VoltageTrace,
+    csv_micro_step,
 )
 from powergap.track_world import (
     Event,
@@ -935,16 +937,76 @@ def mixed_runs(total, seed):
     return runs
 
 
-@pytest.mark.parametrize("dt", [5e-4, 2.0**-10, 0.1])
+class WriteLog:
+    """A file that keeps each write's text."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def written(trace):
+    """`trace`'s CSV, checking that no write holds more than CSV_CHUNK_ROWS rows."""
+    log = WriteLog()
+    trace.write_csv(log)
+    assert max(text.count("\n") for text in log.writes) <= CSV_CHUNK_ROWS
+    return "".join(log.writes)
+
+
+def assert_both_writers_match(trace):
+    """The writer `write_csv` picks and the summed one both write the
+    reference CSV."""
+    expected = trace_reference(trace)
+    assert written(trace) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy_model, "csv_micro_step", lambda dt, rows: 0)
+        assert written(trace) == expected
+
+
+#: whole-microsecond steps take the join writer, the rest the summed one
+TRACE_DTS = [5e-4, 2.0**-10, 0.1, 1e-3, 1e-4, 1.0, 1 / 3000, 5e-4 + 1e-19]
+
+
+@pytest.mark.parametrize("dt", TRACE_DTS)
 @pytest.mark.parametrize("total", [0, 1, 4095, 4096, 4097, 8193])
 def test_trace_csv_at_chunk_edges(total, dt):
     assert CSV_CHUNK_ROWS == 4096
     for seed in range(3):
         trace = VoltageTrace(mixed_runs(total, seed), dt)
         assert len(trace) == total
-        buf = io.StringIO()
-        trace.write_csv(buf)
-        assert buf.getvalue() == trace_reference(trace)
+        assert_both_writers_match(trace)
+
+
+@pytest.mark.parametrize("dt", TRACE_DTS)
+def test_trace_csv_at_second_edges(dt):
+    # one row short of, at and one past a second's rows, and past two seconds
+    per_s = round(1 / dt)
+    for total in [per_s - 1, per_s, per_s + 1, 2 * per_s + 1]:
+        for seed in range(3):
+            assert_both_writers_match(VoltageTrace(mixed_runs(total, seed), dt))
+
+
+@pytest.mark.parametrize("dt, rows, step", [
+    (5e-4, 80_000, 500),
+    (5e-4 + 1e-19, 80_000, 500),
+    (1e-3, 1_000_000, 1000),
+    (0.1, 100_000, 100_000),
+    (1.0, 1000, 1_000_000),
+    (5e-4, 0, 500),
+    (2.0**-10, 1000, 0),  # 976.5625 µs
+    (1 / 3000, 1000, 0),  # 333.3... µs
+    (2e-4, 1000, 0),  # whole microseconds, but below 1/4096 s
+    (1e-4, 1000, 0),
+    (1e-6, 1000, 0),
+    (3e-4, 1000, 0),  # 300 µs does not divide one second
+    (2.0, 1000, 0),
+    (5e-4, 10_000_000, 0),  # too many rows for the rounding bound
+    (0.1, 10_000_000, 0),
+])
+def test_csv_micro_step_picks_the_writer(dt, rows, step):
+    assert csv_micro_step(dt, rows) == step
 
 
 @pytest.mark.parametrize("runs", [
@@ -953,10 +1015,7 @@ def test_trace_csv_at_chunk_edges(total, dt):
     [(1, 0.0, 9.0 - k * 1e-3) for k in range(9000)],
 ], ids=["one_long_run", "long_run_off_the_edge", "one_row_runs"])
 def test_trace_csv_long_runs(runs):
-    trace = VoltageTrace(runs, 5e-4)
-    buf = io.StringIO()
-    trace.write_csv(buf)
-    assert buf.getvalue() == trace_reference(trace)
+    assert_both_writers_match(VoltageTrace(runs, 5e-4))
 
 
 def test_trace_csv_splits_a_long_run():
