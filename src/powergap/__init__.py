@@ -39,7 +39,6 @@ from .transports import (
     FrameKind,
     Outcome,
     PowerlineChannel,
-    WirelessLink,
     WirelessLinkParams,
     crc16_ccitt,
     frame_encode,

@@ -85,6 +85,15 @@ def _run_one(cfg: ScenarioConfig, out: Path) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    # each file's outputs are named by its stem alone
+    by_stem: dict[str, str] = {}
+    for path in args.scenario:
+        stem = Path(path).stem
+        if stem in by_stem:
+            print(f"error: {by_stem[stem]} and {path} would both write {stem}_*.csv",
+                  file=sys.stderr)
+            return EXIT_VALIDATION
+        by_stem[stem] = path
     try:
         out = _out_dir(args.out)
     except OSError as exc:

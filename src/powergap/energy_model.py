@@ -80,11 +80,13 @@ class ConfigError(ValueError):
 def check_range(value: float, key: tuple[str, str], minimum: float,
                 exclusive: bool = False, maximum: Optional[float] = None,
                 error: type[ConfigError] = ConfigError) -> None:
-    """Refuse `value` below `minimum` (or at it, if `exclusive`) or above
-    `maximum`, in the scenario file's words for `key`, which it blames.
-    Every comparison with NaN is false, so NaN is refused too."""
+    """Refuse `value` below `minimum` (or at it, if `exclusive`), infinite
+    or above `maximum`, in the scenario file's words for `key`, which it
+    blames.  Every comparison with NaN is false, so NaN is refused too."""
     if not (value > minimum if exclusive else value >= minimum):
         raise error(f"{key[1]}: must be {'>' if exclusive else '>='} {minimum}", key)
+    if value == math.inf:
+        raise error(f"{key[1]}: must be finite", key)
     if maximum is not None and not value <= maximum:
         raise error(f"{key[1]}: must be <= {maximum}", key)
 

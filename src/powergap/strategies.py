@@ -21,7 +21,6 @@ from .transports import (
     FrameKind,
     Outcome,
     PowerlineChannel,
-    WirelessLink,
     frame_encode,
     powerline_pack,
 )
@@ -177,13 +176,15 @@ class Driver:
 class _RadioDriver(Driver):
     """The wireless link: association, frame loss, airtime and ack loss.
 
-    The radio shows Transmitting for exactly the frame airtime, whether
-    or not the frame is lost, then returns to idle-connected.
+    Frames go out only once associated; each frame and each ack is lost
+    on one draw from the scenario's seeded generator.  The radio shows
+    Transmitting for exactly the frame airtime, whether or not the frame
+    is lost, then returns to idle-connected.
     """
 
     def __init__(self, sim: Simulation) -> None:
         super().__init__(sim)
-        self.link = WirelessLink(sim.cfg.wireless, sim.rng)
+        self.associated = False
         self.connecting_until: Optional[float] = None
 
     def _begin_connect(self, now: float) -> None:
@@ -192,20 +193,25 @@ class _RadioDriver(Driver):
         self.sim.extra_current = wp.connect_extra_current
         self.connecting_until = now + wp.connect_latency - 1e-12
 
-    def _connect_wake(self, now: float) -> float:
-        """When the association in progress completes, else `now`."""
-        return now if self.connecting_until is None else self.connecting_until
-
     def _poll_connect(self, now: float) -> bool:
         if self.connecting_until is not None and now >= self.connecting_until:
             self.connecting_until = None
             self.sim.extra_current = 0.0
-            self.link.associated = True
-        return self.link.associated
+            self.associated = True
+        return self.associated
+
+    def _lost(self) -> bool:
+        """One Bernoulli loss draw, for a frame or for its ack."""
+        loss_rate = self.sim.cfg.wireless.loss_rate
+        return loss_rate > 0 and self.sim.rng.random() < loss_rate
+
+    def send_frame(self, frame: Frame) -> Outcome:
+        """Put `frame` on the air: it reaches the host or is lost."""
+        return Outcome.LOST if self._lost() else Outcome.DELIVERED
 
     def _start(self, now: float, frame: Frame) -> None:
         wp = self.sim.cfg.wireless
-        delivered = self.link.send_frame(frame) is Outcome.DELIVERED
+        delivered = self.send_frame(frame) is Outcome.DELIVERED
         self.in_flight = frame if delivered else None
         airtime = wp.reply_airtime if frame.kind is FrameKind.REPLY else wp.per_frame_airtime
         self.tx_until = now + airtime - 1e-12
@@ -216,11 +222,11 @@ class _RadioDriver(Driver):
         super()._finish(now)
 
     def _ack_lost(self) -> bool:
-        return self.link.lost()
+        return self._lost()
 
     def on_brownout(self) -> None:
         super().on_brownout()
-        self.link.associated = False
+        self.associated = False
         self.connecting_until = None
 
 
@@ -290,8 +296,8 @@ class WirelessContinuousDriver(_RadioDriver):
     """Radio stays associated; records stream out as they arrive."""
 
     def next_wake(self, now: float) -> float:
-        if not self.link.associated:
-            return self._connect_wake(now)
+        if not self.associated:
+            return now if self.connecting_until is None else self.connecting_until
         if self.tx_until is not None:
             return self.tx_until
         return math.inf if self._idle() or self._gate_defers() else now
@@ -301,7 +307,7 @@ class WirelessContinuousDriver(_RadioDriver):
         return sim.cfg.controller and controller_gate(sim.cfg.budget, sim) is Gate.DEFER
 
     def tick(self, now: float) -> None:
-        if not self.link.associated:
+        if not self.associated:
             if self.connecting_until is None:
                 self._begin_connect(now)
             if not self._poll_connect(now):
@@ -315,26 +321,26 @@ class WirelessContinuousDriver(_RadioDriver):
 
 
 class StopAndRadioDriver(_DrainCycleDriver, _RadioDriver):
-    """Drive, periodically stop anywhere outside a gap, drain by radio."""
+    """Drive, periodically stop anywhere outside a gap, drain by radio.
+    The car waits in state "stop" while the radio associates."""
 
     def next_wake(self, now: float) -> float:
-        if self.state == "connecting":
-            return self._connect_wake(now)
+        if self.connecting_until is not None:
+            return self.connecting_until
         return super().next_wake(now)
 
     def _approach(self, now: float) -> None:
         sim = self.sim
-        if self.state == "stop":
+        if self.connecting_until is None:
             if not sim.cfg.layout.in_gap(sim.car.position):
                 sim.car.speed = 0.0
                 self._begin_connect(now)
-                self.state = "connecting"
         elif self._poll_connect(now):
             self.state = "drain"
 
     def _end_drain(self) -> None:
         self.sim.set_radio(RadioMode.OFF)
-        self.link.associated = False
+        self.associated = False
 
 
 class SaveAndPrintLaterDriver(_DrainCycleDriver):

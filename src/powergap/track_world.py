@@ -77,6 +77,9 @@ class Segment:
     gap_length: float = 0.06
 
     def validate(self) -> None:
+        if not all(map(math.isfinite, (self.length, *self.gap_offsets))):
+            raise LayoutError("segment length and gap offsets must be finite",
+                              _SEGMENTS, keyed=True)
         if self.length <= 0:
             raise LayoutError("segment length must be > 0", _SEGMENTS, keyed=True)
         _range(self.gap_length, ("track", "gap_length"), 0.0, exclusive=True)
@@ -282,9 +285,6 @@ class ScenarioConfig:
         _range(self.duration, ("run", "duration"), 0.0, exclusive=True)
         _range(self.dt, ("run", "dt"), 0.0, exclusive=True)
         _range(self.speed, ("car", "speed"), 0.0)
-        for value, key in ((self.dt, ("run", "dt")), (self.speed, ("car", "speed"))):
-            if value == math.inf:  # no cap below catches it
-                raise LayoutError(f"{key[1]}: must be finite", key)
         _range(self.workload_rate, ("workload", "rate"), 0.0)
         if self.recharge_rate is not None:
             _range(self.recharge_rate, ("energy", "recharge_rate"), 0.0, exclusive=True)
@@ -478,8 +478,10 @@ class Simulation:
         dt = cfg.dt
         t1 = self.now + dt
 
-        x0 = car.position
-        dist = car.speed * dt
+        # a tick may stop or start the car; the step moves at the speed
+        # it began with, so its gap time does too
+        x0, speed = car.position, car.speed
+        dist = speed * dt
         if dist:
             car.position = (x0 + dist) % layout.total_length
         self.last_step = (x0, dist)
@@ -524,7 +526,7 @@ class Simulation:
 
         # exact unpowered time within this step
         overlap = layout.unpowered_overlap(x0, dist) if dist else 0.0
-        unpowered_time = overlap / car.speed if car.speed > 0 else (dt if in_gap else 0.0)
+        unpowered_time = overlap / speed if speed > 0 else (dt if in_gap else 0.0)
         v_mid = car.capacitor_v
         if unpowered_time > 0:
             current = cfg.params.current(car.power_state) + self.extra_current

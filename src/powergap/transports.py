@@ -1,7 +1,8 @@
 """Channel models and framing.
 
-Three ways off the car: a dock-only wired link, a lossy wireless link
-with a connection lifecycle, and the powerline back-channel that rides
+Three ways off the car: a dock-only wired link (a time per frame), a
+lossy wireless link, whose association and seeded loss draws the radio
+driver in `strategies` owns, and the powerline back-channel that rides
 the track's digital control protocol in fixed 13-bit slots, 8 per 75 ms
 cycle.  All payloads travel in a common CRC-protected frame format.
 """
@@ -9,7 +10,6 @@ cycle.  All payloads travel in a common CRC-protected frame format.
 from __future__ import annotations
 
 import binascii
-import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -98,7 +98,6 @@ def powerline_pack(data: bytes) -> list[int]:
 class Outcome(Enum):
     DELIVERED = "delivered"
     LOST = "lost"
-    UNAVAILABLE = "unavailable"
 
 
 @dataclass
@@ -116,31 +115,6 @@ class WirelessLinkParams:
         for key in ("connect_latency", "connect_extra_current", "per_frame_airtime",
                     "reply_airtime"):
             check_range(getattr(self, key), ("wireless", key), 0.0)
-
-
-class WirelessLink:
-    """Radio link with association lifecycle and Bernoulli frame loss.
-
-    Loss draws come from the owning scenario's seeded generator so runs
-    stay reproducible.  Airtime and power-state coupling are handled by
-    the caller, which owns the device timeline.
-    """
-
-    def __init__(self, params: WirelessLinkParams, rng: random.Random) -> None:
-        params.validate()
-        self.params = params
-        self.rng = rng
-        self.associated = False
-
-    def lost(self) -> bool:
-        """One Bernoulli loss draw, for a frame or for its ack."""
-        loss_rate = self.params.loss_rate
-        return loss_rate > 0 and self.rng.random() < loss_rate
-
-    def send_frame(self, frame: Frame) -> Outcome:
-        if not self.associated:
-            return Outcome.UNAVAILABLE
-        return Outcome.LOST if self.lost() else Outcome.DELIVERED
 
 
 class PowerlineChannel:

@@ -19,6 +19,18 @@ four, with the transmission gate off and on (a dockless track gets a
 dock at 0.0 for save_and_print_later), for `k` in {1/4, 2, 8}.  Each
 plain run is made once per module.
 
+Relation (d), rotation: moving the first segment to the end of the
+track, and starting the car where that segment now begins, leaves the
+multiset of per-gap drops unchanged within 1e-9 V.  The car starts at
+the same point of track, so both runs cross the same gaps, whole laps
+and the last partial one alike; only the positions' floats differ, and
+with them which step a grid-aligned gap edge falls in.  Each gap's drop
+is the least voltage its crossing's steps reach, so it holds all of the
+gap's discharge, which the trace's step-end samples do not.  Cases:
+`table1_c80_tx`, `gap_aligned_c160` and `reference_workload` (3 s),
+under no strategy: a strategy's requests and sends follow the gap
+entry step, which may move by one step between the two runs.
+
 Relation (a), step size: halving `dt` (drawn from [1e-4, 0.03] over the
 shipped scenarios, 20 derandomized examples) leaves the counts of gap
 entries, requests, brownouts and deliveries unchanged, and `max_drop_v`
@@ -105,6 +117,40 @@ def test_scaling_lengths_and_speed_changes_no_time(plain_runs, k):
         if outcome(scale_geometry(cfg, k), event_details=False) != plain:
             mismatched.append(case)
     assert mismatched == []
+
+
+def gap_drops(cfg, start=0.0):
+    """The drop of each gap crossing the car completes, from `start`, in
+    the plain step loop: `min_cap_v` restarts at nominal on each step
+    that begins on powered track."""
+    sim = Simulation(cfg)
+    sim.car.position = start
+    nominal = cfg.params.nominal_voltage
+    drops = []
+    for _ in range(round(cfg.duration / cfg.dt)):
+        if sim.car.powered:
+            if sim.min_cap_v < nominal:
+                drops.append(nominal - sim.min_cap_v)
+            sim.min_cap_v = nominal
+        sim.step()
+    return drops
+
+
+@pytest.mark.parametrize("name,duration", [
+    ("table1_c80_tx.scn", None), ("gap_aligned_c160.scn", None),
+    ("reference_workload.scn", 3.0)])
+def test_rotating_the_layout_changes_no_gap_drop(name, duration):
+    cfg = load_scenario(SCENARIOS / name).build()
+    first, *rest = cfg.layout.segments
+    # no strategy runs, so neither layout keeps the dock
+    cfg = dataclasses.replace(cfg, strategy=None, layout=TrackLayout(cfg.layout.segments),
+                              duration=duration or cfg.duration)
+    turned = dataclasses.replace(cfg, layout=TrackLayout([*rest, first]))
+    plain = sorted(gap_drops(cfg))
+    rotated = sorted(gap_drops(turned, turned.layout.total_length - first.length))
+    assert len(plain) >= len(cfg.layout.gaps)  # at least one lap
+    assert len(rotated) == len(plain)
+    assert max(abs(a - b) for a, b in zip(plain, rotated)) <= 1e-9
 
 
 def step_outcome(cfg, dt):

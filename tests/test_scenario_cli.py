@@ -371,6 +371,9 @@ UNRANGED = {("run", "seed"), ("track", "dock_position")}
 #: every ranged key at -1, and float keys at NaN too
 RANGED_CASES = [(key, raw) for key, spec in _NUMBERS.items() if key not in UNRANGED
                 for raw in ("-1",) + (() if spec.integer else ("nan",))]
+#: every ranged float key
+RANGED_FLOATS = [key for key, spec in _NUMBERS.items()
+                 if key not in UNRANGED and not spec.integer]
 
 
 def default_layout(gap_length=0.06) -> TrackLayout:
@@ -409,6 +412,7 @@ class TestRejectionCorpus:
     def test_ranged_cases_cover_every_key_and_value(self):
         assert len({key for key, _ in RANGED_CASES}) == 42
         assert len(RANGED_CASES) == 81
+        assert len(RANGED_FLOATS) == 39
 
     @pytest.mark.parametrize("case", sorted(REJECTIONS))
     def test_single_fault_message(self, case):
@@ -446,6 +450,13 @@ class TestRejectionCorpus:
         assert exc.value.keys[0] == key
         calibration = _NUMBERS[key].dest in ("drops", "calibration")
         assert isinstance(exc.value, CalibrationError) == calibration
+
+    @pytest.mark.parametrize("key", RANGED_FLOATS, ids=[k for _, k in RANGED_FLOATS])
+    def test_python_config_refuses_infinity(self, key):
+        # a file refuses inf as it parses it; a Python-built config must too
+        with pytest.raises(ConfigError) as exc:
+            refuse_in_python(_NUMBERS[key], "inf")
+        assert exc.value.keys[0] == key
 
     def test_empty_file_builds_dataclass_defaults(self):
         expected = ScenarioConfig(
@@ -605,6 +616,19 @@ class TestCliRun:
         out, err = capsys.readouterr()
         assert out == "good: brownouts=0\n"
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("same_file", [False, True])
+    def test_duplicate_stems_refused_before_any_run(self, tmp_path, capsys, same_file):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first = write_scenario(tmp_path / "a", MINIMAL, "x.scn")
+        second = first if same_file else write_scenario(tmp_path / "b", MINIMAL, "x.scn")
+        out_dir = tmp_path / "out"
+        assert main(["run", first, second, "--out", str(out_dir)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {first} and {second} ") and err.count("\n") == 1
+        assert not out_dir.exists()
 
     def test_byte_order_mark_is_not_part_of_line_1(self, tmp_path, capsys):
         text = "[run]\nduration = 0.36\n"

@@ -32,7 +32,7 @@ from powergap.track_world import (
     evaluate_strategies,
     run_scenario,
 )
-from powergap.transports import Frame, FrameKind, WirelessLinkParams
+from powergap.transports import Frame, FrameKind, Outcome, WirelessLinkParams
 
 
 def loop_layout(dock=0.20):
@@ -163,6 +163,25 @@ class TestWirelessContinuous:
         assert len(sim.store.ram) == 0
 
 
+class TestRadioSendFrame:
+    def radio(self, loss_rate, seed=11):
+        cfg = base_config(strategy=StrategyKind.WIRELESS_CONTINUOUS, seed=seed,
+                          wireless=WirelessLinkParams(loss_rate=loss_rate))
+        return Simulation(cfg).driver
+
+    def test_lossless_delivery(self):
+        assert self.radio(0.0).send_frame(Frame(FrameKind.LOG, 1)) is Outcome.DELIVERED
+
+    def test_loss_is_seed_deterministic(self):
+        def outcomes(seed):
+            driver = self.radio(0.5, seed)
+            return [driver.send_frame(Frame(FrameKind.LOG, i)) for i in range(50)]
+
+        assert outcomes(42) == outcomes(42)
+        assert Outcome.LOST in outcomes(42)
+        assert Outcome.DELIVERED in outcomes(42)
+
+
 @pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
 def test_exactly_once_presentation(kind):
     # the shared frame pump under frame and ack loss, with host requests
@@ -254,22 +273,22 @@ class TestNextWake:
         sim = idle_sim(StrategyKind.WIRELESS_CONTINUOUS)
         sim.step()  # the first tick begins associating
         driver = sim.driver
-        assert not driver.link.associated
+        assert not driver.associated
         wake = driver.next_wake(sim.now)
         assert wake == driver.connecting_until == sim.now + 1.5 - 1e-12
 
     def test_wireless_idle_waits_for_work(self):
         sim = idle_sim(StrategyKind.WIRELESS_CONTINUOUS)
-        sim.driver.link.associated = True
+        sim.driver.associated = True
         assert sim.driver.next_wake(2.0) == math.inf
 
     def test_wireless_with_work_ticks_now(self):
         sim = idle_sim(StrategyKind.WIRELESS_CONTINUOUS)
-        sim.driver.link.associated = True
+        sim.driver.associated = True
         stored_record(sim)
         assert sim.driver.next_wake(2.0) == 2.0
         sim = idle_sim(StrategyKind.WIRELESS_CONTINUOUS)
-        sim.driver.link.associated = True
+        sim.driver.associated = True
         sim.requests_arrived = 1  # request 1 is pending
         assert sim.driver.next_wake(2.0) == 2.0
 
@@ -283,7 +302,7 @@ class TestNextWake:
         # a tick the gate defers is a no-op, and the deferral lasts until
         # the car reaches a gap edge, which no quiet stretch crosses
         sim = idle_sim(StrategyKind.WIRELESS_CONTINUOUS, controller=controller)
-        sim.driver.link.associated = True
+        sim.driver.associated = True
         stored_record(sim)
         sim.car.position = position
         assert sim.driver.next_wake(2.0) == wake
@@ -291,7 +310,7 @@ class TestNextWake:
     def test_wireless_frame_in_flight(self):
         sim = idle_sim(StrategyKind.WIRELESS_CONTINUOUS)
         driver = sim.driver
-        driver.link.associated = True
+        driver.associated = True
         stored_record(sim)
         driver._start(2.0, Frame(FrameKind.LOG, 1, b"x"))
         assert driver.tx_until == 2.0 + sim.cfg.wireless.per_frame_airtime - 1e-12
@@ -335,7 +354,7 @@ class TestNextWake:
     def test_stop_and_radio_connecting(self):
         sim = idle_sim(StrategyKind.STOP_AND_RADIO)
         driver = sim.driver
-        driver.state = "connecting"
+        driver.state = "stop"
         driver._begin_connect(5.0)
         assert driver.next_wake(5.0) == driver.connecting_until == 5.0 + 1.5 - 1e-12
 
@@ -364,7 +383,7 @@ def drain_state(state, **attrs):
 
 
 def associated(driver):
-    driver.link.associated = True
+    driver.associated = True
 
 
 def frame_sent(driver):
@@ -393,7 +412,7 @@ WAKE_STATES = {
     "stop_and_radio-cruise": (StrategyKind.STOP_AND_RADIO, drain_state("cruise")),
     "stop_and_radio-stop": (StrategyKind.STOP_AND_RADIO, drain_state("stop")),
     "stop_and_radio-connecting": (StrategyKind.STOP_AND_RADIO,
-                                  drain_state("connecting", connecting_until=5.4)),
+                                  drain_state("stop", connecting_until=5.4)),
     "stop_and_radio-sending": (StrategyKind.STOP_AND_RADIO,
                                drain_state("drain", tx_until=5.002)),
     "stop_and_radio-overhead": (StrategyKind.STOP_AND_RADIO,

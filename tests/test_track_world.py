@@ -41,7 +41,7 @@ from powergap.track_world import (
     run_scenario,
 )
 from powergap.log_store import RECORD_OVERHEAD
-from powergap.scenario import load_scenario
+from powergap.scenario import load_scenario, parse_scenario
 from powergap.strategies import EnergyBudget, StopAndRadioDriver, StrategyKind
 from powergap.transports import WirelessLinkParams
 
@@ -102,6 +102,17 @@ class TestLayout:
     def test_gap_length_must_be_positive(self):
         with pytest.raises(LayoutError):
             Segment(SegmentKind.LANE_CHANGE, 0.5, (0.1, 0.3), 0.0).validate()
+
+    @pytest.mark.parametrize("segment", [
+        Segment(SegmentKind.STRAIGHT, math.inf),
+        Segment(SegmentKind.STRAIGHT, math.nan),
+        Segment(SegmentKind.LANE_CHANGE, 0.5, (math.nan, 0.3)),
+        Segment(SegmentKind.LANE_CHANGE, 0.5, (0.1, math.inf)),
+    ], ids=["length_inf", "length_nan", "offset_nan", "offset_inf"])
+    def test_non_finite_length_or_offset_rejected(self, segment):
+        with pytest.raises(LayoutError, match="must be finite") as exc:
+            segment.validate()
+        assert exc.value.keys[0] == ("track", "segments")
 
     def test_dock_inside_gap_rejected(self):
         layout = lane_change_layout(dock=0.40)
@@ -244,6 +255,21 @@ class TestStep:
         assert len(sim.run().trace) == 80_000
         assert sim._runs == [(80_000, 9.0, 9.0)]
 
+    def test_a_step_whose_tick_stops_the_car_keeps_its_gap_time(self):
+        # stop_and_radio stops the car on the step that leaves the gap; that
+        # step still crossed the gap's tail at the speed it began with, in
+        # a state drawing at least c80_off's current
+        spec = parse_scenario("[car]\nspeed = 2.9\n[strategy]\nkind = stop_and_radio\n"
+                              "drain_interval = 0.14\n[run]\nduration = 0.3\n")
+        cfg = spec.build()
+        sim = Simulation(cfg)
+        result = sim.run()
+        assert sim.car.speed == 0.0 and [e.kind for e in result.events] == [
+            EventKind.GAP_ENTERED, EventKind.GAP_EXITED]
+        gap_time = cfg.layout.segments[1].gap_length / cfg.speed
+        floor = cfg.params.current(C80_OFF) * gap_time / cfg.params.capacitance
+        assert result.metrics.max_drop_v >= floor
+
 
 class TestBrownout:
     def test_burst_state_browns_out_per_crossing(self):
@@ -345,12 +371,12 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("overrides,message", [
         ({"duration": 1e300}, "above the cap"),
-        ({"duration": float("inf")}, "above the cap"),
+        ({"duration": float("inf")}, "^duration: must be finite$"),
         # NaN fails duration's range before it reaches the cap
         ({"duration": float("nan")}, "^duration: must be > 0.0$"),
         ({"dt": 1e-12}, "above the cap"),
         ({"duration": 0.01, "workload_rate": 1e12}, "above the cap"),
-        ({"workload_rate": float("inf")}, "above the cap"),
+        ({"workload_rate": float("inf")}, "^rate: must be finite$"),
     ], ids=["duration_1e300", "duration_inf", "duration_nan", "dt_tiny",
             "records_above_cap", "rate_inf"])
     def test_run_size_caps_enforced_by_constructor(self, overrides, message):
@@ -529,11 +555,9 @@ def run_state(sim):
                 sim._next_backlog_at, sim.radio_on_s, sim.latencies, sim.rng.getstate()),
     }
     if driver is not None:
-        # tx_until, in_flight, record; next_drain, state, connecting_until, ...
+        # tx_until, in_flight, record; next_drain, state, associated, ...
         state["driver"] = {k: v for k, v in vars(driver).items()
-                           if k not in ("sim", "link", "channel", "wired")}
-        if hasattr(driver, "link"):
-            state["associated"] = driver.link.associated
+                           if k not in ("sim", "channel")}
         if hasattr(driver, "channel"):
             ch = driver.channel
             state["channel"] = (ch.next_boundary, list(ch.queue), ch.delivered_bits)

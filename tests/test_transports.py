@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 from wire_decoders import (
@@ -15,10 +13,8 @@ from powergap.transports import (
     Frame,
     FrameError,
     FrameKind,
-    Outcome,
     PowerlineChannel,
     SlotError,
-    WirelessLink,
     WirelessLinkParams,
     crc16_ccitt,
     frame_encode,
@@ -178,25 +174,6 @@ class TestBandwidth:
 
 
 class TestWirelessLink:
-    def test_unassociated_unavailable(self):
-        link = WirelessLink(WirelessLinkParams(), random.Random(1))
-        assert link.send_frame(Frame(FrameKind.LOG, 1)) is Outcome.UNAVAILABLE
-
-    def test_lossless_delivery(self):
-        link = WirelessLink(WirelessLinkParams(loss_rate=0.0), random.Random(1))
-        link.associated = True
-        assert link.send_frame(Frame(FrameKind.LOG, 1)) is Outcome.DELIVERED
-
-    def test_loss_is_seed_deterministic(self):
-        def outcomes(seed):
-            link = WirelessLink(WirelessLinkParams(loss_rate=0.5), random.Random(seed))
-            link.associated = True
-            return [link.send_frame(Frame(FrameKind.LOG, i)) for i in range(50)]
-
-        assert outcomes(42) == outcomes(42)
-        assert Outcome.LOST in outcomes(42)
-        assert Outcome.DELIVERED in outcomes(42)
-
     def test_param_validation(self):
         with pytest.raises(ValueError):
             WirelessLinkParams(loss_rate=1.5).validate()
