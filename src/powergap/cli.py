@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import importlib.resources
 import io
+import math
 import os
 import sys
 from pathlib import Path
@@ -160,6 +161,14 @@ def run_table1_suite() -> list[tuple[PowerState, float, float]]:
     return rows
 
 
+def _percentage(text: str) -> float:
+    """A `--tolerance` value: a finite percentage, 0 or more."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"not a finite percentage >= 0: {text!r}")
+    return value
+
+
 def cmd_table1(args: argparse.Namespace) -> int:
     tolerance = args.tolerance / 100.0
     rows = run_table1_suite()
@@ -208,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_t1 = sub.add_parser("table1", help="reproduce the voltage-drop table")
-    p_t1.add_argument("--tolerance", type=float, default=1.0,
+    p_t1.add_argument("--tolerance", type=_percentage, default=1.0,
                       help="allowed relative error in percent")
     p_t1.add_argument("--out", default=None)
     p_t1.set_defaults(func=cmd_table1)

@@ -17,12 +17,12 @@ from typing import TYPE_CHECKING, Optional
 
 from .energy_model import RadioMode
 from .transports import (
+    FRAME_OVERHEAD,
     Frame,
     FrameKind,
     Outcome,
     PowerlineChannel,
-    frame_encode,
-    powerline_pack,
+    powerline_slots,
 )
 
 if TYPE_CHECKING:
@@ -386,23 +386,20 @@ class PowerlineContinuousDriver(Driver):
         return self.channel.next_boundary - 2e-12
 
     def tick(self, now: float) -> None:
-        for _value, last in self.channel.tick(now, self.sim.car.powered):
-            if last:
-                self._finish(now)
+        if self.channel.tick(now, self.sim.car.powered):
+            self._finish(now)
         if self.in_flight is None:
             frame = self._next_frame()
             if frame is not None:
                 self._start(now, frame)
 
     def _start(self, now: float, frame: Frame) -> None:
-        slots = powerline_pack(frame_encode(frame))
-        for i, value in enumerate(slots):
-            self.channel.enqueue(value, i == len(slots) - 1)
+        self.channel.slots_left = powerline_slots(FRAME_OVERHEAD + len(frame.payload))
         self.in_flight = frame
 
     def on_brownout(self) -> None:
         super().on_brownout()
-        self.channel.queue.clear()  # in-flight transfer state is volatile
+        self.channel.slots_left = 0  # in-flight transfer state is volatile
 
 
 def make_driver(kind: StrategyKind, sim: Simulation) -> Driver:

@@ -4,13 +4,13 @@ Three ways off the car: a dock-only wired link (a time per frame), a
 lossy wireless link, whose association and seeded loss draws the radio
 driver in `strategies` owns, and the powerline back-channel that rides
 the track's digital control protocol in fixed 13-bit slots, 8 per 75 ms
-cycle.  All payloads travel in a common CRC-protected frame format.
+cycle.  All payloads travel in a common CRC-protected frame format.  The
+codecs are the wire format; a run only counts a powerline frame's slots.
 """
 
 from __future__ import annotations
 
 import binascii
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -74,6 +74,11 @@ class SlotError(ValueError):
     """Corrupted or malformed powerline slot stream."""
 
 
+def powerline_slots(n_bytes: int) -> int:
+    """Slots that carry `n_bytes`: the length header, then the data bits."""
+    return 1 + -(-n_bytes * 8 // SLOT_BITS)
+
+
 def powerline_pack(data: bytes) -> list[int]:
     """Split a byte string into 13-bit slots.
 
@@ -85,7 +90,7 @@ def powerline_pack(data: bytes) -> list[int]:
     values = [len(data)]
     total_bits = len(data) * 8
     bits = int.from_bytes(data, "big") if data else 0
-    n_slots = -(-total_bits // SLOT_BITS)
+    n_slots = powerline_slots(len(data)) - 1
     padded = bits << (n_slots * SLOT_BITS - total_bits) if n_slots else 0
     for i in range(n_slots):
         shift = (n_slots - 1 - i) * SLOT_BITS
@@ -120,29 +125,23 @@ class WirelessLinkParams:
 class PowerlineChannel:
     """Slot-timed back-channel over the track rails.
 
-    Queued slot values drain one per slot boundary on a global slot grid;
-    boundaries that fall while the car is in a gap deliver nothing (the
-    rails are interrupted there).
+    The frame in flight takes `slots_left` more slots, one per boundary
+    of a global slot grid; boundaries that fall while the car is in a
+    gap deliver nothing (the rails are interrupted there).
     """
 
     def __init__(self) -> None:
         self.slot_time = DEFAULT_CYCLE_PERIOD / SLOTS_PER_CYCLE
-        self.queue: deque[tuple[int, object]] = deque()
+        self.slots_left = 0
         self.next_boundary = self.slot_time
         self.delivered_bits = 0
 
-    def enqueue(self, value: int, tag: object = None) -> None:
-        if not 0 <= value < 2**SLOT_BITS:
-            raise SlotError(f"slot value {value} exceeds {SLOT_BITS} bits")
-        self.queue.append((value, tag))
-
-    def tick(self, now: float, powered: bool) -> list[tuple[int, object]]:
-        """Advance the slot grid to `now`; return slots delivered."""
-        delivered: list[tuple[int, object]] = []
+    def tick(self, now: float, powered: bool) -> bool:
+        """Advance the slot grid to `now`; whether the frame's last slot landed."""
+        had_slots = self.slots_left > 0
         while self.next_boundary <= now + 1e-12:
-            if powered and self.queue:
-                item = self.queue.popleft()
-                delivered.append(item)
+            if powered and self.slots_left:
+                self.slots_left -= 1
                 self.delivered_bits += SLOT_BITS
             self.next_boundary += self.slot_time
-        return delivered
+        return had_slots and not self.slots_left

@@ -108,8 +108,7 @@ def test_burst_states_brown_out_every_crossing():
 def test_powerline_capacity():
     nominal = powerline_bandwidth()
     channel = PowerlineChannel()
-    for _ in range(3000):
-        channel.enqueue(1)
+    channel.slots_left = 3000
     t, dt = 0.0, 0.0005
     while t < 10.0 - dt / 2:
         t += dt

@@ -194,6 +194,12 @@ class TestPrimitives:
         assert store.flush() == 2
         assert [r.seq for r in store.flash] == [4, 5]
 
+    def test_crc_known_answer(self):
+        # CRC-16/CCITT-FALSE over 00000009 3ff8000000000000 02 03 "abc"
+        record = LogRecord.create(9, 1.5, Severity.WARN, b"abc")
+        assert record.crc == 0xDA58
+        assert crc_valid(record)
+
     @pytest.mark.parametrize("field, value", [
         ("seq", 10),
         ("timestamp", 1.25),

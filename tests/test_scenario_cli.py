@@ -852,6 +852,21 @@ class TestCliTable1:
         # but a mismatch must map to the dedicated exit code
         assert code in (EXIT_OK, EXIT_MISMATCH)
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "-inf", "1e400", "x"])
+    def test_tolerance_not_a_finite_percentage_is_usage_error(self, tmp_path, capsys,
+                                                              tolerance):
+        # nan and -1 used to fail every state, and inf to pass any drop
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", f"--tolerance={tolerance}", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
+        assert not (tmp_path / "table1.csv").exists()
+
+    def test_zero_tolerance_is_accepted(self, tmp_path):
+        assert main(["table1", "--tolerance", "0", "--out", str(tmp_path)]) in (
+            EXIT_OK, EXIT_MISMATCH)
+        assert (tmp_path / "table1.csv").exists()
+
     def test_unmakeable_out_dir_exit_2(self, tmp_path, capsys):
         out_dir = unmakeable_out(tmp_path)
         assert main(["table1", "--out", out_dir]) == EXIT_VALIDATION

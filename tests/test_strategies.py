@@ -32,7 +32,7 @@ from powergap.track_world import (
     evaluate_strategies,
     run_scenario,
 )
-from powergap.transports import Frame, FrameKind, Outcome, WirelessLinkParams
+from powergap.transports import SLOT_BITS, Frame, FrameKind, Outcome, WirelessLinkParams
 
 
 def loop_layout(dock=0.20):
@@ -363,7 +363,7 @@ class TestNextWake:
         channel = sim.driver.channel
         wake = sim.driver.next_wake(0.0)
         assert wake == channel.next_boundary - 2e-12
-        assert channel.tick(wake - 1e-9, True) == []
+        assert channel.tick(wake - 1e-9, True) is False
 
     def test_powerline_queue_nonempty(self):
         sim = idle_sim(StrategyKind.POWERLINE_CONTINUOUS)
@@ -371,7 +371,7 @@ class TestNextWake:
         stored_record(sim)
         assert driver.next_wake(0.0) == 0.0  # a frame to start
         driver.tick(0.0)
-        assert driver.in_flight is not None and driver.channel.queue
+        assert driver.in_flight is not None and driver.channel.slots_left
         assert driver.next_wake(0.0) == driver.channel.next_boundary - 2e-12
 
 
@@ -558,12 +558,13 @@ class TestPowerlineContinuous:
         delivery_times = []
 
         def timed_tick(now, powered):
-            boundary = channel.next_boundary
-            delivered = tick(now, powered)
-            for _ in delivered:  # a tick's deliveries take its first boundaries
+            boundary, bits = channel.next_boundary, channel.delivered_bits
+            landed = tick(now, powered)
+            # a tick's deliveries take its first boundaries
+            for _ in range((channel.delivered_bits - bits) // SLOT_BITS):
                 delivery_times.append(boundary)
                 boundary += channel.slot_time
-            return delivered
+            return landed
 
         channel.tick = timed_tick
         result = sim.run()
@@ -576,7 +577,7 @@ class TestPowerlineContinuous:
                 gap_windows.append((start, e.time))
                 start = None
         assert gap_windows
-        assert channel.delivered_bits == 13 * len(delivery_times) > 0
+        assert channel.delivered_bits == SLOT_BITS * len(delivery_times) > 0
         eps = cfg.dt / 2  # slot boundaries can land on a gap edge
         for t in delivery_times:
             assert not any(a + eps <= t < b - eps for a, b in gap_windows)

@@ -560,7 +560,7 @@ def run_state(sim):
                            if k not in ("sim", "channel")}
         if hasattr(driver, "channel"):
             ch = driver.channel
-            state["channel"] = (ch.next_boundary, list(ch.queue), ch.delivered_bits)
+            state["channel"] = (ch.next_boundary, ch.slots_left, ch.delivered_bits)
     return state
 
 

@@ -10,6 +10,7 @@ from wire_decoders import (
 )
 
 from powergap.transports import (
+    FRAME_OVERHEAD,
     Frame,
     FrameError,
     FrameKind,
@@ -19,6 +20,7 @@ from powergap.transports import (
     crc16_ccitt,
     frame_encode,
     powerline_pack,
+    powerline_slots,
 )
 
 
@@ -134,6 +136,17 @@ class TestPowerlineCodec:
         with pytest.raises(SlotError):
             powerline_unpack(slots[:-1])
 
+    def test_slot_count_is_the_encoded_frame_length(self):
+        # a run counts a frame's slots and never packs it
+        frames = [Frame(FrameKind.LOG, 5, bytes(range(n))) for n in range(256)]
+        for frame in frames + [Frame(FrameKind.REPLY, 7)]:
+            wire = frame_encode(frame)
+            slots = powerline_pack(wire)
+            assert powerline_slots(FRAME_OVERHEAD + len(frame.payload)) == len(slots)
+            assert powerline_unpack(slots) == wire
+            with pytest.raises(SlotError):  # the last slot is needed
+                powerline_unpack(slots[:-1])
+
 
 class TestBandwidth:
     def test_reference_capacity(self):
@@ -152,10 +165,9 @@ class TestBandwidth:
             powerline_bandwidth(0.0, 8, 13)
 
     def test_saturated_channel_meets_capacity(self):
-        # 10 s fully powered with a never-empty queue
+        # 10 s fully powered with a frame that outlasts them
         channel = PowerlineChannel()
-        for _ in range(3000):
-            channel.enqueue(0x123)
+        channel.slots_left = 3000
         dt = 0.0005
         t = 0.0
         for _ in range(20000):
@@ -166,10 +178,8 @@ class TestBandwidth:
 
     def test_gap_blackout(self):
         channel = PowerlineChannel()
-        for _ in range(100):
-            channel.enqueue(1)
-        delivered = channel.tick(0.075, powered=False)
-        assert delivered == []
+        channel.slots_left = 100
+        assert channel.tick(0.075, powered=False) is False
         assert channel.delivered_bits == 0
 
 

@@ -7,6 +7,7 @@ is lost or garbled on the way.
 
 from __future__ import annotations
 
+import struct
 from typing import Iterable
 
 from powergap.log_store import LogRecord
@@ -98,6 +99,9 @@ def powerline_unpack(slots: Iterable[int]) -> bytes:
 # --- Log records ---------------------------------------------------------
 
 def crc_valid(record: LogRecord) -> bool:
-    """Whether `record`'s stored CRC matches its fields."""
-    fresh = LogRecord.create(record.seq, record.timestamp, record.severity, record.payload)
-    return fresh.crc == record.crc
+    """Whether `record`'s stored CRC matches its fields, laid out as the
+    record format documents them: seq u32 BE, timestamp f64 BE, severity
+    u8 and payload length u8, then the payload."""
+    head = struct.pack(">IdBB", record.seq, record.timestamp, record.severity.value,
+                       len(record.payload))
+    return crc16_ccitt(head + record.payload) == record.crc
