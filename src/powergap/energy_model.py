@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, count, islice, repeat
 from typing import IO, Iterator, Mapping, Optional
 
 
@@ -176,11 +176,12 @@ def csv_micro_step(dt: float, rows: int) -> int:
 class VoltageTrace:
     """Uniformly sampled supply and capacitor voltages, held as runs of
     equal samples: `runs` is a list of (count, supply_v, cap_v).  Row k's
-    time is `dt` added k + 1 times to 0.0, the sum the simulation makes;
-    one running sum serves the whole trace, or, where `csv_micro_step`
-    allows, whole microseconds that print the same.  `write_csv` puts at
-    most CSV_CHUNK_ROWS rows in one write, splitting a longer run, so a
-    long run never becomes one huge string."""
+    time is `dt` added k + 1 times to 0.0, the sum the simulation makes.
+    `write_csv` takes its time texts in blocks from one of two sources:
+    where `csv_micro_step` allows, whole microseconds that print the same,
+    a second per block; else the running sum itself, CSV_CHUNK_ROWS sums
+    per block.  It puts at most CSV_CHUNK_ROWS rows in one write, splitting
+    a longer run, so a long run never becomes one huge string."""
 
     def __init__(self, runs: list[tuple[int, float, float]], dt: float) -> None:
         self.runs = runs
@@ -198,66 +199,48 @@ class VoltageTrace:
     def write_csv(self, fp: IO[str]) -> None:
         # the same bytes as csv.writer: formatted numbers need no quoting
         fp.write("time_s,supply_v,cap_v\n")
-        step = csv_micro_step(self.dt, len(self))
+        # row k's time (k from 1) is a block's prefix + texts[j]: the whole
+        # seconds and, from one table, the fraction of k*step µs, or else
+        # the k-th running sum; a run's rows inside one block are one join,
+        # its voltages formatted once into `tail`
+        rows = len(self)
+        step = csv_micro_step(self.dt, rows)
         if step:
-            self._write_micro(fp, step)
+            per = 1_000_000 // step
+            fracs = [".%06d" % (j * step) for j in range(per)]
+            sec, j = divmod(1, per)
+            blocks = ((str(s), fracs) for s in count(sec))
         else:
-            self._write_summed(fp)
-
-    def _write_micro(self, fp: IO[str], step: int) -> None:
-        # the k-th time (k from 1) prints as k*step µs: its second's text,
-        # then a fraction from a table built per call; a run's rows inside
-        # one second are one join, its voltages formatted once into `tail`
-        per_s = 1_000_000 // step
-        last = per_s - 1
-        fracs = [".%06d" % (j * step) for j in range(per_s)]
-        sec, j = divmod(1, per_s)
-        prefix = str(sec)
+            per, j = min(rows, CSV_CHUNK_ROWS), 0  # a short trace: no spare sums
+            times = accumulate(repeat(self.dt))
+            blocks = (("", ("%.6f\n" * per % tuple(islice(times, per))).split("\n"))
+                      for _ in count())
+        prefix, texts = next(blocks)
+        last = per - 1
         chunk: list[str] = []
         space = CSV_CHUNK_ROWS
         for n, supply, cap in self.runs:
             tail = ",%.6f,%.6f\n" % (supply, cap)
             if n == 1 and j < last and space > 1:  # most runs: one row, no edge
-                chunk.append(prefix + fracs[j] + tail)
+                chunk.append(prefix + texts[j] + tail)
                 j += 1
                 space -= 1
                 continue
             while n:
-                take = min(n, per_s - j, space)
-                chunk.append(prefix + (tail + prefix).join(fracs[j:j + take]) + tail)
+                if j == per:  # the next block, only when a row needs it
+                    prefix, texts = next(blocks)
+                    j = 0
+                take = min(n, per - j, space)
+                chunk.append(prefix + (tail + prefix).join(texts[j:j + take]) + tail)
                 n -= take
                 j += take
                 space -= take
-                if j == per_s:
-                    sec += 1
-                    j = 0
-                    prefix = str(sec)
                 if not space:
                     fp.write("".join(chunk))
                     chunk = []
                     space = CSV_CHUNK_ROWS
         if chunk:
             fp.write("".join(chunk))
-
-    def _write_summed(self, fp: IO[str]) -> None:
-        # times from the running sum, CSV_CHUNK_ROWS of them per `%`
-        # operation; a run's voltages are formatted once, into a row template
-        times = accumulate(repeat(self.dt))
-        chunk: list[str] = []
-        space = CSV_CHUNK_ROWS
-        for n, supply, cap in self.runs:
-            row = "%%.6f,%.6f,%.6f\n" % (supply, cap)
-            while n >= space:
-                chunk.append(row * space)
-                fp.write("".join(chunk) % tuple(islice(times, CSV_CHUNK_ROWS)))
-                chunk = []
-                n -= space
-                space = CSV_CHUNK_ROWS
-            if n:
-                chunk.append(row * n)
-                space -= n
-        if chunk:
-            fp.write("".join(chunk) % tuple(islice(times, CSV_CHUNK_ROWS - space)))
 
 
 def discharge_current(

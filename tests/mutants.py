@@ -4,9 +4,12 @@ Each mutant replaces one exact text, found once in its file, and names
 the tests expected to catch it.  Run as a script, it first runs every
 named test on an unchanged copy of `src/`, then, for each mutant, applies
 it to a fresh temporary copy and runs its tests with `-x` against that
-copy.  A mutant is caught when its tests fail; it survives when they
-pass.  The script exits 1 if any mutant survives, and 2 if the tests
-fail unmutated or cannot be run.
+copy.  A mutant is caught when its tests fail, or when they run past
+TIMEOUT_S (a mutant that makes a loop spin); it survives when they
+pass.  Each run's address space is capped at MEMORY_B, since a loop
+that spins may also allocate, faster than the timeout would end it.
+The script exits 1 if any mutant survives, and 2 if the tests fail or
+time out unmutated or cannot be run.
 
     python3 tests/mutants.py
 
@@ -17,6 +20,7 @@ occurs exactly once, so an edit to `src/` cannot leave a mutant behind.
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -27,6 +31,10 @@ from pathlib import Path
 from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Seconds one pytest run may take; each mutant's tests take a few.
+TIMEOUT_S = 120
+#: Bytes of address space one pytest run may take.
+MEMORY_B = 2 << 30
 
 
 @dataclass(frozen=True)
@@ -69,12 +77,46 @@ MUTANTS = (
         "v1 = v - current * ((end - x) / speed) / 1.0e-3",
         ("tests/test_metamorphic.py::test_scaling_capacitance_and_currents_changes_no_output",),
     ),
+    # the quiet stretch's gap discharge without the driver's extra current
+    Mutant(
+        "stretch_ignores_extra_current",
+        "src/powergap/track_world.py",
+        "current = params.current(car.power_state) + self.extra_current",
+        "current = params.current(car.power_state)",
+        ("tests/test_golden.py::test_outputs_match_golden_digests",),
+    ),
+    # the gate looks ahead a fixed 3 m/s, whatever the car's speed
+    Mutant(
+        "gate_horizon_speed_blind",
+        "src/powergap/strategies.py",
+        "horizon = car.speed * budget.lookahead",
+        "horizon = 3.0 * budget.lookahead",
+        ("tests/test_metamorphic.py::test_scaling_lengths_and_speed_changes_no_time[0.25]",),
+    ),
+    # a step's rails taken where it starts, not where it ends
+    Mutant(
+        "in_gap_at_step_start",
+        "src/powergap/track_world.py",
+        "in_gap = layout.in_gap(car.position)",
+        "in_gap = layout.in_gap(x0)",
+        ("tests/test_acceptance.py::test_voltage_drop_table_within_one_percent",),
+    ),
+    # the trace's micro time source chosen by the rounding bound alone,
+    # though a `dt` off whole microseconds drifts the running sum away
+    Mutant(
+        "csv_micro_step_ignores_drift",
+        "src/powergap/energy_model.py",
+        "return m if rounding + drift < q * b else 0",
+        "return m if rounding < q * b else 0",
+        ("tests/test_track_world.py::test_csv_micro_step_picks_the_writer",
+         "tests/test_track_world.py::test_trace_csv_follows_a_drifting_sum"),
+    ),
 )
 
 
-def run_tests(mutant: Optional[Mutant], tests: list[str]) -> int:
+def run_tests(mutant: Optional[Mutant], tests: list[str]) -> Optional[int]:
     """pytest's exit code for `tests` against a copy of `src/` with
-    `mutant` applied (none: unchanged)."""
+    `mutant` applied (none: unchanged), or None past TIMEOUT_S."""
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(ROOT / "src", Path(tmp) / "src",
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -86,25 +128,32 @@ def run_tests(mutant: Optional[Mutant], tests: list[str]) -> int:
             target.write_text(text.replace(mutant.old, mutant.new))
         env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src"),
                "PYTHONDONTWRITEBYTECODE": "1"}
-        return subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-            cwd=ROOT, env=env, stdout=subprocess.DEVNULL).returncode
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+                cwd=ROOT, env=env, stdout=subprocess.DEVNULL, timeout=TIMEOUT_S,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (MEMORY_B, MEMORY_B)),
+            ).returncode
+        except subprocess.TimeoutExpired:
+            return None
 
 
 def main() -> int:
     if run_tests(None, sorted({t for m in MUTANTS for t in m.tests})) != 0:
-        print("the mutants' tests fail or do not run on unchanged code", file=sys.stderr)
+        print("the mutants' tests fail, time out or do not run on unchanged code",
+              file=sys.stderr)
         return 2
     status = 0
     for mutant in MUTANTS:
         start = time.perf_counter()
         code = run_tests(mutant, list(mutant.tests))
         # pytest exits 1 when a test fails; other codes mean it did not run them
-        verdict = {0: "SURVIVED", 1: "caught"}.get(code, f"ERROR (pytest exit {code})")
+        verdict = {0: "SURVIVED", 1: "caught", None: "TIMEOUT"}.get(
+            code, f"ERROR (pytest exit {code})")
         print(f"{verdict:<10} {mutant.id}  {time.perf_counter() - start:.1f} s")
         if code == 0:
             status = max(status, 1)
-        elif code != 1:
+        elif code not in (1, None):
             status = 2
     return status
 

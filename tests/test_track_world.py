@@ -5,6 +5,7 @@ import dis
 import gc
 import importlib.resources
 import io
+import itertools
 import math
 import random
 import sys
@@ -979,17 +980,27 @@ def written(trace):
     return "".join(log.writes)
 
 
+def first_difference(text, expected):
+    """None when the texts are equal, else the first line that differs, as
+    (index, line, expected line): pytest's own diff of two long texts that
+    differ on thousands of lines runs for minutes."""
+    if text == expected:
+        return None
+    pairs = itertools.zip_longest(text.split("\n"), expected.split("\n"))
+    return next((k, a, b) for k, (a, b) in enumerate(pairs) if a != b)
+
+
 def assert_both_writers_match(trace):
-    """The writer `write_csv` picks and the summed one both write the
-    reference CSV."""
+    """`write_csv` writes the reference CSV both with the time source
+    `csv_micro_step` picks and with the running sums forced."""
     expected = trace_reference(trace)
-    assert written(trace) == expected
+    assert first_difference(written(trace), expected) is None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(energy_model, "csv_micro_step", lambda dt, rows: 0)
-        assert written(trace) == expected
+        assert first_difference(written(trace), expected) is None
 
 
-#: whole-microsecond steps take the join writer, the rest the summed one
+#: whole-microsecond steps take the micro time source, the rest the running sums
 TRACE_DTS = [5e-4, 2.0**-10, 0.1, 1e-3, 1e-4, 1.0, 1 / 3000, 5e-4 + 1e-19]
 
 
@@ -1028,9 +1039,20 @@ def test_trace_csv_at_second_edges(dt):
     (2.0, 1000, 0),
     (5e-4, 10_000_000, 0),  # too many rows for the rounding bound
     (0.1, 10_000_000, 0),
+    # 0.1 ns off 500 µs: the running sum drifts past a quarter µs after
+    # 2,500 rows
+    (5e-4 + 1e-10, 10_000, 0),
+    (5e-4 + 1e-10, 2_000, 500),
 ])
 def test_csv_micro_step_picks_the_writer(dt, rows, step):
     assert csv_micro_step(dt, rows) == step
+
+
+def test_trace_csv_follows_a_drifting_sum():
+    # row 10,000's running sum prints 5.000001, not 10,000 × 500 µs
+    trace = VoltageTrace(mixed_runs(10_000, 0), 5e-4 + 1e-10)
+    assert "\n5.000001," in trace_reference(trace)
+    assert_both_writers_match(trace)
 
 
 @pytest.mark.parametrize("runs", [
@@ -1042,12 +1064,13 @@ def test_trace_csv_long_runs(runs):
     assert_both_writers_match(VoltageTrace(runs, 5e-4))
 
 
-def test_trace_csv_splits_a_long_run():
+@pytest.mark.parametrize("dt", [5e-4, 2.0**-10], ids=["micro", "summed"])
+def test_trace_csv_splits_a_long_run(dt):
     class Discard:
         def write(self, text):
             pass
 
-    trace = VoltageTrace([(100_000, 9.0, 9.0)], 5e-4)
+    trace = VoltageTrace([(100_000, 9.0, 9.0)], dt)
     tracemalloc.start()
     try:
         trace.write_csv(Discard())
