@@ -30,7 +30,11 @@ class StoreError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+#: what the record CRC covers ahead of the payload, all big-endian
+_CRC_HEADER = struct.Struct(">IdBB")
+
+
+@dataclass(slots=True)
 class LogRecord:
     """One debug log entry, with the CRC that covers all its fields."""
 
@@ -42,12 +46,7 @@ class LogRecord:
 
     @staticmethod
     def _crc_input(seq: int, timestamp: float, severity: Severity, payload: bytes) -> bytes:
-        return (
-            seq.to_bytes(4, "big")
-            + struct.pack(">d", timestamp)
-            + bytes([severity.value, len(payload)])
-            + payload
-        )
+        return _CRC_HEADER.pack(seq, timestamp, severity.value, len(payload)) + payload
 
     @classmethod
     def create(
@@ -70,7 +69,8 @@ class LogStore:
     drops the oldest record, and survive only once flushed to `flash`, a
     persistent queue with a byte quota.  A flush that would exceed the
     quota evicts the oldest records; otherwise records leave flash only
-    through acks.  The persisted side (flash and the seq high-water
+    through acks.  `append` refuses a record larger than the quota, so a
+    flush cannot fail.  The persisted side (flash and the seq high-water
     mark) survives `on_brownout`; the RAM buffer does not.
     """
 
@@ -98,6 +98,8 @@ class LogStore:
         payload: bytes,
         timestamp: float = 0.0,
     ) -> int:
+        if RECORD_OVERHEAD + len(payload) > self.flash_capacity:
+            raise StoreError("record larger than flash capacity")
         seq = self.high_water + 1
         record = LogRecord.create(seq, timestamp, severity, payload)
         if len(self.ram) == self.ram.maxlen:
@@ -111,21 +113,18 @@ class LogStore:
         ram = self.ram
         if not ram:
             return 0
+        flash, stored, capacity = self.flash, self.flash_bytes, self.flash_capacity
         for record in ram:
-            self._write(record)
+            size = record.wire_size
+            while stored + size > capacity:
+                stored -= flash.popleft().wire_size
+                self.evicted += 1
+            flash.append(record)
+            stored += size
+        self.flash_bytes = stored
         n = len(ram)
         ram.clear()
         return n
-
-    def _write(self, record: LogRecord) -> None:
-        size = record.wire_size
-        if size > self.flash_capacity:
-            raise StoreError("record larger than flash capacity")
-        while self.flash_bytes + size > self.flash_capacity:
-            self.flash_bytes -= self.flash.popleft().wire_size
-            self.evicted += 1
-        self.flash.append(record)
-        self.flash_bytes += size
 
     # -- consumer side ----------------------------------------------------
 

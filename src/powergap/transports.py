@@ -40,7 +40,7 @@ class FrameError(ValueError):
     """A frame that cannot be built or decoded."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Frame:
     """One framed message on a link: a log record or a reply to a request."""
 

@@ -49,15 +49,24 @@ class Mutant:
 
 
 MUTANTS = (
-    # the record CRC's input with the timestamp first and the seq
-    # little-endian; the independent CRC oracle and its known answer see it
+    # the record CRC's header packed little-endian; the independent CRC
+    # oracle and its known answer see it
     Mutant(
         "crc_layout",
         "src/powergap/log_store.py",
-        'seq.to_bytes(4, "big")\n            + struct.pack(">d", timestamp)',
-        'struct.pack(">d", timestamp)\n            + seq.to_bytes(4, "little")',
+        'struct.Struct(">IdBB")',
+        'struct.Struct("<IdBB")',
         ("tests/test_log_store.py::TestPrimitives::test_crc_known_answer",
          "tests/test_log_store.py::TestAppend::test_crc_valid_on_construction"),
+    ),
+    # a flush that evicts at most one flash record per record it writes;
+    # records of one size never need more, mixed sizes overrun the quota
+    Mutant(
+        "flush_evicts_one",
+        "src/powergap/log_store.py",
+        "while stored + size > capacity:",
+        "if stored + size > capacity:",
+        ("tests/test_log_store.py::TestInvariants::test_conservation_and_ordering",),
     ),
     # one slot too many per powerline frame
     Mutant(

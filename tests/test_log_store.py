@@ -2,7 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from wire_decoders import crc_valid
 
 from powergap.log_store import (
@@ -42,6 +42,31 @@ class TestAppend:
     def test_oversized_payload_rejected(self, store):
         with pytest.raises(StoreError):
             store.append(Severity.INFO, b"x" * 256)
+
+    def test_record_larger_than_flash_rejected_before_taking_a_seq(self):
+        # a flush that failed part way left the records before the big one
+        # in flash and in RAM, so the next flush wrote them twice
+        store = LogStore(flash_capacity=40)
+        store.append(Severity.INFO, b"a")
+        with pytest.raises(StoreError):
+            store.append(Severity.INFO, b"x" * 30)  # 46 B on the wire
+        store.flush()
+        store.flush()
+        assert [r.seq for r in store.flash] == [1]
+        assert store.conservation_holds()
+        assert store.append(Severity.INFO, b"x" * 24) == 2  # exactly the quota
+        store.flush()
+        assert [r.seq for r in store.flash] == [2]
+        assert store.evicted == 1 and store.conservation_holds()
+
+    def test_record_is_slotted_and_replaceable(self, store):
+        store.append(Severity.WARN, b"payload", 1.5)
+        record = store.ram[0]
+        assert not hasattr(record, "__dict__")
+        changed = replace(record, timestamp=2.5)
+        assert changed == LogRecord(record.seq, 2.5, record.severity, record.payload,
+                                    record.crc)
+        assert changed != record and replace(record) == record
 
 
 class TestFlush:
@@ -145,20 +170,25 @@ class TestAck:
 
 class TestInvariants:
     @given(
+        # an int appends a record of that many payload bytes (16-56 B on
+        # the wire): a 64 B quota evicts a varying count per flush, a 400 B
+        # one keeps long queues for the ordering and ack checks
         ops=st.lists(
-            st.sampled_from(["append", "flush", "brownout", "ack"]),
+            st.one_of(st.integers(0, 40), st.sampled_from(["flush", "brownout", "ack"])),
             min_size=1,
             max_size=200,
         ),
+        quota=st.sampled_from([64, 400]),
         seed=st.integers(0, 2**31),
     )
+    @example(ops=[0, 0, 0, 40, "flush"], quota=64, seed=0)  # the last record evicts three
     @settings(max_examples=200, deadline=None)
-    def test_conservation_and_ordering(self, ops, seed):
+    def test_conservation_and_ordering(self, ops, quota, seed):
         rng = random.Random(seed)
-        store = LogStore(ram_capacity=8, flash_capacity=400)
+        store = LogStore(ram_capacity=8, flash_capacity=quota)
         for op in ops:
-            if op == "append":
-                store.append(Severity.INFO, bytes([rng.randrange(256)]))
+            if isinstance(op, int):
+                store.append(Severity.INFO, rng.randbytes(op))
             elif op == "flush":
                 store.flush()
             elif op == "brownout":
@@ -167,7 +197,9 @@ class TestInvariants:
                 unacked = [r.seq for r in store.flash]
                 if unacked:
                     store.ack_through(rng.choice(unacked))
-        assert store.conservation_holds()
+            assert store.conservation_holds()
+            assert store.flash_bytes == sum(r.wire_size for r in store.flash)
+            assert store.flash_bytes <= store.flash_capacity
         seqs = [r.seq for r in store.flash]
         assert seqs == sorted(seqs)
         assert len(seqs) == len(set(seqs))

@@ -256,6 +256,15 @@ def stored_record(sim, at=0.0):
     sim.store.flush()
 
 
+def test_pump_frames_are_slotted():
+    # the pump builds one frame per send, so frames carry no instance dict
+    sim = idle_sim(StrategyKind.WIRELESS_CONTINUOUS)
+    stored_record(sim)
+    frame = sim.driver._next_frame()
+    assert frame == Frame(FrameKind.LOG, 1, b"x")
+    assert not hasattr(frame, "__dict__")
+
+
 class TestNextWake:
     """`next_wake(now)`: the first step end at which a tick can act, `inf`
     if none; ticks before it are no-ops.  Deadlines hold their rounding
