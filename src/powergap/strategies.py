@@ -353,10 +353,8 @@ class SaveAndPrintLaterDriver(_DrainCycleDriver):
 
     def _approach(self, now: float) -> None:
         sim = self.sim
-        start, dist = sim.last_step
-        dock = sim.cfg.layout.dock_position
-        if sim.cfg.layout.crosses(start, dist, dock):
-            sim.car.position = dock
+        if sim.crossed_dock:
+            sim.car.position = sim.cfg.layout.dock_position
             sim.car.speed = 0.0
             self.state = "drain"
 

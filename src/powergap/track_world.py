@@ -282,6 +282,9 @@ class ScenarioConfig:
         if list(times) != sorted(times):
             raise LayoutError("request times must be sorted",
                               ("schedule", "requests"), keyed=True)
+        if times and self.schedule.gap_aligned:
+            raise LayoutError("requests are either timed or gap-aligned, not both",
+                              ("schedule", "requests"), keyed=True)
         _range(self.duration, ("run", "duration"), 0.0, exclusive=True)
         _range(self.dt, ("run", "dt"), 0.0, exclusive=True)
         _range(self.speed, ("car", "speed"), 0.0)
@@ -399,7 +402,7 @@ class Simulation:
         self.extra_current = 0.0
         self.rebooting_until: Optional[float] = None
         self.min_cap_v = nominal
-        self.last_step: tuple[float, float] = (0.0, 0.0)  # (start pos, dist)
+        self.crossed_dock = False  # whether the last step passed the dock
 
         # requests are answered oldest first: those pending are numbered
         # requests_answered + 1 through requests_arrived
@@ -484,7 +487,8 @@ class Simulation:
         dist = speed * dt
         if dist:
             car.position = (x0 + dist) % layout.total_length
-        self.last_step = (x0, dist)
+        if self._dock is not None:
+            self.crossed_dock = layout.crosses(x0, dist, self._dock)
 
         was_in_gap = not car.powered
         in_gap = layout.in_gap(car.position)
@@ -575,13 +579,16 @@ class Simulation:
         end.  In a gap the car moves, the step does not brown out, and
         it meets no record and no driver wake (not asked while the
         device reboots).  On such a step `step` changes only the clock,
-        the position, the workload accumulator, the capacitor (in a
-        gap), the radio-on time, the backlog samples and the trace; this
-        loop makes those operations in the same order.  A powered step
-        at the driver's wake, or with a record due, does the rest of
-        `step`'s work in `_due_step`, which asks the wake again where
-        `Driver.next_wake` says it can move.  The loop records a powered
-        stretch's trace as one run at its end, a gap's sample by sample.
+        the position, the workload accumulator, the capacitor and its
+        minimum (in a gap), the radio-on time, the backlog samples and
+        the trace, and clears the dock flag; this loop makes those
+        operations in the same order and keeps only per-step state: it
+        clears the flag once, and takes the minimum at its end, since a
+        gap's voltage only falls.  A powered step at the driver's wake,
+        or with a record due, does the rest of `step`'s work in
+        `_due_step`, which asks the wake again where `Driver.next_wake`
+        says it can move.  The loop records a powered stretch's trace as
+        one run at its end, a gap's sample by sample.
         """
         if limit <= 0:
             return 0
@@ -613,21 +620,20 @@ class Simulation:
         else:
             return 0
 
-        x = x_prev = car.position
+        x = car.position
         dist = speed * dt
         lim = cfg.layout.edge_ahead(x)
         # no quiet step reaches the dock: if fl(x + dist) < dock, then
-        # fl(dock - x) >= dist and `crosses` is false
+        # fl(dock - x) >= dist and `crosses` is false, as is the flag
         dock = self._dock
         if dock is not None and dist and x <= dock < lim:
             lim = dock
-        min_v = self.min_cap_v
         radio_on = active and car.power_state.radio is not RadioMode.OFF
         radio_on_s = self.radio_on_s
-        stored = self.store.flash_bytes
         backlog_at, every = self._next_backlog_at, self._backlog_every
         backlog = self._backlog_samples
         record, runs, due_step = self._record, self._runs, self._due_step
+        self.crossed_dock = False
         n = 0
         while n < limit:
             t1 = t + dt
@@ -636,7 +642,7 @@ class Simulation:
             if t1 >= stop or end >= lim or a >= 1.0:
                 if end >= lim or t1 >= hard or not powered:
                     break
-                a, stop, lim, radio_on, stored = due_step(a, t1, x, end, stop, lim, hard)
+                a, stop, lim, radio_on = due_step(a, t1, end, stop, lim, hard)
             if not powered:
                 # `unpowered_overlap` of a step inside one gap is end - x
                 v1 = v - current * ((end - x) / speed) / capacitance
@@ -644,18 +650,16 @@ class Simulation:
                     v1 = 0.0
                 if active and nominal - v1 >= drop:
                     break
-                if v1 < min_v:
-                    min_v = v1
                 if v1 != v:  # the last run's cap is v: nothing to merge
                     runs.append((1, 0.0, v1))
                 else:
                     record(1, 0.0, v1)
                 v = v1
-            t, x_prev, x, acc = t1, x, end, a
+            t, x, acc = t1, end, a
             if radio_on:
                 radio_on_s += dt
             if t1 >= backlog_at:
-                backlog.append(stored)
+                backlog.append(self.store.flash_bytes)
                 backlog_at += every
             n += 1
         if n:
@@ -664,27 +668,25 @@ class Simulation:
             self.now = t
             if dist:
                 car.position = x
-            self.last_step = (x_prev, dist)
             self._workload_acc = acc
             car.capacitor_v = v
-            self.min_cap_v = min_v
+            self.min_cap_v = min(self.min_cap_v, v)
             self.radio_on_s = radio_on_s
             self._next_backlog_at = backlog_at
         return n
 
-    def _due_step(self, acc: float, t: float, x0: float, x: float, stop: float,
-                  lim: float, hard: float) -> tuple[float, float, float, bool, int]:
-        """A powered quiet step's share of `step`'s work at `t`, from
-        `x0` to `x`, on which a record falls due or the driver's wake
-        has come.  In `step`'s order: append the records due; under a
-        driver flush them, set the car's position, ask the wake again if
-        they landed in an empty flash (see `Driver.next_wake`), and at
-        `stop` set `last_step`, tick and ask again; raise the stored
-        peak.  Return the loop's new (acc, stop, lim, radio_on, stored);
-        `lim` falls to -inf when the tick stopped or started the car,
-        which ends the stretch after this step.  A call of its own keeps
-        `_quiet_stretch`'s loop short enough for CPython 3.11 to
-        specialize its compares and jumps."""
+    def _due_step(self, acc: float, t: float, x: float, stop: float,
+                  lim: float, hard: float) -> tuple[float, float, float, bool]:
+        """A powered quiet step's share of `step`'s work at `t`, ending
+        at `x`, on which a record falls due or the driver's wake has
+        come.  In `step`'s order: append the records due; under a driver
+        flush them, set the car's position, ask the wake again if they
+        landed in an empty flash (see `Driver.next_wake`), and at `stop`
+        tick and ask again; raise the stored peak.  Return the loop's new
+        (acc, stop, lim, radio_on); `lim` falls to -inf when the tick
+        stopped or started the car, which ends the stretch after this
+        step.  A call of its own keeps `_quiet_stretch`'s loop short
+        enough for CPython 3.11 to specialize its compares and jumps."""
         car, store, driver = self.car, self.store, self.driver
         while acc >= 1.0:
             acc -= 1.0
@@ -698,7 +700,6 @@ class Simulation:
             if t < stop and not held:
                 stop = min(driver.next_wake(t), hard)
             if t >= stop:
-                self.last_step = (x0, speed * self.cfg.dt)
                 driver.tick(t)
                 if car.speed != speed:
                     lim = -math.inf
@@ -706,7 +707,7 @@ class Simulation:
         stored = store.flash_bytes
         if stored > self.bytes_stored_peak:
             self.bytes_stored_peak = stored
-        return acc, stop, lim, car.power_state.radio is not RadioMode.OFF, stored
+        return acc, stop, lim, car.power_state.radio is not RadioMode.OFF
 
     def run(self) -> ScenarioResult:
         n_steps = round(self.cfg.duration / self.cfg.dt)

@@ -94,6 +94,26 @@ MUTANTS = (
         "current = params.current(car.power_state)",
         ("tests/test_golden.py::test_outputs_match_golden_digests",),
     ),
+    # a quiet stretch that leaves the full step's dock flag set; a tick
+    # inside it, or the run's end, sees a crossing that did not happen
+    Mutant(
+        "stretch_keeps_dock_flag",
+        "src/powergap/track_world.py",
+        "        self.crossed_dock = False\n        n = 0\n",
+        "        n = 0\n",
+        ("tests/test_track_world.py::test_stretches_match_plain_loop_on_shipped_scenarios"
+         "[reference_workload.scn-save_and_print_later-gate_off]",
+         "tests/test_golden.py::test_outputs_match_golden_digests"),
+    ),
+    # a quiet stretch that drops its gap's voltage minimum; only a run
+    # that ends inside a gap has no later full step to take it
+    Mutant(
+        "stretch_forgets_gap_minimum",
+        "src/powergap/track_world.py",
+        "self.min_cap_v = min(self.min_cap_v, v)",
+        "self.min_cap_v = self.min_cap_v",
+        ("tests/test_track_world.py::test_run_ending_inside_a_gap_keeps_the_stretch_minimum",),
+    ),
     # the gate looks ahead a fixed 3 m/s, whatever the car's speed
     Mutant(
         "gate_horizon_speed_blind",

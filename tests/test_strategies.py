@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import importlib.resources
 import math
 
 import pytest
@@ -13,7 +14,7 @@ from powergap.energy_model import (
 )
 from powergap.log_store import Severity
 from powergap.ota import OtaDevice, OtaState, image_digest, run_ota_transfer
-from powergap.scenario import parse_scenario
+from powergap.scenario import load_scenario, parse_scenario
 from powergap.strategies import (
     Driver,
     EnergyBudget,
@@ -590,6 +591,30 @@ class TestPowerlineContinuous:
         eps = cfg.dt / 2  # slot boundaries can land on a gap edge
         for t in delivery_times:
             assert not any(a + eps <= t < b - eps for a, b in gap_windows)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the tick reads `car.powered` before `step` updates it, so a full step "
+        "entering a gap delivers its slots; reading the rails at `now` needs a "
+        "golden regen, due with ROADMAP item 4 stage B"))
+    def test_slot_boundaries_see_the_rails_at_the_tick(self):
+        cfg = load_scenario(importlib.resources.files("powergap") / "scenarios"
+                            / "reference_workload.scn").build()
+        sim = Simulation(dataclasses.replace(
+            cfg, strategy=StrategyKind.POWERLINE_CONTINUOUS))
+        channel, layout = sim.driver.channel, cfg.layout
+        tick = channel.tick
+        powered_in_gap = []
+
+        def checked_tick(now, powered):
+            # the same margin as `PowerlineChannel.tick`
+            if (channel.next_boundary <= now + 1e-12 and powered
+                    and layout.in_gap(sim.car.position)):
+                powered_in_gap.append(now)
+            return tick(now, powered)
+
+        channel.tick = checked_tick
+        sim.run()
+        assert powered_in_gap == []
 
 
 class TestEvaluate:

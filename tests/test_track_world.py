@@ -486,13 +486,15 @@ class TestRunScenario:
 
 
 class TestSchedule:
-    @pytest.mark.parametrize("times,message", [
-        ((2.0, 1.0), "must be sorted"),
-        ((-1.0,), "must be non-negative"),
-    ], ids=["unsorted", "negative"])
-    def test_times_validation(self, times, message):
+    @pytest.mark.parametrize("schedule,message", [
+        (HostRequestSchedule(times=(2.0, 1.0)), "must be sorted"),
+        (HostRequestSchedule(times=(-1.0,)), "must be non-negative"),
+        # `step` would read the times only without gap alignment
+        (HostRequestSchedule(times=(1.0, 2.0), gap_aligned=True), "not both"),
+    ], ids=["unsorted", "negative", "timed_and_gap_aligned"])
+    def test_times_validation(self, schedule, message):
         # refused by ScenarioConfig.validate, blaming the requests key
-        cfg = crossing_config(schedule=HostRequestSchedule(times=times))
+        cfg = crossing_config(schedule=schedule)
         with pytest.raises(LayoutError, match=message) as exc:
             Simulation(cfg)
         assert exc.value.keys == (("schedule", "requests"),)
@@ -550,7 +552,7 @@ def run_state(sim):
                   store.appended, store.acked, store.dropped, store.evicted,
                   store.lost_unflushed),
         "presented": sim.host.presented,
-        "sim": (sim.now, sim.last_step, sim.car, sim.min_cap_v, sim.extra_current,
+        "sim": (sim.now, sim.crossed_dock, sim.car, sim.min_cap_v, sim.extra_current,
                 sim.rebooting_until, sim.requests_arrived, sim.requests_answered,
                 sim._next_request_idx, sim._workload_acc, sim._backlog_samples,
                 sim._next_backlog_at, sim.radio_on_s, sim.latencies, sim.rng.getstate()),
@@ -624,6 +626,13 @@ def test_stretch_ends_exactly_on_grid_aligned_edges(kind, controller):
     assert brownouts and reboots == [t + 0.25 for t in brownouts]
     requests = [ev.time for ev in sim.events if ev.kind is EventKind.REQUEST_ARRIVED]
     assert requests == [1.5]
+
+
+def test_run_ending_inside_a_gap_keeps_the_stretch_minimum():
+    # the run ends 10 ms into the first gap (0.13-0.15 s), inside a quiet
+    # stretch, so only that stretch's end records the lowest voltage
+    sim = assert_same_run(dataclasses.replace(crossing_config(), duration=0.14))
+    assert sim._metrics().max_drop_v == pytest.approx(0.81)
 
 
 @pytest.fixture
