@@ -21,11 +21,16 @@ class ClockTier(Enum):
     C160 = 160
     C240 = 240
 
+    # members are singletons that compare by identity: hash them in C
+    __hash__ = object.__hash__
+
 
 class RadioMode(Enum):
     OFF = "off"
     IDLE_CONNECTED = "idle"
     TRANSMITTING = "tx"
+
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)

@@ -36,26 +36,16 @@ _CRC_HEADER = struct.Struct(">IdBB")
 
 @dataclass(slots=True)
 class LogRecord:
-    """One debug log entry, with the CRC that covers all its fields."""
+    """One debug log entry, with the CRC that covers all its fields.
+
+    `LogStore.append` builds every record and computes its CRC.
+    """
 
     seq: int
     timestamp: float
     severity: Severity
     payload: bytes
     crc: int
-
-    @staticmethod
-    def _crc_input(seq: int, timestamp: float, severity: Severity, payload: bytes) -> bytes:
-        return _CRC_HEADER.pack(seq, timestamp, severity.value, len(payload)) + payload
-
-    @classmethod
-    def create(
-        cls, seq: int, timestamp: float, severity: Severity, payload: bytes
-    ) -> "LogRecord":
-        if len(payload) > MAX_PAYLOAD:
-            raise StoreError(f"payload exceeds {MAX_PAYLOAD} bytes")
-        crc = crc16_ccitt(cls._crc_input(seq, timestamp, severity, payload))
-        return cls(seq, timestamp, severity, payload, crc)
 
     @property
     def wire_size(self) -> int:
@@ -98,10 +88,14 @@ class LogStore:
         payload: bytes,
         timestamp: float = 0.0,
     ) -> int:
-        if RECORD_OVERHEAD + len(payload) > self.flash_capacity:
+        size = len(payload)
+        if size > MAX_PAYLOAD:
+            raise StoreError(f"payload exceeds {MAX_PAYLOAD} bytes")
+        if RECORD_OVERHEAD + size > self.flash_capacity:
             raise StoreError("record larger than flash capacity")
         seq = self.high_water + 1
-        record = LogRecord.create(seq, timestamp, severity, payload)
+        crc = crc16_ccitt(_CRC_HEADER.pack(seq, timestamp, severity._value_, size) + payload)
+        record = LogRecord(seq, timestamp, severity, payload, crc)
         if len(self.ram) == self.ram.maxlen:
             self.dropped += 1  # the append below pushes the oldest out
         self.ram.append(record)

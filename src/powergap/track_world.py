@@ -217,7 +217,7 @@ class EventKind(Enum):
     REQUEST_ARRIVED = "RequestArrived"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Event:
     """One timed entry in a run's event log."""
 

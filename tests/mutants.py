@@ -59,6 +59,17 @@ MUTANTS = (
         ("tests/test_log_store.py::TestPrimitives::test_crc_known_answer",
          "tests/test_log_store.py::TestAppend::test_crc_valid_on_construction"),
     ),
+    # the record CRC's header with every severity packed as 0; a record
+    # whose severity changes keeps its CRC
+    Mutant(
+        "crc_ignores_severity",
+        "src/powergap/log_store.py",
+        "severity._value_",
+        "0",
+        ("tests/test_log_store.py::TestPrimitives::test_crc_known_answer",
+         "tests/test_log_store.py::TestPrimitives"
+         "::test_tampered_record_fails_crc[severity-Severity.ERROR]"),
+    ),
     # a flush that evicts at most one flash record per record it writes;
     # records of one size never need more, mixed sizes overrun the quota
     Mutant(
@@ -113,6 +124,14 @@ MUTANTS = (
         "self.min_cap_v = min(self.min_cap_v, v)",
         "self.min_cap_v = self.min_cap_v",
         ("tests/test_track_world.py::test_run_ending_inside_a_gap_keeps_the_stretch_minimum",),
+    ),
+    # a radio switch that drops the car to 80 MHz, whatever its clock
+    Mutant(
+        "radio_switch_ignores_clock",
+        "src/powergap/track_world.py",
+        "_POWER_STATES[self.car.power_state.clock, mode]",
+        "_POWER_STATES[ClockTier.C80, mode]",
+        ("tests/test_golden.py::test_outputs_match_golden_digests",),
     ),
     # the gate looks ahead a fixed 3 m/s, whatever the car's speed
     Mutant(

@@ -1,4 +1,7 @@
+import copy
+import importlib.resources
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +18,8 @@ from powergap.energy_model import (
     calibrate_currents,
     discharge_current,
 )
+from powergap.scenario import load_scenario
+from powergap.track_world import run_scenario
 
 C80_OFF = PowerState(ClockTier.C80, RadioMode.OFF)
 C80_TX = PowerState(ClockTier.C80, RadioMode.TRANSMITTING)
@@ -160,3 +165,25 @@ class TestTypes:
     def test_nine_states_total(self):
         assert len(ALL_POWER_STATES) == 9
         assert len(EnergyModelParams.calibrated().current_table) == 9
+
+
+class TestIdentityHash:
+    """`ClockTier` and `RadioMode` hash by identity: every way of reaching
+    a member gives the one singleton, so every keyed lookup still hits."""
+
+    @pytest.mark.parametrize("state", ALL_POWER_STATES, ids=str)
+    def test_copies_equal_hash_equal_and_look_up_alike(self, state, params):
+        for other in (copy.deepcopy(state), pickle.loads(pickle.dumps(state)),
+                      PowerState(state.clock, state.radio)):
+            assert other == state
+            assert hash(other) == hash(state)
+            assert params.current(other) == params.current(state)
+
+    def test_copied_config_runs_alike(self):
+        cfg = load_scenario(importlib.resources.files("powergap") / "scenarios"
+                            / "reference_workload.scn").build()
+        want = run_scenario(cfg)
+        for other in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+            got = run_scenario(other)
+            assert got.metrics == want.metrics
+            assert got.trace.runs == want.trace.runs

@@ -18,6 +18,14 @@ def store():
     return LogStore()
 
 
+def record_9():
+    """The record `append` builds as seq 9: WARN, b"abc", at 1.5 s."""
+    store = LogStore()
+    store.high_water = 8
+    assert store.append(Severity.WARN, b"abc", 1.5) == 9
+    return store.ram[0]
+
+
 class TestAppend:
     def test_monotonic_after_persisted_high_water(self, store):
         store.high_water = 41  # as recovered from a flash image
@@ -42,6 +50,9 @@ class TestAppend:
     def test_oversized_payload_rejected(self, store):
         with pytest.raises(StoreError):
             store.append(Severity.INFO, b"x" * 256)
+        # the refused payload took no seq
+        assert store.append(Severity.INFO, b"x" * 255) == 1
+        assert store.conservation_holds()
 
     def test_record_larger_than_flash_rejected_before_taking_a_seq(self):
         # a flush that failed part way left the records before the big one
@@ -228,7 +239,7 @@ class TestPrimitives:
 
     def test_crc_known_answer(self):
         # CRC-16/CCITT-FALSE over 00000009 3ff8000000000000 02 03 "abc"
-        record = LogRecord.create(9, 1.5, Severity.WARN, b"abc")
+        record = record_9()
         assert record.crc == 0xDA58
         assert crc_valid(record)
 
@@ -241,7 +252,7 @@ class TestPrimitives:
     ])
     def test_tampered_record_fails_crc(self, field, value):
         # the CRC covers every field a record carries, and guards itself
-        record = LogRecord.create(9, 1.5, Severity.WARN, b"abc")
+        record = record_9()
         assert crc_valid(record)
         if field == "crc":
             value = record.crc ^ 0x0001
