@@ -109,9 +109,9 @@ class LogStore:
             return 0
         flash, stored, capacity = self.flash, self.flash_bytes, self.flash_capacity
         for record in ram:
-            size = record.wire_size
+            size = RECORD_OVERHEAD + len(record.payload)
             while stored + size > capacity:
-                stored -= flash.popleft().wire_size
+                stored -= RECORD_OVERHEAD + len(flash.popleft().payload)
                 self.evicted += 1
             flash.append(record)
             stored += size
@@ -128,7 +128,7 @@ class LogStore:
         flash = self.flash
         trimmed = 0
         while flash and flash[0].seq <= seq:
-            self.flash_bytes -= flash.popleft().wire_size
+            self.flash_bytes -= RECORD_OVERHEAD + len(flash.popleft().payload)
             trimmed += 1
         self.acked += trimmed
         return trimmed

@@ -9,13 +9,13 @@ drops do not depend on how gap edges align with the step grid.
 range and each rule tying values together, so a bad config built in
 Python and a bad scenario file are refused alike, in the same words.
 After every step, `Simulation.run` runs the quiet stretch that follows
-(short of the next gap edge, a timed request, a reboot end, a brownout
-and, for save_and_print_later, the dock) in a tight inner loop that
-makes the same float operations as `step`, so every output is
-byte-identical.  The loop asks a driver one thing, `next_wake(now)`,
-and relies on the rule its docstring states.  On powered track the loop
-appends records as they fall due and ticks at the wake; in a gap a
-record or the wake ends the stretch.
+(short of the next gap edge, a timed request, a reboot end, a brownout,
+the run's last step and, for save_and_print_later, the dock) in a tight
+loop, one for powered track and one for gaps, that makes the same float
+operations as `step`, so every output is byte-identical.  The loop asks
+a driver one thing, `next_wake(now)`, and relies on the rule its
+docstring states.  On powered track the loop appends records, ticks and
+takes backlog samples as they fall due; in a gap any of them ends it.
 `evaluate_strategies` runs one workload under several strategies and
 `write_comparison_csv` tabulates their delivery metrics.
 """
@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import math
 import random
-import statistics
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -379,6 +378,27 @@ class ScenarioResult:
     metrics: DeliveryMetrics
 
 
+def _summed(d: float, n: int) -> float:
+    """`n` float additions of `d` > 0 from 0.0, bit for bit, in a few rounds per
+    binade: inside one, k additions add k times d rounded to its grid."""
+    s, n = (d, n - 1) if n > 0 else (0.0, 0)
+    while n:
+        u = math.ulp(s)
+        r = d / u  # exact: u is a power of two
+        q = round(r)  # half to even
+        room = (math.ldexp(1.0, math.frexp(s)[1]) - s) / u  # grid steps to the top
+        # a float addition for a binade's last, and for a tie on an odd sum,
+        # which rounds up to an even sum that then stays even
+        if r % 1 == 0.5 and s / u % 2 or room <= q:
+            s, n = s + d, n - 1
+        elif q:
+            k = min(int(room - 1) // q, n)
+            s, n = s + k * q * u, n - k
+        else:
+            break  # s + d rounds back to s
+    return s
+
+
 #: each power state by (clock, radio), so a radio switch builds none
 _POWER_STATES = {(s.clock, s.radio): s for s in ALL_POWER_STATES}
 
@@ -416,11 +436,13 @@ class Simulation:
         self.delivered_records = 0
         self.delivered_bytes = 0
         self.brownout_count = 0
-        self.radio_on_s = 0.0
+        self.radio_steps = 0  # steps the device spent active with its radio on
         self.bytes_stored_peak = 0
         self._backlog_samples: list[int] = []
         self._backlog_every = max(cfg.duration / 16.0, cfg.dt)
         self._next_backlog_at = 0.0
+        # strictly between the last two step times: k steps sum to k*dt ± k*k*dt*2**-54
+        self._end = (round(cfg.duration / cfg.dt) - 0.5) * cfg.dt
 
         # the trace: (count, supply_v, cap_v) runs of equal samples
         self._runs: list[tuple[int, float, float]] = []
@@ -430,6 +452,11 @@ class Simulation:
         # where save_and_print_later stops: quiet stretches stop short of it
         self._dock = (cfg.layout.dock_position
                       if cfg.strategy is StrategyKind.SAVE_AND_PRINT_LATER else None)
+
+    @property
+    def radio_on_s(self) -> float:
+        """The float sum of dt over the steps the radio was on and active."""
+        return _summed(self.cfg.dt, self.radio_steps)
 
     # -- hooks used by strategy drivers -----------------------------------
 
@@ -557,7 +584,7 @@ class Simulation:
             car.capacitor_v = v_mid
         car.powered = powered
         if self.active and car.power_state.radio is not RadioMode.OFF:
-            self.radio_on_s += dt
+            self.radio_steps += 1
 
         stored = self.store.flash_bytes
         if stored > self.bytes_stored_peak:
@@ -569,56 +596,53 @@ class Simulation:
         self._record(1, cfg.params.nominal_voltage if powered else 0.0, car.capacitor_v)
         self.now = t1
 
-    def _quiet_stretch(self, limit: int) -> int:
-        """Run up to `limit` quiet steps in a tight loop; return how many.
+    def _quiet_stretch(self) -> None:
+        """Run the quiet steps that follow in a tight loop.
 
         A quiet step starts and ends short of the next gap edge (a gap's
-        start on powered track, its end in a gap) and, under
-        save_and_print_later, of the dock, and meets no timed request.
-        On powered track the capacitor stays full and a reboot does not
-        end.  In a gap the car moves, the step does not brown out, and
-        it meets no record and no driver wake (not asked while the
-        device reboots).  On such a step `step` changes only the clock,
-        the position, the workload accumulator, the capacitor and its
-        minimum (in a gap), the radio-on time, the backlog samples and
-        the trace, and clears the dock flag; this loop makes those
-        operations in the same order and keeps only per-step state: it
-        clears the flag once, and takes the minimum at its end, since a
-        gap's voltage only falls.  A powered step at the driver's wake,
-        or with a record due, does the rest of `step`'s work in
-        `_due_step`, which asks the wake again where `Driver.next_wake`
-        says it can move.  The loop records a powered stretch's trace as
-        one run at its end, a gap's sample by sample.
+        start on powered track, its end in a gap), of the run's last step
+        and, under save_and_print_later, of the dock, and meets no timed
+        request.  On powered track the capacitor stays full and a reboot
+        does not end; in a gap the car moves, the step does not brown out,
+        and it meets no record, wake or backlog sample.  Such a step changes
+        only the clock, the position, the workload, the capacitor and its
+        minimum (in a gap), the radio step count and the trace, and clears
+        the dock flag.  Powered track and gaps have a loop each, which keeps
+        only per-step state; a powered step on which a record, the wake or a
+        sample falls due does the rest in `_due_step`.  Radio steps count in
+        segments, and the minimum is left to the full step after a stretch.
         """
-        if limit <= 0:
-            return 0
         cfg, car, driver = self.cfg, self.car, self.driver
         dt, params, powered = cfg.dt, cfg.params, car.powered
         t = self.now
         active = self.rebooting_until is None
-        # the first step time that must run in `step`: a timed request,
-        # or the end of a reboot on powered track
-        hard = math.inf if active or not powered else self.rebooting_until
+        # the first step time that must run in `step`: the run's last
+        # step, a timed request, or the end of a reboot on powered track
+        hard = self._end if active or not powered else min(self._end, self.rebooting_until)
         sched = cfg.schedule
         if not sched.gap_aligned and self._next_request_idx < len(sched.times):
             hard = min(hard, sched.times[self._next_request_idx])
-        # the first step time at which the loop ticks the driver (where a
-        # gap or `hard` ends it instead)
-        stop = min(driver.next_wake(t), hard) if active and driver is not None else hard
+        # the first step time handed to `_due_step` (a gap or `hard` ends the
+        # stretch there): the wake or a backlog sample, in a reboot a full step
+        if active:
+            wake = driver.next_wake(t) if driver is not None else hard
+            stop = min(wake, hard, self._next_backlog_at)
+        else:
+            hard = stop = min(hard, self._next_backlog_at)
         acc, inc = self._workload_acc, cfg.workload_rate * dt if active else 0.0
         if t + dt >= hard or not powered and (t + dt >= stop or acc + inc >= 1.0):
-            return 0
+            return
         nominal, v, speed = params.nominal_voltage, car.capacitor_v, car.speed
         drop, capacitance = params.brownout_drop, params.capacitance
         if powered:
             rate = cfg.recharge_rate
             v_next = nominal if rate is None else min(nominal, v + rate * dt)
             if v_next != v or nominal - v >= drop:
-                return 0
+                return
         elif speed:
             current = params.current(car.power_state) + self.extra_current
         else:
-            return 0
+            return
 
         x = car.position
         dist = speed * dt
@@ -629,21 +653,33 @@ class Simulation:
         if dock is not None and dist and x <= dock < lim:
             lim = dock
         radio_on = active and car.power_state.radio is not RadioMode.OFF
-        radio_on_s = self.radio_on_s
-        backlog_at, every = self._next_backlog_at, self._backlog_every
-        backlog = self._backlog_samples
-        record, runs, due_step = self._record, self._runs, self._due_step
         self.crossed_dock = False
-        n = 0
-        while n < limit:
-            t1 = t + dt
-            end = x + dist
-            a = acc + inc
-            if t1 >= stop or end >= lim or a >= 1.0:
-                if end >= lim or t1 >= hard or not powered:
+        if powered:
+            due_step, n, mark = self._due_step, 0, 0
+            while True:
+                t1 = t + dt
+                end = x + dist
+                a = acc + inc
+                if t1 >= stop or end >= lim or a >= 1.0:
+                    if end >= lim or t1 >= hard:
+                        break
+                    a, stop, lim, on = due_step(a, t1, end, stop, lim, hard)
+                    if on != radio_on:  # a segment of equal radio steps ends
+                        self.radio_steps += (n - mark) * radio_on
+                        mark, radio_on = n, on
+                t, x, acc = t1, end, a
+                n += 1
+            self.radio_steps += (n - mark) * radio_on
+            if n:
+                self._record(n, nominal, v)
+        else:
+            record, runs, n = self._record, self._runs, 0
+            while True:
+                t1 = t + dt
+                end = x + dist
+                a = acc + inc
+                if t1 >= stop or end >= lim or a >= 1.0:
                     break
-                a, stop, lim, radio_on = due_step(a, t1, end, stop, lim, hard)
-            if not powered:
                 # `unpowered_overlap` of a step inside one gap is end - x
                 v1 = v - current * ((end - x) / speed) / capacitance
                 if not v1 > 0.0:  # max(0.0, v1), for -0.0 and NaN too
@@ -655,38 +691,28 @@ class Simulation:
                 else:
                     record(1, 0.0, v1)
                 v = v1
-            t, x, acc = t1, end, a
+                t, x, acc = t1, end, a
+                n += 1
+            car.capacitor_v = v
             if radio_on:
-                radio_on_s += dt
-            if t1 >= backlog_at:
-                backlog.append(self.store.flash_bytes)
-                backlog_at += every
-            n += 1
+                self.radio_steps += n
         if n:
-            if powered:
-                record(n, nominal, v)
             self.now = t
             if dist:
                 car.position = x
             self._workload_acc = acc
-            car.capacitor_v = v
-            self.min_cap_v = min(self.min_cap_v, v)
-            self.radio_on_s = radio_on_s
-            self._next_backlog_at = backlog_at
-        return n
 
     def _due_step(self, acc: float, t: float, x: float, stop: float,
                   lim: float, hard: float) -> tuple[float, float, float, bool]:
-        """A powered quiet step's share of `step`'s work at `t`, ending
-        at `x`, on which a record falls due or the driver's wake has
-        come.  In `step`'s order: append the records due; under a driver
-        flush them, set the car's position, ask the wake again if they
-        landed in an empty flash (see `Driver.next_wake`), and at `stop`
-        tick and ask again; raise the stored peak.  Return the loop's new
-        (acc, stop, lim, radio_on); `lim` falls to -inf when the tick
-        stopped or started the car, which ends the stretch after this
-        step.  A call of its own keeps `_quiet_stretch`'s loop short
-        enough for CPython 3.11 to specialize its compares and jumps."""
+        """A powered quiet step's share of `step`'s work at `t`, ending at
+        `x`, on which a record, the wake or a backlog sample falls due.  In
+        `step`'s order: append the records due; under a driver flush them,
+        set the car's position, ask the wake again if they landed in an
+        empty flash (see `Driver.next_wake`), and at `stop` tick (a sample's
+        tick before the wake changes nothing) and ask again; raise the peak;
+        take the sample.  Return the loop's new (acc, stop, lim, radio on);
+        `lim` falls to -inf when the tick stopped or started the car.  A call
+        of its own keeps the loop short enough for CPython 3.11 to specialize."""
         car, store, driver = self.car, self.store, self.driver
         while acc >= 1.0:
             acc -= 1.0
@@ -704,19 +730,22 @@ class Simulation:
                 if car.speed != speed:
                     lim = -math.inf
                 stop = min(driver.next_wake(t), hard)
+        elif t >= stop:
+            stop = hard
         stored = store.flash_bytes
         if stored > self.bytes_stored_peak:
             self.bytes_stored_peak = stored
-        return acc, stop, lim, car.power_state.radio is not RadioMode.OFF
+        at = self._next_backlog_at
+        if t >= at:
+            self._backlog_samples.append(stored)
+            at = self._next_backlog_at = at + self._backlog_every
+        return acc, stop if stop < at else at, lim, car.power_state.radio is not RadioMode.OFF
 
     def run(self) -> ScenarioResult:
-        n_steps = round(self.cfg.duration / self.cfg.dt)
-        step = self.step
-        done = 0
-        while done < n_steps:
+        step, quiet, end = self.step, self._quiet_stretch, self._end
+        while self.now < end:
             step()
-            done += 1
-            done += self._quiet_stretch(n_steps - done)
+            quiet()
         return ScenarioResult(
             trace=VoltageTrace(self._runs, self.cfg.dt),
             events=self.events,
@@ -734,6 +763,7 @@ class Simulation:
         )
 
     def _metrics(self) -> DeliveryMetrics:
+        import statistics  # loads decimal and fractions: only at a run's end
         lat = self.latencies
         return DeliveryMetrics(
             appended_records=self.store.appended,

@@ -110,20 +110,49 @@ MUTANTS = (
     Mutant(
         "stretch_keeps_dock_flag",
         "src/powergap/track_world.py",
-        "        self.crossed_dock = False\n        n = 0\n",
-        "        n = 0\n",
+        "        self.crossed_dock = False\n        if powered:\n",
+        "        if powered:\n",
         ("tests/test_track_world.py::test_stretches_match_plain_loop_on_shipped_scenarios"
          "[reference_workload.scn-save_and_print_later-gate_off]",
          "tests/test_golden.py::test_outputs_match_golden_digests"),
     ),
-    # a quiet stretch that drops its gap's voltage minimum; only a run
-    # that ends inside a gap has no later full step to take it
+    # a run's end half a step past its last step, so it runs one more
     Mutant(
-        "stretch_forgets_gap_minimum",
+        "run_end_a_step_late",
         "src/powergap/track_world.py",
-        "self.min_cap_v = min(self.min_cap_v, v)",
-        "self.min_cap_v = self.min_cap_v",
-        ("tests/test_track_world.py::test_run_ending_inside_a_gap_keeps_the_stretch_minimum",),
+        "self._end = (round(cfg.duration / cfg.dt) - 0.5) * cfg.dt",
+        "self._end = (round(cfg.duration / cfg.dt) + 0.5) * cfg.dt",
+        ("tests/test_track_world.py::test_run_end_lies_between_the_last_two_steps",
+         "tests/test_track_world.py::test_run_ending_inside_a_gap_keeps_the_stretch_minimum"),
+    ),
+    # the exact sum of dt blind to a tie on an odd sum; no shipped step
+    # size meets one, so only the sum's own property sees it
+    Mutant(
+        "summed_ignores_ties",
+        "src/powergap/track_world.py",
+        "if r % 1 == 0.5 and s / u % 2 or room <= q:",
+        "if room <= q:",
+        ("tests/test_track_world.py::test_summed_is_the_running_sum",),
+    ),
+    # a powered stretch that drops the radio-on steps of its last segment
+    Mutant(
+        "radio_count_drops_last_segment",
+        "src/powergap/track_world.py",
+        "n += 1\n            self.radio_steps += (n - mark) * radio_on\n",
+        "n += 1\n",
+        ("tests/test_track_world.py::test_stretches_match_plain_loop_on_shipped_scenarios"
+         "[gap_aligned_c160.scn-wireless_continuous-gate_off]",),
+    ),
+    # a backlog sample handed to `_due_step` while the device reboots,
+    # which then ticks a driver that `step` leaves alone
+    Mutant(
+        "backlog_ticks_while_rebooting",
+        "src/powergap/track_world.py",
+        "hard = stop = min(hard, self._next_backlog_at)",
+        "stop = min(hard, self._next_backlog_at)",
+        ("tests/test_track_world.py::test_stretches_match_plain_loop_on_shipped_scenarios"
+         "[gap_aligned_c160.scn-wireless_continuous-gate_off]",
+         "tests/test_golden.py::test_outputs_match_golden_digests"),
     ),
     # a radio switch that drops the car to 80 MHz, whatever its clock
     Mutant(

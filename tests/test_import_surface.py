@@ -2,7 +2,8 @@
 
 Every `powergap` start imports the CLI, and with bytecode writing off it
 compiles each module it loads.  The OTA model and the wire decoders run
-in no simulation, so they stay off that path; each dataclass the CLI
+in no simulation, so they stay off that path, and so does `statistics`,
+which only a run's end needs; each dataclass the CLI
 loads carries a docstring, since CPython builds a missing one from
 `inspect.signature` on every import.
 """
@@ -51,6 +52,12 @@ def cli_import():
 def test_cli_import_loads_neither_ota_nor_hashlib(cli_import):
     assert "powergap.track_world" in cli_import["loaded"]
     assert not {"powergap.ota", "hashlib"} & set(cli_import["loaded"])
+
+
+def test_cli_import_loads_no_statistics(cli_import):
+    # `statistics` loads `decimal` and `fractions`, 3-6 ms of each start;
+    # only a run's metrics need it
+    assert not {"statistics", "decimal", "fractions"} & set(cli_import["loaded"])
 
 
 def test_cli_dataclasses_have_docstrings(cli_import):

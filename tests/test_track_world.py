@@ -12,7 +12,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from powergap import energy_model
 from powergap.energy_model import (
@@ -38,6 +38,7 @@ from powergap.track_world import (
     SegmentKind,
     Simulation,
     TrackLayout,
+    _summed,
     events_to_csv,
     run_scenario,
 )
@@ -629,8 +630,9 @@ def test_stretch_ends_exactly_on_grid_aligned_edges(kind, controller):
 
 
 def test_run_ending_inside_a_gap_keeps_the_stretch_minimum():
-    # the run ends 10 ms into the first gap (0.13-0.15 s), inside a quiet
-    # stretch, so only that stretch's end records the lowest voltage
+    # the run ends 10 ms into the first gap (0.13-0.15 s), after a quiet
+    # stretch that leaves the lowest voltage to the run's last step, a
+    # full step
     sim = assert_same_run(dataclasses.replace(crossing_config(), duration=0.14))
     assert sim._metrics().max_drop_v == pytest.approx(0.81)
 
@@ -720,13 +722,46 @@ def test_gate_deferral_carries_records_through_a_stretch(duration):
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="CPython 3.11 bytecode")
-def test_quiet_stretch_takes_no_extended_jumps():
+@pytest.mark.parametrize("method", ["_quiet_stretch", "_due_step"])
+def test_quiet_stretch_takes_no_extended_jumps(method):
     # a jump across more than 255 code units needs an EXTENDED_ARG, which
     # keeps CPython 3.11 from specializing the compare in front of it; in
     # the stretch loop's `while` test that cost the drive benchmark about
     # 4 % of its simulation rate
-    ops = [ins.opname for ins in dis.get_instructions(Simulation._quiet_stretch)]
+    ops = [ins.opname for ins in dis.get_instructions(getattr(Simulation, method))]
     assert "EXTENDED_ARG" not in ops
+
+
+def running_sum(d, n):
+    s = 0.0
+    for _ in range(n):
+        s += d
+    return s
+
+
+@settings(max_examples=400, deadline=None)
+@given(d=st.floats(1e-7, 0.1), n=st.integers(0, 3000))
+@example(d=float.fromhex("0x1.2f13dd45990c9p-6"), n=3)  # a tie on an odd sum
+@example(d=5e-4, n=0)
+def test_summed_is_the_running_sum(d, n):
+    # the goldens print radio_on_s to 6 decimals and cannot see one ulp;
+    # no shipped step size meets a tie on an odd sum, a drawn one can
+    assert _summed(d, n) == running_sum(d, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dt=st.floats(1e-7, 0.1), n=st.integers(1, MAX_STEPS))
+@example(dt=5e-4, n=1)
+@example(dt=5e-4, n=MAX_STEPS)
+def test_run_end_lies_between_the_last_two_steps(dt, n):
+    # after k steps the clock is the k-fold sum of dt, so the run's last
+    # step is the first at or past its end, and no quiet stretch takes it;
+    # the run lasts a quarter step short of n steps, as n * dt / dt may
+    # exceed MAX_STEPS
+    cfg = dataclasses.replace(crossing_config(), dt=dt, duration=(n - 0.25) * dt)
+    assert round(cfg.duration / cfg.dt) == n
+    end = Simulation(cfg)._end
+    assert _summed(dt, n - 1) < end <= _summed(dt, n)
 
 
 @pytest.mark.parametrize("rate", [1000.0, 2000.0])
