@@ -34,15 +34,6 @@ from .track_world import (
     evaluate_strategies,
     run_scenario,
 )
-from .transports import (
-    Frame,
-    FrameKind,
-    Outcome,
-    PowerlineChannel,
-    WirelessLinkParams,
-    crc16_ccitt,
-    frame_encode,
-    powerline_pack,
-)
+from .transports import Outcome, PowerlineChannel, WirelessLinkParams, crc16_ccitt
 
 __version__ = "0.1.0"

@@ -6,7 +6,8 @@ Subcommands:
   table1   run the shipped table1_<state>.scn files, check their drops
 
 Exit codes: 0 ok, 1 suite mismatch, 2 scenario or I/O error, 3 brownout
-with --fail-on-brownout.  POWERGAP_OUT overrides the output directory.
+with --fail-on-brownout.  Outputs go to --out, by default the current
+directory.
 """
 
 from __future__ import annotations
@@ -42,9 +43,8 @@ EXIT_BROWNOUT = 3
 _USER_ERRORS = (ScenarioError, ConfigError, OSError, UnicodeDecodeError)
 
 
-def _out_dir(flag_value: Optional[str]) -> Path:
-    env = os.environ.get("POWERGAP_OUT")
-    path = Path(env) if env else Path(flag_value or ".")
+def _out_dir(flag_value: str) -> Path:
+    path = Path(flag_value)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate scenario files")
     p_run.add_argument("scenario", nargs="+", help="scenario .scn file(s)")
-    p_run.add_argument("--out", default=None, help="output directory")
+    p_run.add_argument("--out", default=".", help="output directory")
     p_run.add_argument("--fail-on-brownout", action="store_true")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.set_defaults(func=cmd_run)
@@ -212,14 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated strategy names (default: all)")
     p_cmp.add_argument("--controller", action="store_true",
                        help="enable the energy-budget transmission gate")
-    p_cmp.add_argument("--out", default=None)
+    p_cmp.add_argument("--out", default=".")
     p_cmp.add_argument("--seed", type=int, default=None)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_t1 = sub.add_parser("table1", help="reproduce the voltage-drop table")
     p_t1.add_argument("--tolerance", type=_percentage, default=1.0,
                       help="allowed relative error in percent")
-    p_t1.add_argument("--out", default=None)
+    p_t1.add_argument("--out", default=".")
     p_t1.set_defaults(func=cmd_table1)
     return parser
 

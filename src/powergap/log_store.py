@@ -47,10 +47,6 @@ class LogRecord:
     payload: bytes
     crc: int
 
-    @property
-    def wire_size(self) -> int:
-        return RECORD_OVERHEAD + len(self.payload)
-
 
 class LogStore:
     """Per-device log pipeline: append -> flush -> transmit -> ack.

@@ -16,17 +16,9 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 from .energy_model import RadioMode
-from .transports import (
-    FRAME_OVERHEAD,
-    Frame,
-    FrameKind,
-    Outcome,
-    PowerlineChannel,
-    powerline_slots,
-)
+from .transports import FRAME_OVERHEAD, Outcome, PowerlineChannel, powerline_slots
 
 if TYPE_CHECKING:
-    from .log_store import LogRecord
     from .track_world import Simulation
 
 
@@ -85,26 +77,29 @@ class HostCollector:
 
 # --- strategy drivers ----------------------------------------------------
 
+#: What the pump sends to answer the oldest pending request.
+REPLY = object()
+
+
 class Driver:
     """Scheduler hooks invoked from the scenario loop while the device
     is up, around one stop-and-wait frame pump.
 
-    The pump keeps at most one frame in flight: a reply to the oldest
-    pending request first, else the oldest unacked record.  When the
-    frame reaches the host, `_finish` answers the request, or presents
-    the record, acks it and records its latency from the record's own
-    timestamp.  A link plugs in by overriding `_start`, which begins
-    sending a frame, and `_ack_lost`.  A timed link sets `tx_until`, the
-    send's end less a rounding margin; the strategy's `tick` calls
-    `_finish` once it is reached.  Volatile driver state resets on
-    brownout.
+    The pump keeps at most one frame in flight, and `in_flight` holds
+    what it carries: `REPLY`, to the oldest pending request, first, else
+    the oldest unacked record itself.  When the frame reaches the host,
+    `_finish` answers the request, or presents the record, acks it and
+    records its latency from the record's own timestamp.  A link plugs
+    in by overriding `_start`, which begins sending a frame, and
+    `_ack_lost`.  A timed link sets `tx_until`, the send's end less a
+    rounding margin; the strategy's `tick` calls `_finish` once it is
+    reached.  Volatile driver state resets on brownout.
     """
 
     def __init__(self, sim: Simulation) -> None:
         self.sim = sim
-        self.in_flight: Optional[Frame] = None  # reaches the host when its send ends
-        self.tx_until: Optional[float] = None   # end of the timed send in progress
-        self.record: Optional[LogRecord] = None  # behind the last log frame picked
+        self.in_flight: object = None          # reaches the host when its send ends
+        self.tx_until: Optional[float] = None  # end of the timed send in progress
 
     def tick(self, now: float) -> None:
         raise NotImplementedError
@@ -127,11 +122,6 @@ class Driver:
         """
         return now
 
-    def _idle(self) -> bool:
-        """Nothing to send: no pending request and no unacked record."""
-        sim = self.sim
-        return sim.requests_answered == sim.requests_arrived and not sim.store.flash
-
     def on_brownout(self) -> None:
         self.in_flight = None
         self.tx_until = None
@@ -139,16 +129,14 @@ class Driver:
     def on_reboot(self, now: float) -> None:
         pass
 
-    def _next_frame(self) -> Optional[Frame]:
+    def _next_frame(self) -> object:
+        """What goes next: `REPLY`, else the oldest unacked record, else None."""
         sim = self.sim
         if sim.requests_answered < sim.requests_arrived:
-            return Frame(FrameKind.REPLY, sim.requests_answered + 1)
-        record = self.record = sim.store.oldest_unacked()
-        if record is not None:
-            return Frame(FrameKind.LOG, record.seq, record.payload)
-        return None
+            return REPLY
+        return sim.store.oldest_unacked()
 
-    def _start(self, now: float, frame: Frame) -> None:
+    def _start(self, now: float, frame: object) -> None:
         """Begin sending `frame` over this strategy's link."""
         raise NotImplementedError
 
@@ -162,15 +150,14 @@ class Driver:
         if frame is None:
             return  # lost frames stay unacked and get retransmitted
         sim = self.sim
-        if frame.kind is FrameKind.REPLY:
+        if frame is REPLY:
             sim.requests_answered += 1
             return
         ack_seq = sim.host.receive_log(frame.seq, frame.payload)
         if self._ack_lost():
             return  # the retransmission will be deduped host-side
         sim.store.ack_through(ack_seq)
-        # the frame in flight is always the last one picked
-        sim.note_delivered(self.record, now)
+        sim.note_delivered(frame, now)
 
 
 class _RadioDriver(Driver):
@@ -205,15 +192,15 @@ class _RadioDriver(Driver):
         loss_rate = self.sim.cfg.wireless.loss_rate
         return loss_rate > 0 and self.sim.rng.random() < loss_rate
 
-    def send_frame(self, frame: Frame) -> Outcome:
+    def send_frame(self, frame: object) -> Outcome:
         """Put `frame` on the air: it reaches the host or is lost."""
         return Outcome.LOST if self._lost() else Outcome.DELIVERED
 
-    def _start(self, now: float, frame: Frame) -> None:
+    def _start(self, now: float, frame: object) -> None:
         wp = self.sim.cfg.wireless
         delivered = self.send_frame(frame) is Outcome.DELIVERED
         self.in_flight = frame if delivered else None
-        airtime = wp.reply_airtime if frame.kind is FrameKind.REPLY else wp.per_frame_airtime
+        airtime = wp.reply_airtime if frame is REPLY else wp.per_frame_airtime
         self.tx_until = now + airtime - 1e-12
         self.sim.set_radio(RadioMode.TRANSMITTING)
 
@@ -300,7 +287,7 @@ class WirelessContinuousDriver(_RadioDriver):
             return now if self.connecting_until is None else self.connecting_until
         if self.tx_until is not None:
             return self.tx_until
-        return math.inf if self._idle() or self._gate_defers() else now
+        return math.inf if self._next_frame() is None or self._gate_defers() else now
 
     def _gate_defers(self) -> bool:
         sim = self.sim
@@ -316,8 +303,9 @@ class WirelessContinuousDriver(_RadioDriver):
             if now < self.tx_until:
                 return
             self._finish(now)
-        if not (self._idle() or self._gate_defers()):
-            self._start(now, self._next_frame())
+        frame = self._next_frame()
+        if frame is not None and not self._gate_defers():
+            self._start(now, frame)
 
 
 class StopAndRadioDriver(_DrainCycleDriver, _RadioDriver):
@@ -358,7 +346,7 @@ class SaveAndPrintLaterDriver(_DrainCycleDriver):
             sim.car.speed = 0.0
             self.state = "drain"
 
-    def _start(self, now: float, frame: Frame) -> None:
+    def _start(self, now: float, frame: object) -> None:
         # `_approach` parked the car at the dock, and it stays there until
         # `_cruise`
         self.in_flight = frame
@@ -377,7 +365,7 @@ class PowerlineContinuousDriver(Driver):
         self.channel = PowerlineChannel()
 
     def next_wake(self, now: float) -> float:
-        if self.in_flight is None and not self._idle():
+        if self.in_flight is None and self._next_frame() is not None:
             return now
         # `channel.tick` takes a boundary a margin past `now`; twice that
         # margin keeps the wake short of it after rounding
@@ -391,8 +379,9 @@ class PowerlineContinuousDriver(Driver):
             if frame is not None:
                 self._start(now, frame)
 
-    def _start(self, now: float, frame: Frame) -> None:
-        self.channel.slots_left = powerline_slots(FRAME_OVERHEAD + len(frame.payload))
+    def _start(self, now: float, frame: object) -> None:
+        payload_len = 0 if frame is REPLY else len(frame.payload)
+        self.channel.slots_left = powerline_slots(FRAME_OVERHEAD + payload_len)
         self.in_flight = frame
 
     def on_brownout(self) -> None:

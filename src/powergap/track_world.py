@@ -535,16 +535,14 @@ class Simulation:
 
         # host-side request schedule runs regardless of device health
         sched = cfg.schedule
-        if sched.gap_aligned:
-            if gap_entered:
-                self._arrive_request(t1)
-        else:
-            while (
-                self._next_request_idx < len(sched.times)
-                and sched.times[self._next_request_idx] <= t1
-            ):
-                self._arrive_request(t1)
-                self._next_request_idx += 1
+        if gap_entered and sched.gap_aligned:
+            self._arrive_request(t1)
+        while (
+            self._next_request_idx < len(sched.times)
+            and sched.times[self._next_request_idx] <= t1
+        ):
+            self._arrive_request(t1)
+            self._next_request_idx += 1
 
         if self.active:
             self._workload_acc += cfg.workload_rate * dt
@@ -620,7 +618,7 @@ class Simulation:
         # step, a timed request, or the end of a reboot on powered track
         hard = self._end if active or not powered else min(self._end, self.rebooting_until)
         sched = cfg.schedule
-        if not sched.gap_aligned and self._next_request_idx < len(sched.times):
+        if self._next_request_idx < len(sched.times):
             hard = min(hard, sched.times[self._next_request_idx])
         # the first step time handed to `_due_step` (a gap or `hard` ends the
         # stretch there): the wake or a backlog sample, in a reboot a full step

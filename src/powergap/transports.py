@@ -5,7 +5,8 @@ lossy wireless link, whose association and seeded loss draws the radio
 driver in `strategies` owns, and the powerline back-channel that rides
 the track's digital control protocol in fixed 13-bit slots, 8 per 75 ms
 cycle.  All payloads travel in a common CRC-protected frame format.  The
-codecs are the wire format; a run only counts a powerline frame's slots.
+codecs are the wire format; a run builds no frame, and only counts a
+frame's bytes (`FRAME_OVERHEAD` plus the payload) and powerline slots.
 """
 
 from __future__ import annotations

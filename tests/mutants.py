@@ -170,6 +170,15 @@ MUTANTS = (
         "horizon = 3.0 * budget.lookahead",
         ("tests/test_metamorphic.py::test_scaling_lengths_and_speed_changes_no_time[0.25]",),
     ),
+    # a pending request answered only once no record waits, not first
+    Mutant(
+        "reply_waits_behind_records",
+        "src/powergap/strategies.py",
+        "if sim.requests_answered < sim.requests_arrived:",
+        "if sim.requests_answered < sim.requests_arrived and not sim.store.flash:",
+        ("tests/test_strategies.py::test_pump_sends_the_record_it_picked",
+         "tests/test_golden.py::test_outputs_match_golden_digests"),
+    ),
     # a step's rails taken where it starts, not where it ends
     Mutant(
         "in_gap_at_step_start",

@@ -8,7 +8,6 @@ digest changes, and why.  Prints the names of the files that changed.
 
 from __future__ import annotations
 
-import os
 import re
 import sys
 import tempfile
@@ -23,7 +22,6 @@ BLOCK = re.compile(r"^GOLDEN = \{\n.*?^\}\n", re.MULTILINE | re.DOTALL)
 
 
 def main() -> int:
-    os.environ.pop("POWERGAP_OUT", None)
     with tempfile.TemporaryDirectory() as tmp:
         digests = produce(Path(tmp))
     body = "".join(f'    "{name}": "{digest}",\n' for name, digest in sorted(digests.items()))

@@ -129,8 +129,7 @@ def produce(out: Path) -> dict[str, str]:
     }
 
 
-def test_outputs_match_golden_digests(tmp_path, monkeypatch):
-    monkeypatch.delenv("POWERGAP_OUT", raising=False)
+def test_outputs_match_golden_digests(tmp_path):
     got = produce(tmp_path)
     differing = sorted(
         name for name in GOLDEN.keys() | got.keys() if GOLDEN.get(name) != got.get(name)

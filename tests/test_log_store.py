@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from wire_decoders import crc_valid
 
 from powergap.log_store import (
+    RECORD_OVERHEAD,
     LogRecord,
     LogStore,
     Severity,
@@ -209,7 +210,8 @@ class TestInvariants:
                 if unacked:
                     store.ack_through(rng.choice(unacked))
             assert store.conservation_holds()
-            assert store.flash_bytes == sum(r.wire_size for r in store.flash)
+            assert store.flash_bytes == sum(RECORD_OVERHEAD + len(r.payload)
+                                            for r in store.flash)
             assert store.flash_bytes <= store.flash_capacity
         seqs = [r.seq for r in store.flash]
         assert seqs == sorted(seqs)

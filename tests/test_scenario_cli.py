@@ -734,14 +734,6 @@ class TestCliRun:
         assert err.count("\n") == 1
         assert sorted(p.name for p in out_dir.iterdir()) == ["case_trace.csv"]
 
-    def test_env_var_overrides_out_flag(self, tmp_path, monkeypatch):
-        scn = write_scenario(tmp_path, MINIMAL)
-        env_dir = tmp_path / "from_env"
-        monkeypatch.setenv("POWERGAP_OUT", str(env_dir))
-        main(["run", scn, "--out", str(tmp_path / "ignored")])
-        assert (env_dir / "case_trace.csv").exists()
-        assert not (tmp_path / "ignored" / "case_trace.csv").exists()
-
 
 WORKLOAD = """
 [track]

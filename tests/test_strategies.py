@@ -16,6 +16,7 @@ from powergap.log_store import Severity
 from powergap.ota import OtaDevice, OtaState, image_digest, run_ota_transfer
 from powergap.scenario import load_scenario, parse_scenario
 from powergap.strategies import (
+    REPLY,
     Driver,
     EnergyBudget,
     Gate,
@@ -33,7 +34,7 @@ from powergap.track_world import (
     evaluate_strategies,
     run_scenario,
 )
-from powergap.transports import SLOT_BITS, Frame, FrameKind, Outcome, WirelessLinkParams
+from powergap.transports import SLOT_BITS, Outcome, WirelessLinkParams
 
 
 def loop_layout(dock=0.20):
@@ -171,12 +172,14 @@ class TestRadioSendFrame:
         return Simulation(cfg).driver
 
     def test_lossless_delivery(self):
-        assert self.radio(0.0).send_frame(Frame(FrameKind.LOG, 1)) is Outcome.DELIVERED
+        driver = self.radio(0.0)
+        assert driver.send_frame(stored_record(driver.sim)) is Outcome.DELIVERED
 
     def test_loss_is_seed_deterministic(self):
         def outcomes(seed):
             driver = self.radio(0.5, seed)
-            return [driver.send_frame(Frame(FrameKind.LOG, i)) for i in range(50)]
+            record = stored_record(driver.sim)
+            return [driver.send_frame(record) for _ in range(50)]
 
         assert outcomes(42) == outcomes(42)
         assert Outcome.LOST in outcomes(42)
@@ -253,17 +256,32 @@ def idle_sim(kind, **kwargs):
 
 
 def stored_record(sim, at=0.0):
+    """Append and flush one record; the stored record."""
     sim.store.append(Severity.INFO, b"x", at)
     sim.store.flush()
+    return sim.store.flash[-1]
 
 
-def test_pump_frames_are_slotted():
-    # the pump builds one frame per send, so frames carry no instance dict
+def test_pump_sends_the_record_it_picked():
+    # the pump picks the stored record itself, a reply ahead of it, and
+    # nothing when neither waits; picking changes nothing
     sim = idle_sim(StrategyKind.WIRELESS_CONTINUOUS)
-    stored_record(sim)
-    frame = sim.driver._next_frame()
-    assert frame == Frame(FrameKind.LOG, 1, b"x")
-    assert not hasattr(frame, "__dict__")
+    driver = sim.driver
+    assert driver._next_frame() is None
+    stored_record(sim, at=0.5)
+    record = sim.store.flash[0]
+    assert driver._next_frame() is record
+    assert driver._next_frame() is record
+    sim.requests_arrived = 1  # request 1 is pending
+    assert driver._next_frame() is REPLY
+    sim.requests_answered = 1
+    # the record it sends is the one `_finish` presents and times
+    driver.associated = True
+    driver._start(2.0, driver._next_frame())
+    driver._finish(2.002)
+    assert sim.host.presented == [(record.seq, record.payload)]
+    assert sim.latencies == [2.002 - record.timestamp]
+    assert not sim.store.flash
 
 
 class TestNextWake:
@@ -321,8 +339,7 @@ class TestNextWake:
         sim = idle_sim(StrategyKind.WIRELESS_CONTINUOUS)
         driver = sim.driver
         driver.associated = True
-        stored_record(sim)
-        driver._start(2.0, Frame(FrameKind.LOG, 1, b"x"))
+        driver._start(2.0, stored_record(sim))
         assert driver.tx_until == 2.0 + sim.cfg.wireless.per_frame_airtime - 1e-12
         assert driver.next_wake(2.0) == driver.tx_until
 
@@ -398,7 +415,7 @@ def associated(driver):
 
 def frame_sent(driver):
     associated(driver)
-    driver._start(5.0, Frame(FrameKind.LOG, 1, b"x"))
+    driver._start(5.0, driver._next_frame())
 
 
 def gate_deferred(driver):

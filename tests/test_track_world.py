@@ -559,7 +559,7 @@ def run_state(sim):
                 sim._next_backlog_at, sim.radio_on_s, sim.latencies, sim.rng.getstate()),
     }
     if driver is not None:
-        # tx_until, in_flight, record; next_drain, state, associated, ...
+        # tx_until, in_flight (a record or REPLY); next_drain, state, associated, ...
         state["driver"] = {k: v for k, v in vars(driver).items()
                            if k not in ("sim", "channel")}
         if hasattr(driver, "channel"):
@@ -708,8 +708,9 @@ def test_car_stopped_in_a_gap_falls_back_to_step():
 def test_gate_deferral_carries_records_through_a_stretch(duration):
     # while the gate defers waiting work, a stretch carries records past
     # the deferred ticks, and 200 B of flash evicts the oldest every few
-    # records: a deferred tick that picked a record (`Driver.record`)
-    # would leave a stale pick wherever the run ends
+    # records: the plain loop ticks where the stretch skips, and both
+    # must end with the same records, the same frame in flight and the
+    # same store, wherever the run ends
     cfg = ScenarioConfig(
         params=EnergyModelParams.calibrated(), layout=lane_change_layout(),
         duration=duration, strategy=StrategyKind.WIRELESS_CONTINUOUS, controller=True,
