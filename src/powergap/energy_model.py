@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, chain, count, groupby, islice, repeat
+from operator import is_, itemgetter
 from typing import IO, Iterator, Mapping, Optional
 
 
@@ -185,15 +186,18 @@ class VoltageTrace:
     `write_csv` takes its time texts in blocks from one of two sources:
     where `csv_micro_step` allows, whole microseconds that print the same,
     a second per block; else the running sum itself, CSV_CHUNK_ROWS sums
-    per block.  It puts at most CSV_CHUNK_ROWS rows in one write, splitting
-    a longer run, so a long run never becomes one huge string."""
+    per block.  A stretch of one-row runs (a gap's steps) is formatted a
+    piece at a time, up to the next block or chunk edge, with one `%`; a
+    supply that every run in the piece holds as one float object prints
+    once.  It puts at most CSV_CHUNK_ROWS rows in one write, splitting a
+    longer run or stretch, so neither ever becomes one huge string."""
 
     def __init__(self, runs: list[tuple[int, float, float]], dt: float) -> None:
         self.runs = runs
         self.dt = dt
 
     def __len__(self) -> int:
-        return sum(n for n, _, _ in self.runs)
+        return sum(map(itemgetter(0), self.runs))
 
     def __iter__(self) -> Iterator[tuple[float, float, float]]:
         times = accumulate(repeat(self.dt))
@@ -207,7 +211,8 @@ class VoltageTrace:
         # row k's time (k from 1) is a block's prefix + texts[j]: the whole
         # seconds and, from one table, the fraction of k*step µs, or else
         # the k-th running sum; a run's rows inside one block are one join,
-        # its voltages formatted once into `tail`
+        # its voltages formatted once into `tail`, and a piece of one-row
+        # runs is one join into a template for its voltages
         rows = len(self)
         step = csv_micro_step(self.dt, rows)
         if step:
@@ -221,29 +226,47 @@ class VoltageTrace:
             blocks = (("", ("%.6f\n" * per % tuple(islice(times, per))).split("\n"))
                       for _ in count())
         prefix, texts = next(blocks)
-        last = per - 1
         chunk: list[str] = []
         space = CSV_CHUNK_ROWS
-        for n, supply, cap in self.runs:
-            tail = ",%.6f,%.6f\n" % (supply, cap)
-            if n == 1 and j < last and space > 1:  # most runs: one row, no edge
-                chunk.append(prefix + texts[j] + tail)
-                j += 1
-                space -= 1
+        for n, group in groupby(self.runs, itemgetter(0)):
+            if n == 1:  # one-row runs, a piece up to the next block or chunk edge
+                while piece := list(islice(group, min(per - j or per, space))):
+                    if j == per:  # the next block, only when a row needs it
+                        prefix, texts = next(blocks)
+                        j = 0
+                    take = len(piece)
+                    supply = piece[0][1]
+                    # one supply object prints once; equal floats may not (-0.0)
+                    if all(map(is_, map(itemgetter(1), piece), repeat(supply))):
+                        tail = ",%.6f,%%.6f\n" % supply
+                        values = tuple(map(itemgetter(2), piece))
+                    else:
+                        tail = ",%.6f,%.6f\n"
+                        values = tuple(chain.from_iterable(map(itemgetter(1, 2), piece)))
+                    chunk.append((prefix + (tail + prefix).join(texts[j:j + take]) + tail)
+                                 % values)
+                    j += take
+                    space -= take
+                    if not space:
+                        fp.write("".join(chunk))
+                        chunk = []
+                        space = CSV_CHUNK_ROWS
                 continue
-            while n:
-                if j == per:  # the next block, only when a row needs it
-                    prefix, texts = next(blocks)
-                    j = 0
-                take = min(n, per - j, space)
-                chunk.append(prefix + (tail + prefix).join(texts[j:j + take]) + tail)
-                n -= take
-                j += take
-                space -= take
-                if not space:
-                    fp.write("".join(chunk))
-                    chunk = []
-                    space = CSV_CHUNK_ROWS
+            for n, supply, cap in group:
+                tail = ",%.6f,%.6f\n" % (supply, cap)
+                while n:
+                    if j == per:
+                        prefix, texts = next(blocks)
+                        j = 0
+                    take = min(n, per - j, space)
+                    chunk.append(prefix + (tail + prefix).join(texts[j:j + take]) + tail)
+                    n -= take
+                    j += take
+                    space -= take
+                    if not space:
+                        fp.write("".join(chunk))
+                        chunk = []
+                        space = CSV_CHUNK_ROWS
         if chunk:
             fp.write("".join(chunk))
 

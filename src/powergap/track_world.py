@@ -28,6 +28,8 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from itertools import chain
+from operator import attrgetter
 from typing import IO, Iterable, Optional, Sequence
 
 from .energy_model import (
@@ -227,8 +229,8 @@ class Event:
 
 def events_to_csv(events: list[Event], fp: IO[str]) -> None:
     # the same bytes as csv.writer: no field holds a comma, quote or newline
-    fp.write("time_s,event,detail\n" + "".join(
-        ["%.6f,%s,%s\n" % (ev.time, ev.kind.value, ev.detail) for ev in events]))
+    fp.write("time_s,event,detail\n" + "%.6f,%s,%s\n" * len(events) % tuple(
+        chain.from_iterable(map(attrgetter("time", "kind._value_", "detail"), events))))
 
 
 #: The largest run a `Simulation` accepts, so that every run ends: at

@@ -197,6 +197,15 @@ MUTANTS = (
         ("tests/test_track_world.py::test_csv_micro_step_picks_the_writer",
          "tests/test_track_world.py::test_trace_csv_follows_a_drifting_sum"),
     ),
+    # a piece of one-row runs printing one supply for supplies that are
+    # equal, not one object: -0.0 among 0.0 prints as 0.0, or the reverse
+    Mutant(
+        "shared_supply_by_value",
+        "src/powergap/energy_model.py",
+        "from operator import is_, itemgetter",
+        "from operator import eq as is_, itemgetter",
+        ("tests/test_track_world.py::test_trace_csv_prints_each_one_row_supply",),
+    ),
 )
 
 

@@ -1109,20 +1109,40 @@ def test_trace_csv_long_runs(runs):
     assert_both_writers_match(VoltageTrace(runs, 5e-4))
 
 
-@pytest.mark.parametrize("dt", [5e-4, 2.0**-10], ids=["micro", "summed"])
-def test_trace_csv_splits_a_long_run(dt):
+def test_trace_csv_prints_each_one_row_supply():
+    # one-row runs whose supplies compare equal but print differently (0.0
+    # and -0.0), so a piece that prints one shared supply must hold one
+    # object: pieces that start and end with either, on both sides of every
+    # block and chunk edge of both time sources; then equal supplies that
+    # are distinct objects
+    edges = {2000, 4000, 6000, 8000, 4096, 8192}
+    negative = {1, 9000} | {k + d for k in edges for d in (-1, 0, 1)}
+    runs = [(1, -0.0 if k in negative else 0.0, 9.0 - k * 1e-3) for k in range(1, 9001)]
+    runs += [(1, float("4.5"), 4.5) for _ in range(5000)]
+    assert runs[-1][1] == runs[-2][1] and runs[-1][1] is not runs[-2][1]
+    assert_both_writers_match(VoltageTrace(runs, 5e-4))
+
+
+@pytest.mark.parametrize("dt, one_row", [
+    (5e-4, False), (2.0**-10, False), (5e-4, True), (2.0**-10, True),
+], ids=["micro", "summed", "one_row_runs-micro", "one_row_runs-summed"])
+def test_trace_csv_splits_a_long_run(dt, one_row):
     class Discard:
         def write(self, text):
             pass
 
-    trace = VoltageTrace([(100_000, 9.0, 9.0)], dt)
+    runs = ([(1, 0.0, 9.0 - k * 1e-5) for k in range(100_000)] if one_row
+            else [(100_000, 9.0, 9.0)])
+    trace = VoltageTrace(runs, dt)
     tracemalloc.start()
     try:
         trace.write_csv(Discard())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000  # a writer that builds the whole text peaks at about 5.6 MB
+    # a writer that builds the whole text peaks at about 5.6 MB, one that
+    # lists a whole stretch of one-row runs at over 1.2 MB
+    assert peak < 1_000_000
 
 
 def test_events_csv_matches_csv_writer():
@@ -1137,3 +1157,9 @@ def test_events_csv_matches_csv_writer():
     assert buf.getvalue() == csv_reference(
         ["time_s", "event", "detail"],
         [[f"{ev.time:.6f}", ev.kind.value, ev.detail] for ev in events])
+
+
+def test_events_csv_of_no_events():
+    buf = io.StringIO()
+    events_to_csv([], buf)
+    assert buf.getvalue() == "time_s,event,detail\n"
