@@ -152,8 +152,11 @@ class EnergyModelParams:
         return params
 
 
-#: Most rows `VoltageTrace.write_csv` puts in one write.
+#: Most rows `VoltageTrace.write_csv` puts in one block, and so in one write.
 CSV_CHUNK_ROWS = 4096
+
+#: `write_csv`'s fraction texts `.%06d` of j*step µs, one table per step
+_FRACTIONS: dict[int, list[str]] = {}
 
 
 def csv_micro_step(dt: float, rows: int) -> int:
@@ -186,11 +189,11 @@ class VoltageTrace:
     `write_csv` takes its time texts in blocks from one of two sources:
     where `csv_micro_step` allows, whole microseconds that print the same,
     a second per block; else the running sum itself, CSV_CHUNK_ROWS sums
-    per block.  A stretch of one-row runs (a gap's steps) is formatted a
-    piece at a time, up to the next block or chunk edge, with one `%`; a
-    supply that every run in the piece holds as one float object prints
-    once.  It puts at most CSV_CHUNK_ROWS rows in one write, splitting a
-    longer run or stretch, so neither ever becomes one huge string."""
+    per block.  Each write is one piece inside one block: a run's rows,
+    or a stretch of one-row runs (a gap's steps) formatted with one `%`,
+    where a supply that every run in the piece holds as one float object
+    prints once.  No block, and so no write, holds more than
+    CSV_CHUNK_ROWS rows, so no long run becomes one huge string."""
 
     def __init__(self, runs: list[tuple[int, float, float]], dt: float) -> None:
         self.runs = runs
@@ -210,27 +213,26 @@ class VoltageTrace:
         fp.write("time_s,supply_v,cap_v\n")
         # row k's time (k from 1) is a block's prefix + texts[j]: the whole
         # seconds and, from one table, the fraction of k*step µs, or else
-        # the k-th running sum; a run's rows inside one block are one join,
-        # its voltages formatted once into `tail`, and a piece of one-row
-        # runs is one join into a template for its voltages
+        # the k-th running sum; each write is one piece in one block, a
+        # run's rows as one join with its voltages formatted once into
+        # `tail`, or one-row runs as one join into a template for theirs
         rows = len(self)
         step = csv_micro_step(self.dt, rows)
         if step:
             per = 1_000_000 // step
-            fracs = [".%06d" % (j * step) for j in range(per)]
+            if step not in _FRACTIONS:
+                _FRACTIONS[step] = [".%06d" % (j * step) for j in range(per)]
             sec, j = divmod(1, per)
-            blocks = ((str(s), fracs) for s in count(sec))
+            blocks = ((str(s), _FRACTIONS[step]) for s in count(sec))
         else:
             per, j = min(rows, CSV_CHUNK_ROWS), 0  # a short trace: no spare sums
             times = accumulate(repeat(self.dt))
             blocks = (("", ("%.6f\n" * per % tuple(islice(times, per))).split("\n"))
                       for _ in count())
         prefix, texts = next(blocks)
-        chunk: list[str] = []
-        space = CSV_CHUNK_ROWS
         for n, group in groupby(self.runs, itemgetter(0)):
-            if n == 1:  # one-row runs, a piece up to the next block or chunk edge
-                while piece := list(islice(group, min(per - j or per, space))):
+            if n == 1:  # one-row runs, a piece up to the next block edge
+                while piece := list(islice(group, per - j or per)):
                     if j == per:  # the next block, only when a row needs it
                         prefix, texts = next(blocks)
                         j = 0
@@ -243,14 +245,9 @@ class VoltageTrace:
                     else:
                         tail = ",%.6f,%.6f\n"
                         values = tuple(chain.from_iterable(map(itemgetter(1, 2), piece)))
-                    chunk.append((prefix + (tail + prefix).join(texts[j:j + take]) + tail)
-                                 % values)
+                    fp.write((prefix + (tail + prefix).join(texts[j:j + take]) + tail)
+                             % values)
                     j += take
-                    space -= take
-                    if not space:
-                        fp.write("".join(chunk))
-                        chunk = []
-                        space = CSV_CHUNK_ROWS
                 continue
             for n, supply, cap in group:
                 tail = ",%.6f,%.6f\n" % (supply, cap)
@@ -258,17 +255,10 @@ class VoltageTrace:
                     if j == per:
                         prefix, texts = next(blocks)
                         j = 0
-                    take = min(n, per - j, space)
-                    chunk.append(prefix + (tail + prefix).join(texts[j:j + take]) + tail)
+                    take = min(n, per - j)
+                    fp.write(prefix + (tail + prefix).join(texts[j:j + take]) + tail)
                     n -= take
                     j += take
-                    space -= take
-                    if not space:
-                        fp.write("".join(chunk))
-                        chunk = []
-                        space = CSV_CHUNK_ROWS
-        if chunk:
-            fp.write("".join(chunk))
 
 
 def discharge_current(

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Collection, NamedTuple, Optional, Union
 
 from .energy_model import (
     ALL_POWER_STATES,
@@ -200,21 +200,22 @@ class ScenarioSpec:
         return HostRequestSchedule(times=times)
 
     def build(self, seed: Optional[int] = None,
-              strategies: Optional[Iterable[StrategyKind]] = None) -> ScenarioConfig:
+              strategies: Optional[Collection[StrategyKind]] = None) -> ScenarioConfig:
         """The validated config, run on `seed` when one is given.  A
         ConfigError from calibration or validation cites the first key it
-        blames that this file sets.  A lossy radio link needs a seed, from
-        the file or `seed`, if the file's strategy (or, when given, one of
-        the `strategies` a comparison runs) is a radio strategy."""
+        blames that this file sets.  The file's strategy is checked only
+        if it runs (a comparison runs `strategies`, when given), and a lossy
+        radio link needs a seed, from the file or `seed`, if one that runs
+        is a radio strategy."""
         try:
             cfg = self._config()
-            cfg.validate()
+            runs = (cfg.strategy,) if strategies is None else strategies
+            (cfg if cfg.strategy in runs else replace(cfg, strategy=None)).validate()
         except ConfigError as exc:
             blamed = [k for k in exc.keys if k in self.lines] or [*exc.keys, ("", "")]
             section, key = blamed[0]
             message = f"{key}: {exc}" if exc.keyed else str(exc)
             raise ScenarioError(self._line(section, key), message) from None
-        runs = (cfg.strategy,) if strategies is None else strategies
         if seed is not None:
             cfg.seed = seed
         elif (cfg.wireless.loss_rate > 0 and ("run", "seed") not in self.values

@@ -14,7 +14,8 @@ time out unmutated or cannot be run.
     python3 tests/mutants.py
 
 `tests/test_mutants.py` checks in tier-1 only that each old text still
-occurs exactly once, so an edit to `src/` cannot leave a mutant behind.
+occurs exactly once, so an edit to `src/` cannot leave a mutant behind,
+and that each named test still exists, so a renamed test cannot either.
 """
 
 from __future__ import annotations
@@ -205,6 +206,35 @@ MUTANTS = (
         "from operator import is_, itemgetter",
         "from operator import eq as is_, itemgetter",
         ("tests/test_track_world.py::test_trace_csv_prints_each_one_row_supply",),
+    ),
+    # a key with nothing after `=` taken as a value; each key's own parse
+    # then refuses it in other words, or a word key falls back to its default
+    Mutant(
+        "empty_value_accepted",
+        "src/powergap/scenario.py",
+        "if not value:",
+        "if False:",
+        ("tests/test_scenario_cli.py::TestRejectionCorpus"
+         "::test_single_fault_message[empty_value]",),
+    ),
+    # a straight or curve segment that keeps the gap offsets it was given
+    Mutant(
+        "plain_segment_keeps_gaps",
+        "src/powergap/track_world.py",
+        "elif self.gap_offsets:",
+        "elif False:",
+        ("tests/test_track_world.py::TestLayout"
+         "::test_plain_segment_carries_no_gaps[straight]",),
+    ),
+    # a comparison that refuses the file's own strategy though it does not
+    # run it: a dockless save_and_print_later file, compared without it
+    Mutant(
+        "compare_checks_unrun_strategy",
+        "src/powergap/scenario.py",
+        "(cfg if cfg.strategy in runs else replace(cfg, strategy=None)).validate()",
+        "cfg.validate()",
+        ("tests/test_scenario_cli.py::TestCliCompare"
+         "::test_dockless_own_strategy_not_compared_runs",),
     ),
 )
 

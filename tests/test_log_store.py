@@ -55,6 +55,12 @@ class TestAppend:
         assert store.append(Severity.INFO, b"x" * 255) == 1
         assert store.conservation_holds()
 
+    @pytest.mark.parametrize("capacity", ["ram_capacity", "flash_capacity"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_capacity_must_be_positive(self, capacity, value):
+        with pytest.raises(StoreError, match="must be > 0"):
+            LogStore(**{capacity: value})
+
     def test_record_larger_than_flash_rejected_before_taking_a_seq(self):
         # a flush that failed part way left the records before the big one
         # in flash and in RAM, so the next flush wrote them twice

@@ -167,6 +167,7 @@ SEGMENTS = "segments = straight:0.30 lanechange:0.48:0.09:0.36 straight:0.30"
 
 #: one file per rejection rule, each with a single fault -> exact error text
 REJECTIONS = {
+    "empty_value": ("[run]\nduration =\n", "line 2: duration: empty value"),
     "bad_float": ("[run]\nduration = forever\n",
                   "line 2: duration: expected a number, got 'forever'"),
     "bad_integer": ("[run]\nseed = 1.5\n",
@@ -816,6 +817,23 @@ class TestCliCompare:
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err == (
             f"error: {scn}: save_and_print_later needs a dock_position in [track]\n")
+        assert not (tmp_path / "compare.csv").exists()
+
+    def test_dockless_own_strategy_not_compared_runs(self, tmp_path, capsys):
+        # the file's save_and_print_later needs a dock only when it runs
+        scn = write_scenario(tmp_path, "[strategy]\nkind = save_and_print_later\n"
+                             + MINIMAL)
+        assert main(["compare", scn, "--strategies", "wireless_continuous",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[1].startswith("wireless_continuous,")
+        assert (tmp_path / "compare.csv").read_text().splitlines() == lines
+        (tmp_path / "compare.csv").unlink()
+        assert main(["compare", scn, "--out", str(tmp_path)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {scn}: line 2: "
+                       "save_and_print_later needs a dock_position in [track]\n")
         assert not (tmp_path / "compare.csv").exists()
 
     def test_unmakeable_out_dir_exit_2(self, tmp_path, capsys):

@@ -101,6 +101,12 @@ class TestLayout:
         with pytest.raises(LayoutError):
             Segment(SegmentKind.LANE_CHANGE, 0.5, (0.10, 0.13)).validate()
 
+    @pytest.mark.parametrize("kind", [SegmentKind.STRAIGHT, SegmentKind.CURVE],
+                             ids=lambda kind: kind.value)
+    def test_plain_segment_carries_no_gaps(self, kind):
+        with pytest.raises(LayoutError, match=f"{kind.value} segments carry no gaps"):
+            Segment(kind, 0.5, (0.1, 0.3)).validate()
+
     def test_gap_length_must_be_positive(self):
         with pytest.raises(LayoutError):
             Segment(SegmentKind.LANE_CHANGE, 0.5, (0.1, 0.3), 0.0).validate()
@@ -750,6 +756,13 @@ def test_summed_is_the_running_sum(d, n):
     assert _summed(d, n) == running_sum(d, n)
 
 
+@pytest.mark.parametrize("d,stall", [(1.0, 2.0**53), (0.5, 2.0**52)])
+def test_summed_stops_where_the_sum_stalls(d, stall):
+    # past `stall`, adding d rounds back to the sum, so no count moves it
+    assert stall + d == stall
+    assert _summed(d, 2**60) == stall
+
+
 @settings(max_examples=200, deadline=None)
 @given(dt=st.floats(1e-7, 0.1), n=st.integers(1, MAX_STEPS))
 @example(dt=5e-4, n=1)
@@ -991,7 +1004,7 @@ def trace_reference(trace):
 
 def mixed_runs(total, seed):
     """Runs of `total` rows: long stretches of one-row runs, runs across
-    chunk edges, and -0.0 and 0.0 voltages."""
+    block edges, and -0.0 and 0.0 voltages."""
     rng = random.Random(seed)
     voltages = [9.0, 0.0, -0.0, 4.5, 1e-7, 8.999999, 0.1234565]
     runs, left = [], total
@@ -1113,8 +1126,8 @@ def test_trace_csv_prints_each_one_row_supply():
     # one-row runs whose supplies compare equal but print differently (0.0
     # and -0.0), so a piece that prints one shared supply must hold one
     # object: pieces that start and end with either, on both sides of every
-    # block and chunk edge of both time sources; then equal supplies that
-    # are distinct objects
+    # block edge of both time sources; then equal supplies that are
+    # distinct objects
     edges = {2000, 4000, 6000, 8000, 4096, 8192}
     negative = {1, 9000} | {k + d for k in edges for d in (-1, 0, 1)}
     runs = [(1, -0.0 if k in negative else 0.0, 9.0 - k * 1e-3) for k in range(1, 9001)]
