@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, chain, count, groupby, islice, repeat
-from operator import is_, itemgetter
+from itertools import accumulate, count, islice, repeat
+from operator import itemgetter
 from typing import IO, Iterator, Mapping, Optional
 
 
@@ -183,19 +183,19 @@ def csv_micro_step(dt: float, rows: int) -> int:
 
 
 class VoltageTrace:
-    """Uniformly sampled supply and capacitor voltages, held as runs of
-    equal samples: `runs` is a list of (count, supply_v, cap_v).  Row k's
-    time is `dt` added k + 1 times to 0.0, the sum the simulation makes.
-    `write_csv` takes its time texts in blocks from one of two sources:
-    where `csv_micro_step` allows, whole microseconds that print the same,
-    a second per block; else the running sum itself, CSV_CHUNK_ROWS sums
-    per block.  Each write is one piece inside one block: a run's rows,
-    or a stretch of one-row runs (a gap's steps) formatted with one `%`,
-    where a supply that every run in the piece holds as one float object
-    prints once.  No block, and so no write, holds more than
-    CSV_CHUNK_ROWS rows, so no long run becomes one huge string."""
+    """Uniformly sampled supply and capacitor voltages, held as runs:
+    `runs` is a list of (count, supply_v, cap_v), where `cap_v` is one
+    voltage for all `count` rows, or a list of `count` voltages, one per
+    row (a gap crossing's or a recharge's).  Row k's time is `dt` added
+    k + 1 times to 0.0, the sum the simulation makes.  `write_csv` takes
+    its time texts in blocks from one of two sources: where
+    `csv_micro_step` allows, whole microseconds that print the same, a
+    second per block; else the running sum itself, CSV_CHUNK_ROWS sums per
+    block.  Each write is one piece of one run inside one block.  No block,
+    and so no write, holds more than CSV_CHUNK_ROWS rows, so no long run
+    becomes one huge string."""
 
-    def __init__(self, runs: list[tuple[int, float, float]], dt: float) -> None:
+    def __init__(self, runs: list[tuple[int, float, float | list[float]]], dt: float) -> None:
         self.runs = runs
         self.dt = dt
 
@@ -205,17 +205,18 @@ class VoltageTrace:
     def __iter__(self) -> Iterator[tuple[float, float, float]]:
         times = accumulate(repeat(self.dt))
         for n, supply, cap in self.runs:
-            for t in islice(times, n):
-                yield t, supply, cap
+            caps = cap if type(cap) is list else repeat(cap, n)
+            for t, v in zip(islice(times, n), caps):
+                yield t, supply, v
 
     def write_csv(self, fp: IO[str]) -> None:
         # the same bytes as csv.writer: formatted numbers need no quoting
         fp.write("time_s,supply_v,cap_v\n")
         # row k's time (k from 1) is a block's prefix + texts[j]: the whole
         # seconds and, from one table, the fraction of k*step µs, or else
-        # the k-th running sum; each write is one piece in one block, a
-        # run's rows as one join with its voltages formatted once into
-        # `tail`, or one-row runs as one join into a template for theirs
+        # the k-th running sum; each write is a run's rows in one block, one
+        # join with its voltages formatted once into `tail`, or a per-row
+        # run's supply once and its voltages by one `%` into the template
         rows = len(self)
         step = csv_micro_step(self.dt, rows)
         if step:
@@ -230,35 +231,19 @@ class VoltageTrace:
             blocks = (("", ("%.6f\n" * per % tuple(islice(times, per))).split("\n"))
                       for _ in count())
         prefix, texts = next(blocks)
-        for n, group in groupby(self.runs, itemgetter(0)):
-            if n == 1:  # one-row runs, a piece up to the next block edge
-                while piece := list(islice(group, per - j or per)):
-                    if j == per:  # the next block, only when a row needs it
-                        prefix, texts = next(blocks)
-                        j = 0
-                    take = len(piece)
-                    supply = piece[0][1]
-                    # one supply object prints once; equal floats may not (-0.0)
-                    if all(map(is_, map(itemgetter(1), piece), repeat(supply))):
-                        tail = ",%.6f,%%.6f\n" % supply
-                        values = tuple(map(itemgetter(2), piece))
-                    else:
-                        tail = ",%.6f,%.6f\n"
-                        values = tuple(chain.from_iterable(map(itemgetter(1, 2), piece)))
-                    fp.write((prefix + (tail + prefix).join(texts[j:j + take]) + tail)
-                             % values)
-                    j += take
-                continue
-            for n, supply, cap in group:
-                tail = ",%.6f,%.6f\n" % (supply, cap)
-                while n:
-                    if j == per:
-                        prefix, texts = next(blocks)
-                        j = 0
-                    take = min(n, per - j)
-                    fp.write(prefix + (tail + prefix).join(texts[j:j + take]) + tail)
-                    n -= take
-                    j += take
+        for n, supply, cap in self.runs:
+            per_row = type(cap) is list
+            tail = ",%.6f,%%.6f\n" % supply if per_row else ",%.6f,%.6f\n" % (supply, cap)
+            i = 0
+            while i < n:
+                if j == per:  # the next block, only when a row needs it
+                    prefix, texts = next(blocks)
+                    j = 0
+                take = min(n - i, per - j)
+                piece = prefix + (tail + prefix).join(texts[j:j + take]) + tail
+                fp.write(piece % tuple(cap[i:i + take]) if per_row else piece)
+                i += take
+                j += take
 
 
 def discharge_current(

@@ -446,8 +446,9 @@ class Simulation:
         # strictly between the last two step times: k steps sum to k*dt ± k*k*dt*2**-54
         self._end = (round(cfg.duration / cfg.dt) - 0.5) * cfg.dt
 
-        # the trace: (count, supply_v, cap_v) runs of equal samples
-        self._runs: list[tuple[int, float, float]] = []
+        # the trace: (count, supply_v, cap_v) runs of equal samples at the nominal
+        # voltage, and one per gap crossing or recharge with a cap_v per row
+        self._runs: list[tuple[int, float, float | list[float]]] = []
 
         self.host = HostCollector()
         self.driver = make_driver(cfg.strategy, self) if cfg.strategy else None
@@ -478,7 +479,8 @@ class Simulation:
     # -- event helpers ------------------------------------------------------
 
     def _record(self, n: int, supply: float, cap: float) -> None:
-        """Add `n` trace samples, merged into the last run if it is equal."""
+        """Add `n` equal trace samples, merged into the last run if it is
+        equal; a per-row run's list never equals a voltage."""
         runs = self._runs
         if runs and runs[-1][1] == supply and runs[-1][2] == cap:
             n += runs.pop()[0]
@@ -593,7 +595,17 @@ class Simulation:
             self._backlog_samples.append(stored)
             self._next_backlog_at += self._backlog_every
 
-        self._record(1, cfg.params.nominal_voltage if powered else 0.0, car.capacitor_v)
+        v, nominal = car.capacitor_v, cfg.params.nominal_voltage
+        if powered and v == nominal:
+            self._record(1, nominal, v)
+        else:  # a gap crossing's or a recharge's run, extended or begun
+            runs, supply = self._runs, nominal if powered else 0.0
+            _, last, caps = runs[-1] if runs else (0, None, None)
+            if type(caps) is list and last == supply:
+                caps.append(v)
+                runs[-1] = (len(caps), supply, caps)
+            else:
+                runs.append((1, supply, [v]))
         self.now = t1
 
     def _quiet_stretch(self) -> None:
@@ -673,7 +685,8 @@ class Simulation:
             if n:
                 self._record(n, nominal, v)
         else:
-            record, runs, n = self._record, self._runs, 0
+            # the full step before extended this crossing's run
+            caps, n = self._runs[-1][2], 0
             while True:
                 t1 = t + dt
                 end = x + dist
@@ -686,14 +699,12 @@ class Simulation:
                     v1 = 0.0
                 if active and nominal - v1 >= drop:
                     break
-                if v1 != v:  # the last run's cap is v: nothing to merge
-                    runs.append((1, 0.0, v1))
-                else:
-                    record(1, 0.0, v1)
+                caps.append(v1)
                 v = v1
                 t, x, acc = t1, end, a
                 n += 1
             car.capacitor_v = v
+            self._runs[-1] = (len(caps), 0.0, caps)
             if radio_on:
                 self.radio_steps += n
         if n:

@@ -89,6 +89,15 @@ MUTANTS = (
         ("tests/test_transports.py::TestPowerlineCodec"
          "::test_slot_count_is_the_encoded_frame_length",),
     ),
+    # a powerline frame longer than its one-slot length header can count
+    Mutant(
+        "powerline_pack_unbounded",
+        "src/powergap/transports.py",
+        "if len(data) > MAX_PACKED_BYTES:",
+        "if False:",
+        ("tests/test_transports.py::TestPowerlineCodec"
+         "::test_longest_input_packs_and_one_more_byte_is_refused",),
+    ),
     # the quiet stretch's gap branch with the default capacitance built in;
     # the golden corpus runs at that default and passes
     Mutant(
@@ -198,14 +207,26 @@ MUTANTS = (
         ("tests/test_track_world.py::test_csv_micro_step_picks_the_writer",
          "tests/test_track_world.py::test_trace_csv_follows_a_drifting_sum"),
     ),
-    # a piece of one-row runs printing one supply for supplies that are
-    # equal, not one object: -0.0 among 0.0 prints as 0.0, or the reverse
+    # a per-row run's later pieces printed with its first voltages again;
+    # the golden runs' crossings fit in one block, the bench's drive does not
     Mutant(
-        "shared_supply_by_value",
+        "per_row_slice_restarts",
         "src/powergap/energy_model.py",
-        "from operator import is_, itemgetter",
-        "from operator import eq as is_, itemgetter",
-        ("tests/test_track_world.py::test_trace_csv_prints_each_one_row_supply",),
+        "tuple(cap[i:i + take])",
+        "tuple(cap[:take])",
+        ("tests/test_track_world.py::test_trace_csv_at_chunk_edges",
+         "tests/test_track_world.py::test_trace_csv_long_runs[per_row_run]"),
+    ),
+    # a full step in a gap that begins a run of its own, not extending its
+    # crossing's; every output stays the same
+    Mutant(
+        "gap_row_opens_a_run",
+        "src/powergap/track_world.py",
+        "if type(caps) is list and last == supply:",
+        "if type(caps) is list and last == supply and powered:",
+        ("tests/test_track_world.py::test_trace_keeps_one_run_per_crossing",
+         "tests/test_track_world.py::test_stretches_match_plain_loop_on_shipped_scenarios"
+         "[gap_aligned_c160.scn-none-gate_off]"),
     ),
     # a key with nothing after `=` taken as a value; each key's own parse
     # then refuses it in other words, or a word key falls back to its default

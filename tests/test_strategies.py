@@ -13,7 +13,7 @@ from powergap.energy_model import (
     RadioMode,
 )
 from powergap.log_store import Severity
-from powergap.ota import OtaDevice, OtaState, image_digest, run_ota_transfer
+from powergap.ota import OtaDevice, OtaError, OtaState, image_digest, run_ota_transfer
 from powergap.scenario import load_scenario, parse_scenario
 from powergap.strategies import (
     REPLY,
@@ -735,3 +735,22 @@ class TestOta:
         device.on_reboot()
         assert device.session is not None
         assert device.session.next_chunk == 30
+
+    @pytest.mark.parametrize("image_size, chunk_size", [(0, 1024), (-1, 1024), (10, 0)])
+    def test_empty_image_or_chunk_refused(self, image_size, chunk_size):
+        device = OtaDevice(active_image=b"fw-v1")
+        with pytest.raises(OtaError, match="must be > 0"):
+            device.begin_update(image_size, image_digest(b""), chunk_size)
+        assert device.session is None
+
+    def test_chunk_without_transfer_refused(self):
+        device = OtaDevice(active_image=b"fw-v1")
+        with pytest.raises(OtaError, match="no transfer in progress"):
+            device.handle_chunk(0, IMAGE[:1024])
+
+    def test_transfer_past_its_attempts_refused(self):
+        # 64 chunks cannot land in 10 attempts
+        device = OtaDevice(active_image=b"fw-v1")
+        with pytest.raises(OtaError, match="did not converge"):
+            run_ota_transfer(device, IMAGE, chunk_size=1024, max_attempts=10)
+        assert device.session.next_chunk == 10

@@ -970,7 +970,17 @@ def test_trace_rows_follow_its_runs_on_the_dt_sum(cfg):
         "%.6f,%.6f,%.6f\n" % row for row in rows)
 
 
-def test_gap_clamped_at_zero_volts_merges_into_one_run():
+def per_row_runs(runs):
+    """The runs whose cap_v lists a voltage per row, by supply."""
+    by_supply = collections.defaultdict(list)
+    for n, supply, cap in runs:
+        if type(cap) is list:
+            assert len(cap) == n
+            by_supply[supply].append(cap)
+    return by_supply
+
+
+def test_gap_clamped_at_zero_volts_stays_in_its_crossing_run():
     # a 0.5 s gap drains c80_off to 0 V in about 0.11 s; the capacitor then
     # sits at 0 V for hundreds of steps while the device reboots in the gap
     layout = TrackLayout([Segment(SegmentKind.LANE_CHANGE, 2.0, (0.5, 1.25), 0.25)])
@@ -978,8 +988,37 @@ def test_gap_clamped_at_zero_volts_merges_into_one_run():
                          speed=0.5, duration=3.0)
     sim = assert_same_run(cfg)
     assert sim.brownout_count >= 1
-    clamped = [run for run in sim._runs if run[1:] == (0.0, 0.0)]
-    assert clamped and all(n > 100 for n, _, _ in clamped)
+    crossings = per_row_runs(sim._runs)[0.0]
+    entered = [ev for ev in sim.events if ev.kind is EventKind.GAP_ENTERED]
+    assert len(crossings) == len(entered) > 0
+    for caps in crossings:
+        zeros = len(caps) - next(k for k, v in enumerate(caps) if v == 0.0)
+        assert zeros > 100 and not any(caps[-zeros:])
+
+
+def test_trace_keeps_one_run_per_crossing():
+    # a gap-aligned request's reply makes full steps inside each gap
+    cfg = load_scenario(
+        importlib.resources.files("powergap") / "scenarios" / "gap_aligned_c160.scn").build()
+    result = run_scenario(cfg)
+    runs = result.trace.runs
+    entered = [ev for ev in result.events if ev.kind is EventKind.GAP_ENTERED]
+    nominal = cfg.params.nominal_voltage
+    assert len(per_row_runs(runs)[0.0]) == len(entered) > 10
+    # every other run holds equal samples at the nominal voltage
+    assert all(run[1:] == (nominal, nominal) for run in runs if type(run[2]) is not list)
+    assert sum(run[0] for run in runs) == round(cfg.duration / cfg.dt)
+
+
+def test_trace_keeps_one_run_per_recharge():
+    cfg = dataclasses.replace(crossing_config(), recharge_rate=50.0)
+    sim = assert_same_run(cfg)
+    exited = [ev for ev in sim.events if ev.kind is EventKind.GAP_EXITED]
+    recharges = per_row_runs(sim._runs)[9.0]
+    assert len(recharges) == len(exited) == 2
+    for caps in recharges:  # rising to the nominal voltage, not reaching it
+        assert caps == sorted(set(caps)) and caps[-1] < 9.0
+    assert len(per_row_runs(sim._runs)[0.0]) == 2
 
 
 # -- the CSV writers against csv.writer -----------------------------------------
@@ -996,27 +1035,38 @@ def trace_reference(trace):
     """csv.writer rows, with times from a fresh `t += dt` loop."""
     t, rows = 0.0, []
     for n, supply, cap in trace.runs:
-        for _ in range(n):
+        caps = cap if isinstance(cap, list) else [cap] * n
+        assert len(caps) == n
+        for v in caps:
             t += trace.dt
-            rows.append([f"{t:.6f}", f"{supply:.6f}", f"{cap:.6f}"])
+            rows.append([f"{t:.6f}", f"{supply:.6f}", f"{v:.6f}"])
     return csv_reference(["time_s", "supply_v", "cap_v"], rows)
 
 
 def mixed_runs(total, seed):
-    """Runs of `total` rows: long stretches of one-row runs, runs across
-    block edges, and -0.0 and 0.0 voltages."""
+    """Runs of `total` rows, taking turns: long stretches of one-row runs,
+    runs of equal samples and per-row runs (and one empty per-row run),
+    the latter two across block and second edges, with -0.0 and 0.0
+    voltages."""
     rng = random.Random(seed)
     voltages = [9.0, 0.0, -0.0, 4.5, 1e-7, 8.999999, 0.1234565]
+    kinds = itertools.islice(itertools.cycle(["per_row", "one_row", "equal"]), seed, None)
     runs, left = [], total
     while left:
-        n = min(left, rng.choice([1, 1, 1, 2, 3, 1000, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1]))
-        if n == 1:  # a stretch of one-row runs
+        kind = next(kinds)
+        if kind == "one_row":  # a stretch of one-row runs
             for _ in range(min(left, rng.randint(1, 3000))):
                 runs.append((1, rng.choice(voltages), rng.choice(voltages)))
                 left -= 1
             continue
-        runs.append((n, rng.choice(voltages), rng.choice(voltages)))
+        n = min(left, rng.choice([1, 2, 3, 1000, 2001, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1]))
+        if kind == "per_row":  # as of a gap crossing
+            runs.append((n, rng.choice([0.0, -0.0, 9.0]),
+                         [rng.choice(voltages) for _ in range(n)]))
+        else:
+            runs.append((n, rng.choice(voltages), rng.choice(voltages)))
         left -= n
+    runs.insert(rng.randint(0, len(runs)), (0, 0.0, []))
     return runs
 
 
@@ -1117,7 +1167,8 @@ def test_trace_csv_follows_a_drifting_sum():
     [(100_000, 9.0, 9.0)],
     [(1, 0.0, -0.0), (100_000, 9.0, 9.0), (1, -0.0, 0.0)],
     [(1, 0.0, 9.0 - k * 1e-3) for k in range(9000)],
-], ids=["one_long_run", "long_run_off_the_edge", "one_row_runs"])
+    [(1, -0.0, 0.0), (100_000, 0.0, [9.0 - k * 1e-5 for k in range(100_000)]), (1, 0.0, -0.0)],
+], ids=["one_long_run", "long_run_off_the_edge", "one_row_runs", "per_row_run"])
 def test_trace_csv_long_runs(runs):
     assert_both_writers_match(VoltageTrace(runs, 5e-4))
 
@@ -1136,17 +1187,23 @@ def test_trace_csv_prints_each_one_row_supply():
     assert_both_writers_match(VoltageTrace(runs, 5e-4))
 
 
-@pytest.mark.parametrize("dt, one_row", [
-    (5e-4, False), (2.0**-10, False), (5e-4, True), (2.0**-10, True),
-], ids=["micro", "summed", "one_row_runs-micro", "one_row_runs-summed"])
-def test_trace_csv_splits_a_long_run(dt, one_row):
+LONG_RUNS = {
+    "": [(100_000, 9.0, 9.0)],
+    "one_row_runs": [(1, 0.0, 9.0 - k * 1e-5) for k in range(100_000)],
+    "per_row_run": [(100_000, 0.0, [9.0 - k * 1e-5 for k in range(100_000)])],
+}
+
+
+@pytest.mark.parametrize("runs, dt", [
+    (kind, dt) for kind in LONG_RUNS for dt in (5e-4, 2.0**-10)
+], ids=[(kind + "-" if kind else "") + source
+        for kind in LONG_RUNS for source in ("micro", "summed")])
+def test_trace_csv_splits_a_long_run(runs, dt):
     class Discard:
         def write(self, text):
             pass
 
-    runs = ([(1, 0.0, 9.0 - k * 1e-5) for k in range(100_000)] if one_row
-            else [(100_000, 9.0, 9.0)])
-    trace = VoltageTrace(runs, dt)
+    trace = VoltageTrace(LONG_RUNS[runs], dt)
     tracemalloc.start()
     try:
         trace.write_csv(Discard())

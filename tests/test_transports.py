@@ -14,6 +14,7 @@ from powergap.transports import (
     Frame,
     FrameError,
     FrameKind,
+    MAX_PACKED_BYTES,
     PowerlineChannel,
     SlotError,
     WirelessLinkParams,
@@ -120,6 +121,14 @@ class TestPowerlineCodec:
     @settings(max_examples=300)
     def test_roundtrip_identity(self, data):
         assert powerline_unpack(powerline_pack(data)) == data
+
+    def test_longest_input_packs_and_one_more_byte_is_refused(self):
+        # the length header is one slot, so 8,191 bytes at most
+        assert MAX_PACKED_BYTES == 8191
+        data = bytes(range(256)) * 32
+        assert powerline_unpack(powerline_pack(data[:MAX_PACKED_BYTES])) == data[:-1]
+        with pytest.raises(SlotError, match="cannot pack more than 8191 bytes"):
+            powerline_pack(data)
 
     def test_slot_values_fit_13_bits(self):
         for slot in powerline_pack(bytes(200)):
