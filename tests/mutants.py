@@ -247,6 +247,16 @@ MUTANTS = (
         ("tests/test_track_world.py::TestLayout"
          "::test_plain_segment_carries_no_gaps[straight]",),
     ),
+    # `run` keeping the run's per-row voltages and events alive while the
+    # trace text is made whole and written; every output stays the same
+    Mutant(
+        "run_held_through_trace_write",
+        "src/powergap/cli.py",
+        "    del result\n",
+        "",
+        ("tests/test_scenario_cli.py::TestCliRun"
+         "::test_run_is_let_go_of_before_its_trace_text_is_made",),
+    ),
     # a comparison that refuses the file's own strategy though it does not
     # run it: a dockless save_and_print_later file, compared without it
     Mutant(

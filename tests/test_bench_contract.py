@@ -37,8 +37,7 @@ def test_every_boundary_resolves(tracing):
     assert tracing._classes_defining("send_frame")
 
 
-def test_traced_run_counts_rows_and_bytes(tracing, tmp_path, monkeypatch):
-    monkeypatch.delenv("POWERGAP_OUT", raising=False)
+def test_traced_run_counts_rows_and_bytes(tracing, tmp_path):
     path = importlib.resources.files("powergap") / "scenarios" / "gap_aligned_c160.scn"
     rows = len(run_scenario(load_scenario(path).build()).trace)
     tracer, patches = tracing.Tracer(), tracing.Patches()

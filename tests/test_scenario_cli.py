@@ -1,5 +1,6 @@
 import importlib.resources
 import re
+import tracemalloc
 from dataclasses import fields, replace
 
 import pytest
@@ -582,6 +583,47 @@ def assert_out_dir_error(err, out_dir):
     assert err == f"error: output directory: [Errno 20] Not a directory: {out_dir!r}\n"
 
 
+#: the bench's gapstorm_off workload at seed 1, cut to 6 s: a gap crossing
+#: about every 0.2 s, so per-row voltages and events are a large part of
+#: the run's state
+GAPSTORM = """
+[energy]
+current_c160_tx = 0.250
+
+[track]
+segments = straight:0.1092 lanechange:0.2966:0.0386:0.1788 curve:0.1006 lanechange:0.2891:0.0500:0.1963 straight:0.1055 lanechange:0.3045:0.0319:0.1551 curve:0.1301 lanechange:0.3247:0.0377:0.1607 straight:0.1366 lanechange:0.3271:0.0589:0.1851 curve:0.1316 lanechange:0.3380:0.0413:0.1895
+gap_length = 0.06
+
+[car]
+speed = 3.0
+clock = c160
+radio = off
+
+[strategy]
+kind = wireless_continuous
+controller = off
+
+[budget]
+max_allowed_drop = 3.5
+lookahead = 0.030
+
+[schedule]
+requests = gap_aligned
+
+[workload]
+rate = 9.270
+payload_size = 16
+
+[wireless]
+loss_rate = 0.01
+
+[run]
+duration = 6.0
+dt = 0.0005
+seed = 161456208
+"""
+
+
 class TestCliRun:
     def test_outputs_and_exit_ok(self, tmp_path, capsys):
         scn = write_scenario(tmp_path, MINIMAL)
@@ -734,6 +776,21 @@ class TestCliRun:
         assert err.startswith("error: output directory: [Errno 21] Is a directory: ")
         assert err.count("\n") == 1
         assert sorted(p.name for p in out_dir.iterdir()) == ["case_trace.csv"]
+
+    def test_run_is_let_go_of_before_its_trace_text_is_made(self, tmp_path):
+        # the trace text is held twice at most (its pieces and their join,
+        # then the text and its encoding), but never beside the run's
+        # per-row voltages and events, which add about 0.4 of the text here
+        scn = write_scenario(tmp_path, GAPSTORM)
+        args = ["run", scn, "--out", str(tmp_path)]
+        assert main(args) == EXIT_OK  # imports and caches out of the count
+        tracemalloc.start()
+        try:
+            assert main(args) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.35 * (tmp_path / "case_trace.csv").stat().st_size
 
 
 WORKLOAD = """
