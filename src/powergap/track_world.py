@@ -9,13 +9,11 @@ drops do not depend on how gap edges align with the step grid.
 range and each rule tying values together, so a bad config built in
 Python and a bad scenario file are refused alike, in the same words.
 After every step, `Simulation.run` runs the quiet stretch that follows
-(short of the next gap edge, a timed request, a reboot end, a brownout,
-the run's last step and, for save_and_print_later, the dock) in a tight
-loop, one for powered track and one for gaps, that makes the same float
-operations as `step`, so every output is byte-identical.  The loop asks
-a driver one thing, `next_wake(now)`, and relies on the rule its
-docstring states.  On powered track the loop appends records, ticks and
-takes backlog samples as they fall due; in a gap any of them ends it.
+in a tight loop, one for powered track and one for gaps, that makes the
+same float operations as `step`, so every output is byte-identical;
+`Simulation._quiet_stretch` states when a stretch runs.  The loop asks a
+driver one thing, `next_wake(now)`, and relies on the rule its docstring
+states.
 `evaluate_strategies` runs one workload under several strategies and
 `write_comparison_csv` tabulates their delivery metrics.
 """
@@ -516,8 +514,7 @@ class Simulation:
         # it began with, so its gap time does too
         x0, speed = car.position, car.speed
         dist = speed * dt
-        if dist:
-            car.position = (x0 + dist) % layout.total_length
+        car.position = (x0 + dist) % layout.total_length
         if self._dock is not None:
             self.crossed_dock = layout.crosses(x0, dist, self._dock)
 
@@ -585,7 +582,7 @@ class Simulation:
         else:
             car.capacitor_v = v_mid
         car.powered = powered
-        if self.active and car.power_state.radio is not RadioMode.OFF:
+        if car.power_state.radio is not RadioMode.OFF:
             self.radio_steps += 1
 
         stored = self.store.flash_bytes
@@ -611,13 +608,17 @@ class Simulation:
     def _quiet_stretch(self) -> None:
         """Run the quiet steps that follow in a tight loop.
 
-        A quiet step starts and ends short of the next gap edge (a gap's
-        start on powered track, its end in a gap), of the run's last step
-        and, under save_and_print_later, of the dock, and meets no timed
-        request.  On powered track the capacitor stays full and a reboot
-        does not end; in a gap the car moves, the step does not brown out,
-        and it meets no record, wake or backlog sample.  Such a step changes
-        only the clock, the position, the workload, the capacitor and its
+        A stretch enters only if the next step ends before `hard`, the
+        first step time that must run in `step` (the run's last step, a
+        timed request and, in a reboot, a backlog sample and on powered
+        track the reboot's end), and only on powered track with the
+        capacitor at the nominal voltage, where it stays, or in a gap with
+        the car moving.  The loops trust the rest of `step`'s state: an
+        inactive device's radio is off, and a standing car's `x` is its
+        position.  A quiet step ends short of the next gap edge and, under
+        save_and_print_later, of the dock; in a gap it neither browns out
+        nor meets a record, the wake or a backlog sample.  It changes only
+        the clock, the position, the workload, the capacitor and its
         minimum (in a gap), the radio step count and the trace, and clears
         the dock flag.  Powered track and gaps have a loop each, which keeps
         only per-step state; a powered step on which a record, the wake or a
@@ -628,33 +629,20 @@ class Simulation:
         dt, params, powered = cfg.dt, cfg.params, car.powered
         t = self.now
         active = self.rebooting_until is None
-        # the first step time that must run in `step`: the run's last
-        # step, a timed request, or the end of a reboot on powered track
         hard = self._end if active or not powered else min(self._end, self.rebooting_until)
         sched = cfg.schedule
         if self._next_request_idx < len(sched.times):
             hard = min(hard, sched.times[self._next_request_idx])
-        # the first step time handed to `_due_step` (a gap or `hard` ends the
-        # stretch there): the wake or a backlog sample, in a reboot a full step
-        if active:
-            wake = driver.next_wake(t) if driver is not None else hard
-            stop = min(wake, hard, self._next_backlog_at)
-        else:
-            hard = stop = min(hard, self._next_backlog_at)
-        acc, inc = self._workload_acc, cfg.workload_rate * dt if active else 0.0
-        if t + dt >= hard or not powered and (t + dt >= stop or acc + inc >= 1.0):
-            return
+        if not active:
+            hard = min(hard, self._next_backlog_at)
         nominal, v, speed = params.nominal_voltage, car.capacitor_v, car.speed
-        drop, capacitance = params.brownout_drop, params.capacitance
-        if powered:
-            rate = cfg.recharge_rate
-            v_next = nominal if rate is None else min(nominal, v + rate * dt)
-            if v_next != v or nominal - v >= drop:
-                return
-        elif speed:
-            current = params.current(car.power_state) + self.extra_current
-        else:
+        if t + dt >= hard or (v != nominal if powered else not speed):
             return
+        # the first step time handed to `_due_step` (a gap or `hard` ends the
+        # stretch there): the wake or a backlog sample
+        wake = driver.next_wake(t) if active and driver is not None else hard
+        stop = min(wake, hard, self._next_backlog_at)
+        acc, inc = self._workload_acc, cfg.workload_rate * dt if active else 0.0
 
         x = car.position
         dist = speed * dt
@@ -664,7 +652,7 @@ class Simulation:
         dock = self._dock
         if dock is not None and dist and x <= dock < lim:
             lim = dock
-        radio_on = active and car.power_state.radio is not RadioMode.OFF
+        radio_on = car.power_state.radio is not RadioMode.OFF
         self.crossed_dock = False
         if powered:
             due_step, n, mark = self._due_step, 0, 0
@@ -685,6 +673,8 @@ class Simulation:
             if n:
                 self._record(n, nominal, v)
         else:
+            current = params.current(car.power_state) + self.extra_current
+            drop, capacitance = params.brownout_drop, params.capacitance
             # the full step before extended this crossing's run
             caps, n = self._runs[-1][2], 0
             while True:
@@ -709,21 +699,20 @@ class Simulation:
                 self.radio_steps += n
         if n:
             self.now = t
-            if dist:
-                car.position = x
+            car.position = x
             self._workload_acc = acc
 
     def _due_step(self, acc: float, t: float, x: float, stop: float,
                   lim: float, hard: float) -> tuple[float, float, float, bool]:
         """A powered quiet step's share of `step`'s work at `t`, ending at
-        `x`, on which a record, the wake or a backlog sample falls due.  In
+        `x`, on which a record, the wake or a backlog sample falls due, in
         `step`'s order: append the records due; under a driver flush them,
-        set the car's position, ask the wake again if they landed in an
-        empty flash (see `Driver.next_wake`), and at `stop` tick (a sample's
-        tick before the wake changes nothing) and ask again; raise the peak;
-        take the sample.  Return the loop's new (acc, stop, lim, radio on);
-        `lim` falls to -inf when the tick stopped or started the car.  A call
-        of its own keeps the loop short enough for CPython 3.11 to specialize."""
+        set the position, ask the wake again if they landed in an empty
+        flash (see `Driver.next_wake`), and at `stop` tick (a sample's tick
+        before the wake changes nothing) and ask again; raise the peak; take
+        the sample.  Return (acc, stop, lim, radio on); `lim` is -inf after
+        a tick that stops or starts the car.  A call of its own keeps the
+        loop short enough for CPython 3.11 to specialize."""
         car, store, driver = self.car, self.store, self.driver
         while acc >= 1.0:
             acc -= 1.0
@@ -732,8 +721,7 @@ class Simulation:
             held = len(store.flash)
             store.flush()  # data must survive a gap while driving
             speed = car.speed
-            if speed:
-                car.position = x  # what the driver sees at `t`
+            car.position = x  # what the driver sees at `t`
             if t < stop and not held:
                 stop = min(driver.next_wake(t), hard)
             if t >= stop:

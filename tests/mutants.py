@@ -158,11 +158,39 @@ MUTANTS = (
     Mutant(
         "backlog_ticks_while_rebooting",
         "src/powergap/track_world.py",
-        "hard = stop = min(hard, self._next_backlog_at)",
-        "stop = min(hard, self._next_backlog_at)",
+        "hard = min(hard, self._next_backlog_at)",
+        "pass",
         ("tests/test_track_world.py::test_stretches_match_plain_loop_on_shipped_scenarios"
          "[gap_aligned_c160.scn-wireless_continuous-gate_off]",
          "tests/test_golden.py::test_outputs_match_golden_digests"),
+    ),
+    # a stretch that enters powered track below the nominal voltage, where
+    # `step` recharges; a stalled recharge keeps the trace's CSV unchanged
+    Mutant(
+        "stretch_enters_recharges",
+        "src/powergap/track_world.py",
+        "v != nominal",
+        "v > nominal",
+        ("tests/test_track_world.py::test_stalled_recharge_leaves_its_rows_to_step",
+         "tests/test_track_world.py::test_trace_keeps_one_run_per_recharge"),
+    ),
+    # a stretch that enters a gap with the car standing, and divides by its
+    # zero speed
+    Mutant(
+        "stretch_enters_standing_gap",
+        "src/powergap/track_world.py",
+        "else not speed",
+        "else False",
+        ("tests/test_track_world.py::test_car_stopped_in_a_gap_falls_back_to_step",),
+    ),
+    # a brownout that keeps the radio mode: the device then counts radio
+    # time while it reboots, in `step` and in a stretch alike
+    Mutant(
+        "brownout_keeps_radio",
+        "src/powergap/track_world.py",
+        "_POWER_STATES[self.cfg.initial_state.clock, RadioMode.OFF]",
+        "_POWER_STATES[self.cfg.initial_state.clock, self.car.power_state.radio]",
+        ("tests/test_track_world.py::test_radio_is_off_while_the_device_reboots",),
     ),
     # a radio switch that drops the car to 80 MHz, whatever its clock
     Mutant(

@@ -154,6 +154,12 @@ class TestParser:
         assert_same_config(parse_scenario(text.format(raw)).build(),
                            parse_scenario(text.format(raw.lower())).build())
 
+    @pytest.mark.parametrize("raw", ["instant", "INSTANT"])
+    def test_instant_recharge_is_the_default(self, raw):
+        cfg = parse_scenario(f"[energy]\nrecharge_rate = {raw}\n").build()
+        assert cfg.recharge_rate is None
+        assert_same_config(cfg, parse_scenario("").build())
+
     @given(text=st.text(max_size=400))
     @settings(max_examples=300, deadline=None)
     def test_totality_on_arbitrary_text(self, text):
