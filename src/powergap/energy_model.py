@@ -186,9 +186,9 @@ class VoltageTrace:
     """Uniformly sampled supply and capacitor voltages, held as runs:
     `runs` is a list of (count, supply_v, cap_v), where `cap_v` is one
     voltage for all `count` rows, or a list of `count` voltages, one per
-    row (a gap crossing's or a recharge's).  Row k's time is `dt` added
-    k + 1 times to 0.0, the sum the simulation makes.  `write_csv` takes
-    its time texts in blocks from one of two sources: where
+    row (a gap crossing's).  Row k's time is `dt` added k + 1 times to
+    0.0, the sum the simulation makes.  `write_csv` takes its time texts
+    in blocks from one of two sources: where
     `csv_micro_step` allows, whole microseconds that print the same, a
     second per block; else the running sum itself, CSV_CHUNK_ROWS sums per
     block.  Each write is one piece of one run inside one block.  No block,

@@ -78,7 +78,6 @@ _NUMBERS: dict[tuple[str, str], _Number] = {
     **{("energy", k): _Number("params", k) for k in (
         "capacitance", "nominal_voltage", "brownout_drop", "gap_duration")},
     ("energy", "burst_current"): _Number("calibration", "burst_current"),
-    ("energy", "recharge_rate"): _Number("config", "recharge_rate"),
     **{("energy", f"drop_{k}"): _Number("drops", s) for k, s in _STATE_KEYS.items()},
     **{("energy", f"current_{k}"): _Number("currents", s) for k, s in _STATE_KEYS.items()},
     ("track", "gap_length"): _Number("segment", "gap_length"),
@@ -135,7 +134,7 @@ class ScenarioSpec:
         args: defaultdict[str, dict] = defaultdict(dict)
         for (section, key), raw in self.values.items():
             spec = _NUMBERS.get((section, key))
-            if spec is None or (key == "recharge_rate" and raw.lower() == "instant"):
+            if spec is None:
                 continue
             args[spec.dest][spec.arg] = self._number(section, key, raw, spec)
         return args

@@ -133,13 +133,10 @@ class TrackLayout:
     def gaps(self) -> list[tuple[float, float]]:
         return list(zip(self._starts, self._ends))
 
-    def _gap_index(self, x: float) -> int:
-        """Index of the gap holding track position `x`, or -1."""
-        i = bisect_right(self._starts, x) - 1
-        return i if i >= 0 and x < self._ends[i] else -1
-
     def in_gap(self, position: float) -> bool:
-        return self._gap_index(position % self.total_length) >= 0
+        x = position % self.total_length
+        i = bisect_right(self._starts, x) - 1
+        return i >= 0 and x < self._ends[i]
 
     def edge_ahead(self, x: float) -> float:
         """The first gap edge after `x` in [0, total_length): the end of
@@ -260,7 +257,6 @@ class ScenarioConfig:
     drain_interval: float = 10.0      # seconds between aperiodic drains
     wired_frame_time: float = 0.001   # seconds per frame on the dock link
     reboot_dead_time: float = 0.5
-    recharge_rate: Optional[float] = None  # volts/second; None = instant
     ram_capacity: int = 256
     flash_capacity: int = 65536
     name: str = "scenario"
@@ -288,8 +284,6 @@ class ScenarioConfig:
         _range(self.dt, ("run", "dt"), 0.0, exclusive=True)
         _range(self.speed, ("car", "speed"), 0.0)
         _range(self.workload_rate, ("workload", "rate"), 0.0)
-        if self.recharge_rate is not None:
-            _range(self.recharge_rate, ("energy", "recharge_rate"), 0.0, exclusive=True)
         _range(self.budget.max_allowed_drop, ("budget", "max_allowed_drop"), 0.0,
                exclusive=True)
         _range(self.budget.lookahead, ("budget", "lookahead"), 0.0)
@@ -445,7 +439,7 @@ class Simulation:
         self._end = (round(cfg.duration / cfg.dt) - 0.5) * cfg.dt
 
         # the trace: (count, supply_v, cap_v) runs of equal samples at the nominal
-        # voltage, and one per gap crossing or recharge with a cap_v per row
+        # voltage, and one per gap crossing with a cap_v per row
         self._runs: list[tuple[int, float, float | list[float]]] = []
 
         self.host = HostCollector()
@@ -476,13 +470,13 @@ class Simulation:
 
     # -- event helpers ------------------------------------------------------
 
-    def _record(self, n: int, supply: float, cap: float) -> None:
-        """Add `n` equal trace samples, merged into the last run if it is
-        equal; a per-row run's list never equals a voltage."""
-        runs = self._runs
-        if runs and runs[-1][1] == supply and runs[-1][2] == cap:
+    def _record(self, n: int) -> None:
+        """Add `n` trace samples on powered track, at the nominal voltage,
+        merged into the last run unless that is a gap crossing's."""
+        runs, nominal = self._runs, self.cfg.params.nominal_voltage
+        if runs and type(runs[-1][2]) is not list:
             n += runs.pop()[0]
-        runs.append((n, supply, cap))
+        runs.append((n, nominal, nominal))
 
     def _emit(self, t: float, kind: EventKind, detail: str = "") -> None:
         self.events.append(Event(t, kind, detail))
@@ -572,15 +566,7 @@ class Simulation:
         ):
             self._on_brownout(t1)
 
-        if powered:
-            if cfg.recharge_rate is None:
-                car.capacitor_v = cfg.params.nominal_voltage
-            else:
-                car.capacitor_v = min(
-                    cfg.params.nominal_voltage, v_mid + cfg.recharge_rate * dt
-                )
-        else:
-            car.capacitor_v = v_mid
+        car.capacitor_v = cfg.params.nominal_voltage if powered else v_mid
         car.powered = powered
         if car.power_state.radio is not RadioMode.OFF:
             self.radio_steps += 1
@@ -592,38 +578,37 @@ class Simulation:
             self._backlog_samples.append(stored)
             self._next_backlog_at += self._backlog_every
 
-        v, nominal = car.capacitor_v, cfg.params.nominal_voltage
-        if powered and v == nominal:
-            self._record(1, nominal, v)
-        else:  # a gap crossing's or a recharge's run, extended or begun
-            runs, supply = self._runs, nominal if powered else 0.0
-            _, last, caps = runs[-1] if runs else (0, None, None)
-            if type(caps) is list and last == supply:
-                caps.append(v)
-                runs[-1] = (len(caps), supply, caps)
+        if powered:
+            self._record(1)
+        else:  # a gap crossing's run, extended or begun
+            runs = self._runs
+            caps = runs[-1][2] if runs else None
+            if type(caps) is list:
+                caps.append(v_mid)
+                runs[-1] = (len(caps), 0.0, caps)
             else:
-                runs.append((1, supply, [v]))
+                runs.append((1, 0.0, [v_mid]))
         self.now = t1
 
     def _quiet_stretch(self) -> None:
         """Run the quiet steps that follow in a tight loop.
 
-        A stretch enters only if the next step ends before `hard`, the
-        first step time that must run in `step` (the run's last step, a
-        timed request and, in a reboot, a backlog sample and on powered
-        track the reboot's end), and only on powered track with the
-        capacitor at the nominal voltage, where it stays, or in a gap with
-        the car moving.  The loops trust the rest of `step`'s state: an
-        inactive device's radio is off, and a standing car's `x` is its
-        position.  A quiet step ends short of the next gap edge and, under
-        save_and_print_later, of the dock; in a gap it neither browns out
-        nor meets a record, the wake or a backlog sample.  It changes only
-        the clock, the position, the workload, the capacitor and its
-        minimum (in a gap), the radio step count and the trace, and clears
-        the dock flag.  Powered track and gaps have a loop each, which keeps
-        only per-step state; a powered step on which a record, the wake or a
-        sample falls due does the rest in `_due_step`.  Radio steps count in
-        segments, and the minimum is left to the full step after a stretch.
+        A stretch enters only if the next step ends before `hard`, the first
+        step time that must run in `step` (the run's last step, a timed
+        request and, in a reboot, a backlog sample and on powered track the
+        reboot's end), and only on powered track or in a gap with the car
+        moving.  The loops trust the rest of `step`'s state: powered track
+        holds the nominal voltage, an inactive device's radio is off, and a
+        standing car's `x` is its position.  A quiet step ends short of the
+        next gap edge and, under save_and_print_later, of the dock; in a gap
+        it neither browns out nor meets a record, the wake or a backlog
+        sample.  It changes only the clock, the position, the workload, the
+        capacitor and its minimum (in a gap), the radio step count and the
+        trace, and clears the dock flag.  Powered track and gaps have a loop
+        each, which keeps only per-step state; a powered step on which a
+        record, the wake or a sample falls due does the rest in `_due_step`.
+        Radio steps count in segments, and the minimum is left to the full
+        step after a stretch.
         """
         cfg, car, driver = self.cfg, self.car, self.driver
         dt, params, powered = cfg.dt, cfg.params, car.powered
@@ -635,8 +620,8 @@ class Simulation:
             hard = min(hard, sched.times[self._next_request_idx])
         if not active:
             hard = min(hard, self._next_backlog_at)
-        nominal, v, speed = params.nominal_voltage, car.capacitor_v, car.speed
-        if t + dt >= hard or (v != nominal if powered else not speed):
+        speed = car.speed
+        if t + dt >= hard or not (powered or speed):
             return
         # the first step time handed to `_due_step` (a gap or `hard` ends the
         # stretch there): the wake or a backlog sample
@@ -671,9 +656,10 @@ class Simulation:
                 n += 1
             self.radio_steps += (n - mark) * radio_on
             if n:
-                self._record(n, nominal, v)
+                self._record(n)
         else:
             current = params.current(car.power_state) + self.extra_current
+            nominal, v = params.nominal_voltage, car.capacitor_v
             drop, capacitance = params.brownout_drop, params.capacitance
             # the full step before extended this crossing's run
             caps, n = self._runs[-1][2], 0

@@ -164,23 +164,22 @@ MUTANTS = (
          "[gap_aligned_c160.scn-wireless_continuous-gate_off]",
          "tests/test_golden.py::test_outputs_match_golden_digests"),
     ),
-    # a stretch that enters powered track below the nominal voltage, where
-    # `step` recharges; a stalled recharge keeps the trace's CSV unchanged
+    # a powered step that keeps the gap's drop: the capacitor never
+    # recharges, which the stretch's powered entry takes for granted
     Mutant(
-        "stretch_enters_recharges",
+        "powered_step_keeps_its_drop",
         "src/powergap/track_world.py",
-        "v != nominal",
-        "v > nominal",
-        ("tests/test_track_world.py::test_stalled_recharge_leaves_its_rows_to_step",
-         "tests/test_track_world.py::test_trace_keeps_one_run_per_recharge"),
+        "cfg.params.nominal_voltage if powered else v_mid",
+        "v_mid",
+        ("tests/test_track_world.py::test_powered_track_holds_the_nominal_voltage",),
     ),
     # a stretch that enters a gap with the car standing, and divides by its
     # zero speed
     Mutant(
         "stretch_enters_standing_gap",
         "src/powergap/track_world.py",
-        "else not speed",
-        "else False",
+        "not (powered or speed)",
+        "False",
         ("tests/test_track_world.py::test_car_stopped_in_a_gap_falls_back_to_step",),
     ),
     # a brownout that keeps the radio mode: the device then counts radio
@@ -250,8 +249,8 @@ MUTANTS = (
     Mutant(
         "gap_row_opens_a_run",
         "src/powergap/track_world.py",
-        "if type(caps) is list and last == supply:",
-        "if type(caps) is list and last == supply and powered:",
+        "if type(caps) is list:",
+        "if False:",
         ("tests/test_track_world.py::test_trace_keeps_one_run_per_crossing",
          "tests/test_track_world.py::test_stretches_match_plain_loop_on_shipped_scenarios"
          "[gap_aligned_c160.scn-none-gate_off]"),

@@ -76,9 +76,12 @@ class TestParser:
         assert "line 2" in str(exc.value)
         assert "duraton" in str(exc.value)
 
-    def test_removed_ripple_amplitude_is_an_unknown_key(self):
-        with pytest.raises(ScenarioError, match="line 2: unknown key 'ripple_amplitude'"):
-            parse_scenario("[energy]\nripple_amplitude = 0.2\n")
+    @pytest.mark.parametrize("key,raw", [("ripple_amplitude", "0.2"),
+                                         ("recharge_rate", "50")])
+    def test_removed_energy_key_is_an_unknown_key(self, key, raw):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(f"[energy]\n{key} = {raw}\n")
+        assert str(exc.value) == f"line 2: unknown key '{key}' in section [energy]"
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ScenarioError) as exc:
@@ -145,20 +148,12 @@ class TestParser:
         ("schedule", "requests", "Gap_Aligned"),
         ("schedule", "requests", "None"),
         ("schedule", "requests", "NONE"),
-        ("energy", "recharge_rate", "Instant"),
-        ("energy", "recharge_rate", "INSTANT"),
     ])
     def test_word_values_ignore_case(self, section, key, raw):
         # as clock, radio, kind, controller and segment kinds do
         text = f"[{section}]\n{key} = {{}}\n"
         assert_same_config(parse_scenario(text.format(raw)).build(),
                            parse_scenario(text.format(raw.lower())).build())
-
-    @pytest.mark.parametrize("raw", ["instant", "INSTANT"])
-    def test_instant_recharge_is_the_default(self, raw):
-        cfg = parse_scenario(f"[energy]\nrecharge_rate = {raw}\n").build()
-        assert cfg.recharge_rate is None
-        assert_same_config(cfg, parse_scenario("").build())
 
     @given(text=st.text(max_size=400))
     @settings(max_examples=300, deadline=None)
@@ -262,10 +257,6 @@ REJECTIONS = {
     "dockless_save_and_print_later": (
         "[strategy]\nkind = save_and_print_later\n",
         "line 2: save_and_print_later needs a dock_position in [track]"),
-    "recharge_rate_zero": ("[energy]\nrecharge_rate = 0\n",
-                           "line 2: recharge_rate: must be > 0.0"),
-    "recharge_rate_word": ("[energy]\nrecharge_rate = fast\n",
-                           "line 2: recharge_rate: expected a number, got 'fast'"),
     # past every bound, infinities hang, crash or corrupt a run
     "rate_infinite": ("[workload]\nrate = inf\n",
                       "line 2: rate: must be finite, got 'inf'"),
@@ -312,7 +303,6 @@ nominal_voltage = 10.0
 brownout_drop = 5.0
 gap_duration = 0.03
 burst_current = 0.3
-recharge_rate = 50
 drop_c80_off = 1.0
 drop_c80_idle = 1.1
 drop_c80_tx = 1.2
@@ -418,9 +408,9 @@ def refuse_in_python(spec, raw):
 
 class TestRejectionCorpus:
     def test_ranged_cases_cover_every_key_and_value(self):
-        assert len({key for key, _ in RANGED_CASES}) == 42
-        assert len(RANGED_CASES) == 81
-        assert len(RANGED_FLOATS) == 39
+        assert len({key for key, _ in RANGED_CASES}) == 41
+        assert len(RANGED_CASES) == 79
+        assert len(RANGED_FLOATS) == 38
 
     @pytest.mark.parametrize("case", sorted(REJECTIONS))
     def test_single_fault_message(self, case):
@@ -514,7 +504,6 @@ class TestRejectionCorpus:
             drain_interval=4.0,
             wired_frame_time=0.002,
             reboot_dead_time=0.25,
-            recharge_rate=50.0,
             ram_capacity=64,
             flash_capacity=4096,
         )

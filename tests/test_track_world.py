@@ -421,8 +421,6 @@ class TestRunScenario:
         ({"workload_payload": 300}, LayoutError, ("workload", "payload_size")),
         ({"workload_payload": -1}, LayoutError, ("workload", "payload_size")),
         ({"workload_rate": -50.0}, LayoutError, ("workload", "rate")),
-        ({"recharge_rate": 0.0}, LayoutError, ("energy", "recharge_rate")),
-        ({"recharge_rate": -1.0}, LayoutError, ("energy", "recharge_rate")),
         ({"budget": EnergyBudget(max_allowed_drop=-1.0)}, LayoutError,
          ("budget", "max_allowed_drop")),
         ({"budget": EnergyBudget(lookahead=-0.01)}, LayoutError, ("budget", "lookahead")),
@@ -437,12 +435,12 @@ class TestRunScenario:
         ({"schedule": HostRequestSchedule(times=(0.1, math.inf))}, LayoutError,
          ("schedule", "requests")),
     ], ids=["budget_above_brownout", "payload_above_max", "payload_negative",
-            "rate_negative", "recharge_zero", "recharge_negative", "budget_negative",
+            "rate_negative", "budget_negative",
             "lookahead_negative", "loss_rate_above_one", "extra_current_negative",
             "dt_infinite", "speed_infinite", "request_time_nan", "request_time_infinite"])
     def test_constructor_refuses_what_the_parser_refuses(self, overrides, error, blamed):
-        # a Python config once ran with a budget past the brownout drop, a
-        # negative rate or budget, or no recharge; or failed later on a
+        # a Python config once ran with a budget past the brownout drop, or
+        # a negative rate or budget; or failed later on a
         # payload no record can carry, or in the driver on a loss rate; an
         # infinite step or speed, or a NaN request time, once ran a wrong
         # trace (no steps, a NaN position, requests that never arrive)
@@ -535,20 +533,6 @@ class TestSchedule:
             e.time for e in result.events if e.kind is EventKind.REQUEST_ARRIVED
         ]
         assert req_times == gap_times
-
-
-class TestRecharge:
-    def test_finite_recharge_rate(self):
-        cfg = crossing_config()
-        cfg.recharge_rate = 50.0  # volts/second
-        result = run_scenario(cfg)
-        # after the first gap the capacitor needs ~32 ms to climb 1.62 V back
-        caps = [cap for _, _, cap in list(result.trace)]
-        assert min(caps) == pytest.approx(9.0 - 1.62, rel=0.01)
-        t_full_again = next(
-            t for t, _, cap in list(result.trace) if 0.15 < t and cap == 9.0
-        )
-        assert t_full_again > 0.15
 
 
 # -- quiet stretches against the plain step loop ------------------------------
@@ -945,7 +929,6 @@ def stretch_configs(draw, ticking=False):
         schedule=schedule,
         drain_interval=draw(st.floats(0.01, 1.0)),
         reboot_dead_time=draw(st.floats(0.0, 0.2)),
-        recharge_rate=draw(st.one_of(st.none(), st.floats(1.0, 500.0))),
         ram_capacity=draw(st.integers(1, 64)),
         flash_capacity=flash,
     )
@@ -974,6 +957,18 @@ def test_radio_is_off_while_the_device_reboots(cfg):
         assert sim.rebooting_until is None or sim.car.power_state.radio is RadioMode.OFF
 
 
+@settings(max_examples=50, deadline=None)
+@given(cfg=stretch_configs())
+def test_powered_track_holds_the_nominal_voltage(cfg):
+    # the premise on which a stretch enters on powered track without
+    # reading the capacitor, and every constant trace run is nominal
+    sim = Simulation(cfg)
+    nominal = cfg.params.nominal_voltage
+    for _ in range(round(cfg.duration / cfg.dt)):
+        sim.step()
+        assert not sim.car.powered or sim.car.capacitor_v == nominal
+
+
 @settings(max_examples=100, deadline=None)
 @given(cfg=stretch_configs())
 def test_trace_rows_follow_its_runs_on_the_dt_sum(cfg):
@@ -989,6 +984,10 @@ def test_trace_rows_follow_its_runs_on_the_dt_sum(cfg):
     # canonical runs, so equal traces are equal run lists
     assert all(run[0] > 0 for run in sim._runs)
     assert all(a[1:] != b[1:] for a, b in zip(sim._runs, sim._runs[1:]))
+    # powered rows hold the nominal voltage; only a gap crossing's vary
+    nominal = cfg.params.nominal_voltage
+    for _, supply, cap in sim._runs:
+        assert supply == 0.0 if type(cap) is list else supply == cap == nominal
     buf = io.StringIO()
     trace.write_csv(buf)
     assert buf.getvalue() == "time_s,supply_v,cap_v\n" + "".join(
@@ -1033,27 +1032,6 @@ def test_trace_keeps_one_run_per_crossing():
     # every other run holds equal samples at the nominal voltage
     assert all(run[1:] == (nominal, nominal) for run in runs if type(run[2]) is not list)
     assert sum(run[0] for run in runs) == round(cfg.duration / cfg.dt)
-
-
-def test_trace_keeps_one_run_per_recharge():
-    cfg = dataclasses.replace(crossing_config(), recharge_rate=50.0)
-    sim = assert_same_run(cfg)
-    exited = [ev for ev in sim.events if ev.kind is EventKind.GAP_EXITED]
-    recharges = per_row_runs(sim._runs)[9.0]
-    assert len(recharges) == len(exited) == 2
-    for caps in recharges:  # rising to the nominal voltage, not reaching it
-        assert caps == sorted(set(caps)) and caps[-1] < 9.0
-    assert len(per_row_runs(sim._runs)[0.0]) == 2
-
-
-def test_stalled_recharge_leaves_its_rows_to_step():
-    # at 1e-13 V/s, v + rate * dt rounds back to v: after the first gap the
-    # capacitor stays below the nominal voltage, each powered row of it in
-    # a recharge's per-row run, and no powered stretch may hold it constant
-    cfg = dataclasses.replace(crossing_config(), recharge_rate=1e-13, duration=0.5)
-    sim = assert_same_run(cfg)
-    recharges = per_row_runs(sim._runs)[9.0]
-    assert len(recharges) == 2 and all(len(set(caps)) == 1 for caps in recharges)
 
 
 # -- the CSV writers against csv.writer -----------------------------------------
