@@ -173,6 +173,33 @@ MUTANTS = (
         "v_mid",
         ("tests/test_track_world.py::test_powered_track_holds_the_nominal_voltage",),
     ),
+    # a powered row that folds the gap crossing before it into a nominal run
+    Mutant(
+        "powered_row_swallows_a_crossing",
+        "src/powergap/track_world.py",
+        "if runs and type(runs[-1][2]) is not list:",
+        "if runs:",
+        ("tests/test_track_world.py::test_trace_keeps_one_run_per_crossing",
+         "tests/test_track_world.py::TestRecharge::test_every_crossing_starts_at_the_nominal_voltage"),
+    ),
+    # powered rows that never merge: the plain loop then leaves a run per
+    # row, and a stretch one run per stretch
+    Mutant(
+        "powered_rows_never_merge",
+        "src/powergap/track_world.py",
+        "n += runs.pop()[0]",
+        "pass",
+        ("tests/test_track_world.py::TestRecharge::test_every_crossing_starts_at_the_nominal_voltage",
+         "tests/test_track_world.py::test_trace_rows_follow_its_runs_on_the_dt_sum"),
+    ),
+    # a gap row that extends its crossing's run without its voltage
+    Mutant(
+        "gap_row_left_out_of_its_run",
+        "src/powergap/track_world.py",
+        "caps.append(v_mid)",
+        "pass",
+        ("tests/test_track_world.py::test_trace_keeps_one_run_per_crossing",),
+    ),
     # a stretch that enters a gap with the car standing, and divides by its
     # zero speed
     Mutant(

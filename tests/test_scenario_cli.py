@@ -77,7 +77,8 @@ class TestParser:
         assert "duraton" in str(exc.value)
 
     @pytest.mark.parametrize("key,raw", [("ripple_amplitude", "0.2"),
-                                         ("recharge_rate", "50")])
+                                         ("recharge_rate", "50"),
+                                         ("recharge_rate", "instant")])
     def test_removed_energy_key_is_an_unknown_key(self, key, raw):
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(f"[energy]\n{key} = {raw}\n")

@@ -24,6 +24,7 @@ from powergap.energy_model import (
     PowerState,
     RadioMode,
     VoltageTrace,
+    MEASURED_DROPS,
     csv_micro_step,
 )
 from powergap.track_world import (
@@ -533,6 +534,24 @@ class TestSchedule:
             e.time for e in result.events if e.kind is EventKind.REQUEST_ARRIVED
         ]
         assert req_times == gap_times
+
+
+class TestRecharge:
+    @pytest.mark.parametrize("state", MEASURED_DROPS,
+                             ids=lambda s: f"c{s.clock.value}_{s.radio.value}")
+    def test_every_crossing_starts_at_the_nominal_voltage(self, state):
+        # the rails recharge the capacitor at once, as the calibration
+        # assumes of every gap: each crossing drops by the measured amount,
+        # and the powered track around them is one nominal run each
+        cfg = crossing_config(state=state)
+        sim = assert_same_run(cfg)
+        nominal = cfg.params.nominal_voltage
+        runs = sim._runs
+        assert [type(cap) is list for _, _, cap in runs] == [False, True, False, True, False]
+        assert all(run[1:] == (nominal, nominal) for run in runs[::2])
+        assert nominal - sim.min_cap_v == pytest.approx(MEASURED_DROPS[state], rel=0.01)
+        for _, _, caps in runs[1::2]:  # mid-step voltages: half a step short
+            assert nominal - min(caps) == pytest.approx(MEASURED_DROPS[state], rel=0.05)
 
 
 # -- quiet stretches against the plain step loop ------------------------------
