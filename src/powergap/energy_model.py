@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, count, islice, repeat
 from operator import itemgetter
-from typing import IO, Iterator, Mapping, Optional
+from typing import IO, Iterator, Mapping, NamedTuple, Optional
 
 
 class ClockTier(Enum):
@@ -34,8 +34,28 @@ class RadioMode(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class PowerState:
+class ByValue:
+    """Equality and `repr` over the attributes `_fields` names, in a
+    dataclass's words, for the plain classes whose instances are compared:
+    unlike a dataclass, they generate and compile no code on import."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, n) for n in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        text = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({text})"
+
+
+class PowerState(NamedTuple):
     """Device operating point: one clock tier plus one radio mode."""
 
     clock: ClockTier
@@ -74,7 +94,7 @@ class ConfigError(ValueError):
     `keys` names the scenario-file `(section, key)` pairs the error
     blames, best first: a file's error cites the line of the first one
     the file sets, prefixed with that key's name when `keyed`.  Ranges are
-    checked (`check_range`) by the dataclass that owns each field.
+    checked (`check_range`) by the class that owns each field.
     """
 
     def __init__(self, message: str, *keys: tuple[str, str], keyed: bool = False) -> None:

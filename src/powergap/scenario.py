@@ -8,18 +8,18 @@ parses: it refuses text that is not a number, an integer or one of a
 key's choices, and infinities, and it checks the one file-level rule (a
 seed, from the file or the caller, for lossy radio links).  Each value's
 range and each rule tying values together live with the fields, in the
-dataclasses' `validate` methods and `calibrate_currents`, which refuse
-a config built in Python in the same words; the parser prefixes their
-error with the line of the key it blames.  NaN passes the parser and fails every range.  A key a file
-leaves out is not passed on, so it takes the default of the config
-dataclass field or function argument it sets.
+config classes' `validate` methods and `calibrate_currents`, which
+refuse a config built in Python in the same words; the parser prefixes
+their error with the line of the key it blames.  NaN passes the parser
+and fails every range.  A key a file leaves out is not passed on, so it
+takes the default of the field or function argument it sets.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Collection, NamedTuple, Optional, Union
 
@@ -107,13 +107,13 @@ _KNOWN_KEYS = {section: {k for s, k in _KEYS if s == section} for section, _ in 
 DEFAULT_SEGMENTS = "straight:0.30 lanechange:0.48:0.09:0.36 straight:0.30"
 
 
-@dataclass
 class ScenarioSpec:
     """Parsed scenario; `build` produces the validated, runnable config."""
 
-    name: str = "scenario"
-    values: dict[tuple[str, str], str] = field(default_factory=dict)
-    lines: dict[tuple[str, str], int] = field(default_factory=dict)
+    def __init__(self, name: str = "scenario") -> None:
+        self.name = name
+        self.values: dict[tuple[str, str], str] = {}
+        self.lines: dict[tuple[str, str], int] = {}
 
     def _line(self, section: str, key: str) -> int:
         return self.lines.get((section, key), 0)

@@ -11,9 +11,8 @@ pump; each keeps only its policy: when to stop, connect, drain or gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .energy_model import RadioMode
 from .transports import FRAME_OVERHEAD, Outcome, PowerlineChannel, powerline_slots
@@ -29,8 +28,7 @@ class StrategyKind(Enum):
     WIRELESS_CONTINUOUS = "wireless_continuous"
 
 
-@dataclass(frozen=True)
-class EnergyBudget:
+class EnergyBudget(NamedTuple):
     """Transmission gating thresholds; must stay below the brownout drop."""
 
     max_allowed_drop: float = 3.5  # volts

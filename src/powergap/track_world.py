@@ -28,10 +28,11 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import chain
 from operator import attrgetter
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, Iterable, NamedTuple, Optional, Sequence
 
 from .energy_model import (
     ALL_POWER_STATES,
+    ByValue,
     ClockTier,
     ConfigError,
     EnergyModelParams,
@@ -66,8 +67,7 @@ class SegmentKind(Enum):
     LANE_CHANGE = "lanechange"
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One piece of track: straight, curve or lane change, with its gaps."""
 
     kind: SegmentKind
@@ -97,14 +97,14 @@ class Segment:
                               _SEGMENTS, keyed=True)
 
 
-@dataclass
-class TrackLayout:
+class TrackLayout(ByValue):
     """A closed loop of segments, with an optional dock position."""
 
-    segments: list[Segment]
-    dock_position: Optional[float] = None
+    _fields = ("segments", "dock_position")
 
-    def __post_init__(self) -> None:
+    def __init__(self, segments: list[Segment], dock_position: Optional[float] = None) -> None:
+        self.segments = segments
+        self.dock_position = dock_position
         # gap start/end positions in track order; a validated layout's gaps
         # are disjoint, so both lists are sorted and can be bisected
         self._starts: list[float] = []
@@ -186,19 +186,22 @@ class TrackLayout:
         return ahead < dist
 
 
-@dataclass
-class CarState:
+class CarState(ByValue):
     """The car's position, speed, supply and capacitor state at one instant."""
 
-    position: float = 0.0
-    speed: float = 0.0
-    powered: bool = True
-    capacitor_v: float = 9.0
-    power_state: PowerState = PowerState(ClockTier.C80, RadioMode.OFF)
+    __slots__ = _fields = ("position", "speed", "powered", "capacitor_v", "power_state")
+
+    def __init__(self, position: float = 0.0, speed: float = 0.0, powered: bool = True,
+                 capacitor_v: float = 9.0,
+                 power_state: PowerState = PowerState(ClockTier.C80, RadioMode.OFF)) -> None:
+        self.position = position
+        self.speed = speed
+        self.powered = powered
+        self.capacitor_v = capacitor_v
+        self.power_state = power_state
 
 
-@dataclass(frozen=True)
-class HostRequestSchedule:
+class HostRequestSchedule(NamedTuple):
     """When the host asks the car for a reply: fixed times or each gap entry."""
 
     times: tuple[float, ...] = ()
@@ -213,13 +216,15 @@ class EventKind(Enum):
     REQUEST_ARRIVED = "RequestArrived"
 
 
-@dataclass(slots=True)
-class Event:
+class Event(ByValue):
     """One timed entry in a run's event log."""
 
-    time: float
-    kind: EventKind
-    detail: str = ""
+    __slots__ = _fields = ("time", "kind", "detail")
+
+    def __init__(self, time: float, kind: EventKind, detail: str = "") -> None:
+        self.time = time
+        self.kind = kind
+        self.detail = detail
 
 
 def events_to_csv(events: list[Event], fp: IO[str]) -> None:
@@ -249,11 +254,11 @@ class ScenarioConfig:
     initial_state: PowerState = PowerState(ClockTier.C80, RadioMode.OFF)
     strategy: Optional[StrategyKind] = None
     controller: bool = False
-    budget: EnergyBudget = field(default_factory=EnergyBudget)
+    budget: EnergyBudget = EnergyBudget()
     wireless: WirelessLinkParams = field(default_factory=WirelessLinkParams)
     workload_rate: float = 0.0        # records per second
     workload_payload: int = 16        # bytes per record
-    schedule: HostRequestSchedule = field(default_factory=HostRequestSchedule)
+    schedule: HostRequestSchedule = HostRequestSchedule()
     drain_interval: float = 10.0      # seconds between aperiodic drains
     wired_frame_time: float = 0.001   # seconds per frame on the dock link
     reboot_dead_time: float = 0.5
@@ -363,13 +368,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@dataclass
 class ScenarioResult:
     """What a run produces: the voltage trace, its events and its metrics."""
 
-    trace: VoltageTrace
-    events: list[Event]
-    metrics: DeliveryMetrics
+    def __init__(self, trace: VoltageTrace, events: list[Event],
+                 metrics: DeliveryMetrics) -> None:
+        self.trace = trace
+        self.events = events
+        self.metrics = metrics
 
 
 def _summed(d: float, n: int) -> float:

@@ -15,7 +15,7 @@ import binascii
 from dataclasses import dataclass
 from enum import Enum
 
-from .energy_model import check_range
+from .energy_model import ByValue, check_range
 
 
 # --- CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) -----------------------
@@ -41,19 +41,19 @@ class FrameError(ValueError):
     """A frame that cannot be built or decoded."""
 
 
-@dataclass(slots=True)
-class Frame:
+class Frame(ByValue):
     """One framed message on a link: a log record or a reply to a request."""
 
-    kind: FrameKind
-    seq: int
-    payload: bytes = b""
+    __slots__ = _fields = ("kind", "seq", "payload")
 
-    def __post_init__(self) -> None:
-        if len(self.payload) > MAX_PAYLOAD:
+    def __init__(self, kind: FrameKind, seq: int, payload: bytes = b"") -> None:
+        if len(payload) > MAX_PAYLOAD:
             raise FrameError(f"payload exceeds {MAX_PAYLOAD} bytes")
-        if not 0 <= self.seq < 2**32:
+        if not 0 <= seq < 2**32:
             raise FrameError("seq out of 32-bit range")
+        self.kind = kind
+        self.seq = seq
+        self.payload = payload
 
 
 def frame_encode(frame: Frame) -> bytes:

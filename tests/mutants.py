@@ -321,6 +321,26 @@ MUTANTS = (
         ("tests/test_scenario_cli.py::TestCliCompare"
          "::test_dockless_own_strategy_not_compared_runs",),
     ),
+    # a value type built as a dataclass again: every output stays the same,
+    # and each start pays for its generated methods
+    Mutant(
+        "budget_is_a_dataclass_again",
+        "src/powergap/strategies.py",
+        "class EnergyBudget(NamedTuple):",
+        '@__import__("dataclasses").dataclass(frozen=True)\nclass EnergyBudget:',
+        ("tests/test_import_surface.py"
+         "::test_cli_import_builds_only_replaceable_dataclasses",),
+    ),
+    # equality that ignores a class's last field: an event's detail, the
+    # car's power state, a layout's dock, a frame's payload
+    Mutant(
+        "eq_ignores_last_field",
+        "src/powergap/energy_model.py",
+        "return self._values() == other._values()",
+        "return self._values()[:-1] == other._values()[:-1]",
+        ("tests/test_track_world.py"
+         "::test_light_classes_keep_their_dataclass_semantics[Event]",),
+    ),
 )
 
 

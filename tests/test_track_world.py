@@ -1,4 +1,5 @@
 import collections
+import copy
 import csv
 import dataclasses
 import dis
@@ -7,6 +8,7 @@ import importlib.resources
 import io
 import itertools
 import math
+import pickle
 import random
 import sys
 import tracemalloc
@@ -28,6 +30,7 @@ from powergap.energy_model import (
     csv_micro_step,
 )
 from powergap.track_world import (
+    CarState,
     Event,
     EventKind,
     HostRequestSchedule,
@@ -46,7 +49,7 @@ from powergap.track_world import (
 from powergap.log_store import RECORD_OVERHEAD
 from powergap.scenario import load_scenario, parse_scenario
 from powergap.strategies import EnergyBudget, StopAndRadioDriver, StrategyKind
-from powergap.transports import WirelessLinkParams
+from powergap.transports import Frame, FrameKind, WirelessLinkParams
 
 C80_OFF = PowerState(ClockTier.C80, RadioMode.OFF)
 C240_TX = PowerState(ClockTier.C240, RadioMode.TRANSMITTING)
@@ -1265,3 +1268,70 @@ def test_events_csv_of_no_events():
     buf = io.StringIO()
     events_to_csv([], buf)
     assert buf.getvalue() == "time_s,event,detail\n"
+
+
+C240_TX_REPR = "PowerState(clock=<ClockTier.C240: 240>, radio=<RadioMode.TRANSMITTING: 'tx'>)"
+STRAIGHT = Segment(SegmentKind.STRAIGHT, 0.3)
+#: type -> (its arguments, another value for each, its repr); the first
+#: four are immutable values, the rest plain classes compared by value
+VALUE_SEMANTICS = {
+    PowerState: (
+        {"clock": ClockTier.C240, "radio": RadioMode.TRANSMITTING},
+        {"clock": ClockTier.C80, "radio": RadioMode.OFF},
+        C240_TX_REPR),
+    Segment: (
+        {"kind": SegmentKind.LANE_CHANGE, "length": 0.48, "gap_offsets": (0.09, 0.36),
+         "gap_length": 0.05},
+        {"kind": SegmentKind.CURVE, "length": 0.5, "gap_offsets": (), "gap_length": 0.06},
+        "Segment(kind=<SegmentKind.LANE_CHANGE: 'lanechange'>, length=0.48, "
+        "gap_offsets=(0.09, 0.36), gap_length=0.05)"),
+    EnergyBudget: (
+        {"max_allowed_drop": 2.5, "lookahead": 0.02},
+        {"max_allowed_drop": 3.5, "lookahead": 0.05},
+        "EnergyBudget(max_allowed_drop=2.5, lookahead=0.02)"),
+    HostRequestSchedule: (
+        {"times": (1.0, 2.5), "gap_aligned": False},
+        {"times": (), "gap_aligned": True},
+        "HostRequestSchedule(times=(1.0, 2.5), gap_aligned=False)"),
+    CarState: (
+        {"position": 0.25, "speed": 3.0, "powered": False, "capacitor_v": 7.5,
+         "power_state": C240_TX},
+        {"position": 0.5, "speed": 0.0, "powered": True, "capacitor_v": 9.0,
+         "power_state": C80_OFF},
+        f"CarState(position=0.25, speed=3.0, powered=False, capacitor_v=7.5, "
+        f"power_state={C240_TX_REPR})"),
+    Event: (
+        {"time": 0.5, "kind": EventKind.BROWNOUT, "detail": "v=4.9"},
+        {"time": 0.75, "kind": EventKind.REBOOT, "detail": ""},
+        "Event(time=0.5, kind=<EventKind.BROWNOUT: 'Brownout'>, detail='v=4.9')"),
+    TrackLayout: (
+        {"segments": [STRAIGHT], "dock_position": 0.1},
+        {"segments": [STRAIGHT, STRAIGHT], "dock_position": None},
+        "TrackLayout(segments=[Segment(kind=<SegmentKind.STRAIGHT: 'straight'>, "
+        "length=0.3, gap_offsets=(), gap_length=0.06)], dock_position=0.1)"),
+    Frame: (
+        {"kind": FrameKind.REPLY, "seq": 7, "payload": b"ok"},
+        {"kind": FrameKind.LOG, "seq": 8, "payload": b""},
+        "Frame(kind=<FrameKind.REPLY: 6>, seq=7, payload=b'ok')"),
+}
+FROZEN = (PowerState, Segment, EnergyBudget, HostRequestSchedule)
+
+
+@pytest.mark.parametrize("cls", VALUE_SEMANTICS, ids=lambda cls: cls.__name__)
+def test_light_classes_keep_their_dataclass_semantics(cls):
+    """The value types and per-run classes built without `@dataclass`
+    compare, hash, print, copy and pickle as their dataclasses did."""
+    args, others, text = VALUE_SEMANTICS[cls]
+    value = cls(**args)
+    assert repr(value) == text
+    for same in (cls(**args), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert same == value and same is not value and repr(same) == text
+        if cls in FROZEN:
+            assert hash(same) == hash(value)
+    for name, other in others.items():  # every field takes part in equality
+        assert cls(**{**args, name: other}) != value, name
+        if cls in FROZEN:
+            with pytest.raises(AttributeError):
+                setattr(value, name, other)
+    if cls not in FROZEN:
+        assert cls.__hash__ is None
