@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib.resources
 import io
 import math
 import os
@@ -163,6 +162,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def run_table1_suite() -> list[tuple[PowerState, float, float]]:
     """Measured-vs-simulated max drop per calibrated power state, each run
     from its shipped `table1_<state>.scn`."""
+    import importlib.resources  # loads inspect and tempfile: only table1 reads it
     scenarios = importlib.resources.files(__package__) / "scenarios"
     rows = []
     for state, expected in sorted(

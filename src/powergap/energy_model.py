@@ -10,7 +10,6 @@ maximum voltage drops over a known gap duration via I = C*dV/T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, count, islice, repeat
 from operator import itemgetter
@@ -36,8 +35,10 @@ class RadioMode(Enum):
 
 class ByValue:
     """Equality and `repr` over the attributes `_fields` names, in a
-    dataclass's words, for the plain classes whose instances are compared:
-    unlike a dataclass, they generate and compile no code on import."""
+    dataclass's words, for the plain classes whose instances are compared
+    or copied with `replace`: unlike a dataclass, they generate and compile
+    no code on import, and their module needs no `dataclasses`, which loads
+    `inspect`."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -53,6 +54,16 @@ class ByValue:
     def __repr__(self) -> str:
         text = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({text})"
+
+
+def replace(obj: ByValue, /, **changes: object) -> ByValue:
+    """A copy of `obj` with `changes`, as `dataclasses.replace` makes one:
+    its class is called with every field `_fields` names, so a change to
+    a field it does not name raises TypeError.  The fields left out join
+    `changes` itself, so no other dict is built."""
+    for name in obj._fields:
+        changes.setdefault(name, getattr(obj, name))
+    return obj.__class__(**changes)
 
 
 class PowerState(NamedTuple):
@@ -122,15 +133,20 @@ class CalibrationError(ConfigError):
     its `("energy", "drop_<state>")` or `("energy", "burst_current")` key."""
 
 
-@dataclass
-class EnergyModelParams:
+class EnergyModelParams(ByValue):
     """Capacitor and per-power-state current figures the energy model runs on."""
 
-    capacitance: float = 1.0e-3          # farads
-    nominal_voltage: float = 9.0         # volts
-    brownout_drop: float = 4.0           # volts below nominal that reboots
-    gap_duration: float = 0.020          # seconds of ride-through per gap
-    current_table: dict[PowerState, float] = field(default_factory=dict)
+    _fields = ("capacitance", "nominal_voltage", "brownout_drop", "gap_duration",
+               "current_table")
+
+    def __init__(self, capacitance: float = 1.0e-3, nominal_voltage: float = 9.0,
+                 brownout_drop: float = 4.0, gap_duration: float = 0.020,
+                 current_table: Optional[dict[PowerState, float]] = None) -> None:
+        self.capacitance = capacitance          # farads
+        self.nominal_voltage = nominal_voltage  # volts
+        self.brownout_drop = brownout_drop      # volts below nominal that reboots
+        self.gap_duration = gap_duration        # seconds of ride-through per gap
+        self.current_table = {} if current_table is None else current_table
 
     def validate(self) -> None:
         self.validate_supply()

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from .energy_model import ByValue
 from .transports import MAX_PAYLOAD, crc16_ccitt
 
 RECORD_OVERHEAD = 16  # seq(4) + timestamp(8) + severity(1) + len(1) + crc(2)
@@ -34,18 +34,21 @@ class StoreError(ValueError):
 _CRC_HEADER = struct.Struct(">IdBB")
 
 
-@dataclass(slots=True)
-class LogRecord:
+class LogRecord(ByValue):
     """One debug log entry, with the CRC that covers all its fields.
 
     `LogStore.append` builds every record and computes its CRC.
     """
 
-    seq: int
-    timestamp: float
-    severity: Severity
-    payload: bytes
-    crc: int
+    __slots__ = _fields = ("seq", "timestamp", "severity", "payload", "crc")
+
+    def __init__(self, seq: int, timestamp: float, severity: Severity, payload: bytes,
+                 crc: int) -> None:
+        self.seq = seq
+        self.timestamp = timestamp
+        self.severity = severity
+        self.payload = payload
+        self.crc = crc
 
 
 class LogStore:

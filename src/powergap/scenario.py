@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import replace
 from pathlib import Path
 from typing import Collection, NamedTuple, Optional, Union
 
@@ -32,6 +31,7 @@ from .energy_model import (
     PowerState,
     RadioMode,
     calibrate_currents,
+    replace,
 )
 from .strategies import EnergyBudget, StrategyKind
 from .track_world import (
@@ -70,10 +70,13 @@ class _Number(NamedTuple):
     integer: bool = False
 
 
-#: Every numeric key, once.  Destinations: `params` EnergyModelParams,
-#: `drops`/`currents` per-state overrides, `calibration` calibrate_currents,
-#: `segment` Segment, `layout` TrackLayout, `budget` EnergyBudget,
-#: `wireless` WirelessLinkParams, `config` ScenarioConfig.
+#: Every numeric key, once, as the keyword argument it becomes.
+#: Destinations: `params` EnergyModelParams, `drops`/`currents` per-state
+#: overrides, `calibration` calibrate_currents, `segment` Segment, `layout`
+#: TrackLayout, `budget` EnergyBudget, `wireless` WirelessLinkParams,
+#: `config` ScenarioConfig; the defaults of the keys a file leaves out are
+#: those constructors' own, and the choice keys' are the class attributes
+#: `ScenarioConfig.initial_state`, `.strategy` and `.controller`.
 _NUMBERS: dict[tuple[str, str], _Number] = {
     **{("energy", k): _Number("params", k) for k in (
         "capacitance", "nominal_voltage", "brownout_drop", "gap_duration")},

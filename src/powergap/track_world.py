@@ -24,7 +24,6 @@ import csv
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import chain
 from operator import attrgetter
@@ -41,6 +40,7 @@ from .energy_model import (
     VoltageTrace,
     check_range,
     discharge_current,
+    replace,
 )
 from .log_store import RECORD_OVERHEAD, LogRecord, LogStore, Severity
 from .strategies import EnergyBudget, HostCollector, StrategyKind, make_driver
@@ -241,30 +241,50 @@ MAX_STEPS = 10**7
 MAX_RECORDS = 10**7
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(ByValue):
     """Everything one simulation run needs: energy, track, strategy and workload."""
 
-    params: EnergyModelParams
-    layout: TrackLayout
-    speed: float = 3.0
-    dt: float = 5.0e-4
-    duration: float = 1.0
-    seed: int = 0
-    initial_state: PowerState = PowerState(ClockTier.C80, RadioMode.OFF)
+    _fields = ("params", "layout", "speed", "dt", "duration", "seed", "initial_state",
+               "strategy", "controller", "budget", "wireless", "workload_rate",
+               "workload_payload", "schedule", "drain_interval", "wired_frame_time",
+               "reboot_dead_time", "ram_capacity", "flash_capacity", "name")
+    # the defaults a scenario file's choices fall back to
+    initial_state = PowerState(ClockTier.C80, RadioMode.OFF)
     strategy: Optional[StrategyKind] = None
-    controller: bool = False
-    budget: EnergyBudget = EnergyBudget()
-    wireless: WirelessLinkParams = field(default_factory=WirelessLinkParams)
-    workload_rate: float = 0.0        # records per second
-    workload_payload: int = 16        # bytes per record
-    schedule: HostRequestSchedule = HostRequestSchedule()
-    drain_interval: float = 10.0      # seconds between aperiodic drains
-    wired_frame_time: float = 0.001   # seconds per frame on the dock link
-    reboot_dead_time: float = 0.5
-    ram_capacity: int = 256
-    flash_capacity: int = 65536
-    name: str = "scenario"
+    controller = False
+
+    def __init__(self, params: EnergyModelParams, layout: TrackLayout, speed: float = 3.0,
+                 dt: float = 5.0e-4, duration: float = 1.0, seed: int = 0,
+                 initial_state: PowerState = initial_state,
+                 strategy: Optional[StrategyKind] = strategy,
+                 controller: bool = controller,
+                 budget: EnergyBudget = EnergyBudget(),
+                 wireless: Optional[WirelessLinkParams] = None, workload_rate: float = 0.0,
+                 workload_payload: int = 16,
+                 schedule: HostRequestSchedule = HostRequestSchedule(),
+                 drain_interval: float = 10.0, wired_frame_time: float = 0.001,
+                 reboot_dead_time: float = 0.5, ram_capacity: int = 256,
+                 flash_capacity: int = 65536, name: str = "scenario") -> None:
+        self.params = params
+        self.layout = layout
+        self.speed = speed
+        self.dt = dt
+        self.duration = duration
+        self.seed = seed
+        self.initial_state = initial_state
+        self.strategy = strategy
+        self.controller = controller
+        self.budget = budget
+        self.wireless = WirelessLinkParams() if wireless is None else wireless
+        self.workload_rate = workload_rate            # records per second
+        self.workload_payload = workload_payload      # bytes per record
+        self.schedule = schedule
+        self.drain_interval = drain_interval          # seconds between aperiodic drains
+        self.wired_frame_time = wired_frame_time      # seconds per frame on the dock link
+        self.reboot_dead_time = reboot_dead_time
+        self.ram_capacity = ram_capacity
+        self.flash_capacity = flash_capacity
+        self.name = name
 
     def validate(self) -> None:
         """Refuse values that do not fit together: the one statement of
@@ -332,32 +352,44 @@ class ScenarioConfig:
             )
 
 
-@dataclass
-class DeliveryMetrics:
+class DeliveryMetrics(ByValue):
     """Per-run delivery, latency, energy and storage figures."""
 
-    appended_records: int = 0
-    delivered_records: int = 0
-    delivered_bytes: int = 0
-    mean_latency_s: float = 0.0
-    median_latency_s: float = 0.0
-    p95_latency_s: float = 0.0
-    brownout_count: int = 0
-    max_drop_v: float = 0.0
-    radio_on_s: float = 0.0
-    bytes_stored_peak: int = 0
-    requests_arrived: int = 0
-    requests_answered: int = 0
-    dropped_records: int = 0
-    evicted_records: int = 0
-    lost_unflushed: int = 0
-    backlog_growing: bool = False
+    _fields = ("appended_records", "delivered_records", "delivered_bytes",
+               "mean_latency_s", "median_latency_s", "p95_latency_s", "brownout_count",
+               "max_drop_v", "radio_on_s", "bytes_stored_peak", "requests_arrived",
+               "requests_answered", "dropped_records", "evicted_records", "lost_unflushed",
+               "backlog_growing")
+
+    def __init__(self, appended_records: int = 0, delivered_records: int = 0,
+                 delivered_bytes: int = 0, mean_latency_s: float = 0.0,
+                 median_latency_s: float = 0.0, p95_latency_s: float = 0.0,
+                 brownout_count: int = 0, max_drop_v: float = 0.0, radio_on_s: float = 0.0,
+                 bytes_stored_peak: int = 0, requests_arrived: int = 0,
+                 requests_answered: int = 0, dropped_records: int = 0,
+                 evicted_records: int = 0, lost_unflushed: int = 0,
+                 backlog_growing: bool = False) -> None:
+        self.appended_records = appended_records
+        self.delivered_records = delivered_records
+        self.delivered_bytes = delivered_bytes
+        self.mean_latency_s = mean_latency_s
+        self.median_latency_s = median_latency_s
+        self.p95_latency_s = p95_latency_s
+        self.brownout_count = brownout_count
+        self.max_drop_v = max_drop_v
+        self.radio_on_s = radio_on_s
+        self.bytes_stored_peak = bytes_stored_peak
+        self.requests_arrived = requests_arrived
+        self.requests_answered = requests_answered
+        self.dropped_records = dropped_records
+        self.evicted_records = evicted_records
+        self.lost_unflushed = lost_unflushed
+        self.backlog_growing = backlog_growing
 
     def write_csv(self, fp: IO[str]) -> None:
         writer = csv.writer(fp, lineterminator="\n")
-        names = [f.name for f in fields(self)]
-        writer.writerow(names)
-        writer.writerow([_fmt(getattr(self, n)) for n in names])
+        writer.writerow(self._fields)
+        writer.writerow([_fmt(v) for v in self._values()])
 
 
 def _fmt(value) -> str:

@@ -12,7 +12,6 @@ frame's bytes (`FRAME_OVERHEAD` plus the payload) and powerline slots.
 from __future__ import annotations
 
 import binascii
-from dataclasses import dataclass
 from enum import Enum
 
 from .energy_model import ByValue, check_range
@@ -106,15 +105,20 @@ class Outcome(Enum):
     LOST = "lost"
 
 
-@dataclass
-class WirelessLinkParams:
+class WirelessLinkParams(ByValue):
     """Timing, current and loss figures of the wireless link."""
 
-    connect_latency: float = 1.5          # seconds to associate
-    connect_extra_current: float = 0.050  # amperes extra during setup
-    per_frame_airtime: float = 0.002      # seconds per log/ack frame
-    reply_airtime: float = 0.025          # seconds per forced reply
-    loss_rate: float = 0.0                # per-frame loss probability
+    _fields = ("connect_latency", "connect_extra_current", "per_frame_airtime",
+               "reply_airtime", "loss_rate")
+
+    def __init__(self, connect_latency: float = 1.5, connect_extra_current: float = 0.050,
+                 per_frame_airtime: float = 0.002, reply_airtime: float = 0.025,
+                 loss_rate: float = 0.0) -> None:
+        self.connect_latency = connect_latency              # seconds to associate
+        self.connect_extra_current = connect_extra_current  # amperes extra during setup
+        self.per_frame_airtime = per_frame_airtime          # seconds per log/ack frame
+        self.reply_airtime = reply_airtime                  # seconds per forced reply
+        self.loss_rate = loss_rate                          # per-frame loss probability
 
     def validate(self) -> None:
         check_range(self.loss_rate, ("wireless", "loss_rate"), 0.0, maximum=1.0)

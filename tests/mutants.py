@@ -328,8 +328,7 @@ MUTANTS = (
         "src/powergap/strategies.py",
         "class EnergyBudget(NamedTuple):",
         '@__import__("dataclasses").dataclass(frozen=True)\nclass EnergyBudget:',
-        ("tests/test_import_surface.py"
-         "::test_cli_import_builds_only_replaceable_dataclasses",),
+        ("tests/test_import_surface.py::test_cli_import_builds_no_dataclasses",),
     ),
     # equality that ignores a class's last field: an event's detail, the
     # car's power state, a layout's dock, a frame's payload
@@ -340,6 +339,24 @@ MUTANTS = (
         "return self._values()[:-1] == other._values()[:-1]",
         ("tests/test_track_world.py"
          "::test_light_classes_keep_their_dataclass_semantics[Event]",),
+    ),
+    # a module on the CLI's path importing `dataclasses` again: every
+    # output stays the same, and each start loads `inspect` for it
+    Mutant(
+        "cli_path_imports_dataclasses",
+        "src/powergap/track_world.py",
+        "import csv\n",
+        "import csv\nimport dataclasses\n",
+        ("tests/test_import_surface.py::test_cli_import_loads_no_dataclasses",),
+    ),
+    # `replace` that lets the old values win over the changes: each copy
+    # equals its original
+    Mutant(
+        "replace_keeps_old_values",
+        "src/powergap/energy_model.py",
+        "changes.setdefault(name, getattr(obj, name))",
+        "changes[name] = getattr(obj, name)",
+        ("tests/test_track_world.py::test_replace_changes_one_field",),
     ),
 )
 

@@ -2,14 +2,16 @@
 
 Every `powergap` start imports the CLI, and with bytecode writing off it
 compiles each module it loads.  The OTA model and the wire decoders run
-in no simulation, so they stay off that path, and so does `statistics`,
-which only a run's end needs.  A dataclass costs 0.3-1.4 ms of each
-start, since CPython generates and compiles the source of its methods
-there, so only the classes that `dataclasses.replace` or `fields` is
-called on are dataclasses; the value types are `NamedTuple`s and the
-per-run state plain classes.  Each dataclass the CLI loads carries a
-docstring, since CPython builds a missing one from `inspect.signature`
-on every import.
+in no simulation, so they stay off that path, and so do `statistics`,
+which only a run's end needs, and `importlib.resources`, which only
+`table1` reads.  A dataclass costs 0.3-1.4 ms of each start, since
+CPython generates and compiles the source of its methods there, and the
+`dataclasses` module itself loads `inspect`, `ast`, `dis` and `tokenize`,
+so the CLI loads no dataclass: the value types are `NamedTuple`s, and
+the rest plain classes, which `energy_model.ByValue` compares and
+`energy_model.replace` copies.  Each class the CLI loads carries a
+docstring of its own, since a `NamedTuple` or a dataclass without one
+gets its signature, built on every import.
 """
 
 import dataclasses
@@ -18,6 +20,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -25,25 +28,31 @@ import powergap
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: prints, as JSON, the modules `import powergap.cli` adds, each
-#: dataclass a powergap module it loads defines, and those of them whose
-#: docstring is the generated signature; then checks that `powergap.ota`
-#: still imports (`test_demos.py` runs its demo)
+#: prints, as JSON, the modules `import powergap.cli` adds, each class a
+#: powergap module it loads defines, those of them whose docstring is the
+#: generated signature, and those that are dataclasses; then checks that
+#: `powergap.ota` still imports (`test_demos.py` runs its demo).  It
+#: takes its snapshot before it imports anything, so a module the CLI
+#: shares with the probe still counts as loaded, and runs without `site`,
+#: so a `.pth` file cannot load one first.
 PROBE = """
-import dataclasses, json, sys
+import sys
 before = set(sys.modules)
 import powergap.cli
 loaded = sorted(set(sys.modules) - before)
-built = [
+import dataclasses, json
+classes = [
     cls
     for name in loaded if name.startswith("powergap")
     for cls in vars(sys.modules[name]).values()
-    if dataclasses.is_dataclass(cls) and isinstance(cls, type) and cls.__module__ == name
+    if isinstance(cls, type) and cls.__module__ == name
 ]
-undocumented = [f"{cls.__module__}.{cls.__name__}" for cls in built
+undocumented = [f"{cls.__module__}.{cls.__name__}" for cls in classes
                 if (cls.__doc__ or "").startswith(f"{cls.__name__}(")]
+built = [cls for cls in classes if dataclasses.is_dataclass(cls)]
 import powergap.ota
 print(json.dumps({"loaded": loaded, "undocumented": undocumented,
+                  "classes": sorted(f"{cls.__module__}.{cls.__name__}" for cls in classes),
                   "dataclasses": sorted(f"{cls.__module__}.{cls.__name__}" for cls in built)}))
 """
 
@@ -53,7 +62,7 @@ def cli_import():
     # the probe imports the tree these tests import, a mutated copy included
     src = Path(powergap.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", PROBE], env=env, cwd=ROOT,
+    done = subprocess.run([sys.executable, "-S", "-c", PROBE], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
@@ -70,27 +79,38 @@ def test_cli_import_loads_no_statistics(cli_import):
     assert not {"statistics", "decimal", "fractions"} & set(cli_import["loaded"])
 
 
-def test_cli_dataclasses_have_docstrings(cli_import):
+def test_cli_import_loads_no_importlib_resources(cli_import):
+    # on Python 3.12 and 3.13 it loads `inspect` and `tempfile`; only
+    # `table1` reads the shipped scenarios through it
+    assert "importlib.resources" not in cli_import["loaded"]
+
+
+def test_cli_import_loads_no_dataclasses(cli_import):
+    # `dataclasses` loads `inspect`, which loads `ast`, `dis` and
+    # `tokenize`: about 10 ms of each start on Python 3.10-3.13
+    assert "dataclasses" not in cli_import["loaded"]
+
+
+def test_cli_classes_have_docstrings(cli_import):
+    # a NamedTuple, the config and the record among the classes checked
+    assert {"powergap.energy_model.PowerState", "powergap.track_world.ScenarioConfig",
+            "powergap.log_store.LogRecord"} <= set(cli_import["classes"])
     assert cli_import["undocumented"] == []
 
 
-def test_cli_import_builds_only_replaceable_dataclasses(cli_import):
-    # each one `dataclasses.replace` or `fields` is called on, in `src/` or
-    # the tests; every other class is built without generated code
-    assert cli_import["dataclasses"] == [
-        "powergap.energy_model.EnergyModelParams",
-        "powergap.log_store.LogRecord",
-        "powergap.track_world.DeliveryMetrics",
-        "powergap.track_world.ScenarioConfig",
-        "powergap.transports.WirelessLinkParams",
-    ]
+def test_cli_import_builds_no_dataclasses(cli_import):
+    # every class is built without generated code
+    assert cli_import["dataclasses"] == []
 
 
 def test_missing_docstring_is_the_generated_signature():
-    # what the probe looks for: a dataclass without a docstring
+    # what the probe looks for: a dataclass or NamedTuple without a docstring
     @dataclasses.dataclass
     class Probe:
         x: int
 
-    assert Probe.__doc__.startswith("Probe(")
+    class Pair(NamedTuple):
+        x: int
 
+    assert Probe.__doc__.startswith("Probe(")
+    assert Pair.__doc__.startswith("Pair(")

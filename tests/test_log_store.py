@@ -1,10 +1,10 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from wire_decoders import crc_valid
 
+from powergap.energy_model import replace
 from powergap.log_store import (
     RECORD_OVERHEAD,
     LogRecord,

@@ -40,13 +40,13 @@ current, so at `dt` = 30 ms whole 20 ms gaps go unseen.
 """
 
 import collections
-import dataclasses
 import importlib.resources
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from test_track_world import SHIPPED, STRATEGY_RUNS
 
+from powergap.energy_model import replace
 from powergap.scenario import load_scenario
 from powergap.strategies import StrategyKind
 from powergap.track_world import EventKind, Segment, Simulation, TrackLayout
@@ -65,7 +65,7 @@ def cases():
                 assert not layout.in_gap(0.0)  # every shipped track opens on a straight
                 layout = TrackLayout(layout.segments, dock_position=0.0)
             case = f"{name}-{kind.value if kind else 'none'}-gate_{'on' if controller else 'off'}"
-            yield case, dataclasses.replace(
+            yield case, replace(
                 cfg, strategy=kind, controller=controller, layout=layout)
 
 
@@ -76,12 +76,12 @@ def outcome(cfg, event_details=True):
 
 
 def scale_energy(cfg, k):
-    params = dataclasses.replace(
+    params = replace(
         cfg.params, capacitance=cfg.params.capacitance * k,
         current_table={s: i * k for s, i in cfg.params.current_table.items()})
-    wireless = dataclasses.replace(
+    wireless = replace(
         cfg.wireless, connect_extra_current=cfg.wireless.connect_extra_current * k)
-    return dataclasses.replace(cfg, params=params, wireless=wireless)
+    return replace(cfg, params=params, wireless=wireless)
 
 
 def scale_geometry(cfg, k):
@@ -92,7 +92,7 @@ def scale_geometry(cfg, k):
         for seg in layout.segments
     ]
     dock = layout.dock_position
-    return dataclasses.replace(
+    return replace(
         cfg, speed=cfg.speed * k,
         layout=TrackLayout(segments, None if dock is None else dock * k))
 
@@ -143,9 +143,9 @@ def test_rotating_the_layout_changes_no_gap_drop(name, duration):
     cfg = load_scenario(SCENARIOS / name).build()
     first, *rest = cfg.layout.segments
     # no strategy runs, so neither layout keeps the dock
-    cfg = dataclasses.replace(cfg, strategy=None, layout=TrackLayout(cfg.layout.segments),
-                              duration=duration or cfg.duration)
-    turned = dataclasses.replace(cfg, layout=TrackLayout([*rest, first]))
+    cfg = replace(cfg, strategy=None, layout=TrackLayout(cfg.layout.segments),
+                  duration=duration or cfg.duration)
+    turned = replace(cfg, layout=TrackLayout([*rest, first]))
     plain = sorted(gap_drops(cfg))
     rotated = sorted(gap_drops(turned, turned.layout.total_length - first.length))
     assert len(plain) >= len(cfg.layout.gaps)  # at least one lap
@@ -156,7 +156,7 @@ def test_rotating_the_layout_changes_no_gap_drop(name, duration):
 def step_outcome(cfg, dt):
     """(gap entries, requests, brownouts, deliveries) and `max_drop_v` of
     `cfg` run at step `dt`."""
-    result = Simulation(dataclasses.replace(cfg, dt=dt)).run()
+    result = Simulation(replace(cfg, dt=dt)).run()
     metrics = result.metrics
     entries = collections.Counter(e.kind for e in result.events)[EventKind.GAP_ENTERED]
     counts = (entries, metrics.requests_arrived, metrics.brownout_count,

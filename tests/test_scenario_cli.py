@@ -1,7 +1,6 @@
 import importlib.resources
 import re
 import tracemalloc
-from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +22,7 @@ from powergap.energy_model import (
     PowerState,
     RadioMode,
     calibrate_currents,
+    replace,
 )
 from powergap.scenario import _NUMBERS, ScenarioError, load_scenario, parse_scenario
 from powergap.strategies import EnergyBudget, StrategyKind
@@ -360,8 +360,8 @@ wired_frame_time = 0.002
 
 
 def assert_same_config(got: ScenarioConfig, expected: ScenarioConfig) -> None:
-    for f in fields(ScenarioConfig):
-        assert getattr(got, f.name) == getattr(expected, f.name), f.name
+    for name in ScenarioConfig._fields:
+        assert getattr(got, name) == getattr(expected, name), name
 
 
 #: the numeric keys with no range: any finite seed runs, and a dock

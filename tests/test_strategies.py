@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import importlib.resources
 import math
 
@@ -11,6 +10,7 @@ from powergap.energy_model import (
     EnergyModelParams,
     PowerState,
     RadioMode,
+    replace,
 )
 from powergap.log_store import Severity
 from powergap.ota import OtaDevice, OtaError, OtaState, image_digest, run_ota_transfer
@@ -227,7 +227,7 @@ def test_ack_lost_retransmission_is_presented_once():
 @pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
 def test_evicted_records_presented_with_their_payload(kind):
     # the golden FLOOD workload evicts records while their frames are in flight
-    cfg = dataclasses.replace(parse_scenario(FLOOD, "flood").build(), strategy=kind)
+    cfg = replace(parse_scenario(FLOOD, "flood").build(), strategy=kind)
     sim = Simulation(cfg)
     sim.run()
     assert sim.store.evicted > 0
@@ -616,7 +616,7 @@ class TestPowerlineContinuous:
     def test_slot_boundaries_see_the_rails_at_the_tick(self):
         cfg = load_scenario(importlib.resources.files("powergap") / "scenarios"
                             / "reference_workload.scn").build()
-        sim = Simulation(dataclasses.replace(
+        sim = Simulation(replace(
             cfg, strategy=StrategyKind.POWERLINE_CONTINUOUS))
         channel, layout = sim.driver.channel, cfg.layout
         tick = channel.tick

@@ -1,7 +1,6 @@
 import collections
 import copy
 import csv
-import dataclasses
 import dis
 import gc
 import importlib.resources
@@ -28,9 +27,11 @@ from powergap.energy_model import (
     VoltageTrace,
     MEASURED_DROPS,
     csv_micro_step,
+    replace,
 )
 from powergap.track_world import (
     CarState,
+    DeliveryMetrics,
     Event,
     EventKind,
     HostRequestSchedule,
@@ -46,7 +47,7 @@ from powergap.track_world import (
     events_to_csv,
     run_scenario,
 )
-from powergap.log_store import RECORD_OVERHEAD
+from powergap.log_store import RECORD_OVERHEAD, LogRecord, Severity
 from powergap.scenario import load_scenario, parse_scenario
 from powergap.strategies import EnergyBudget, StopAndRadioDriver, StrategyKind
 from powergap.transports import Frame, FrameKind, WirelessLinkParams
@@ -379,8 +380,8 @@ class TestRunScenario:
     def test_run_frees_its_state_without_the_cyclic_collector(self, kind):
         # garbage left to the collector is freed at a moment that depends on
         # allocation counts, so the memory a sequence of runs holds would too
-        cfg = dataclasses.replace(crossing_config(strategy=kind, seed=1),
-                                  layout=lane_change_layout(dock=0.0))
+        cfg = replace(crossing_config(strategy=kind, seed=1),
+                      layout=lane_change_layout(dock=0.0))
         gc.collect()
         gc.disable()
         try:
@@ -408,7 +409,7 @@ class TestRunScenario:
     def test_run_size_caps_enforced_by_constructor(self, overrides, message):
         # a config built in Python, not parsed, must still be refused
         with pytest.raises(LayoutError, match=message):
-            Simulation(dataclasses.replace(crossing_config(), **overrides))
+            Simulation(replace(crossing_config(), **overrides))
 
     @pytest.mark.parametrize("overrides", [
         {"duration": MAX_STEPS * 0.5, "dt": 0.5},
@@ -416,7 +417,7 @@ class TestRunScenario:
     ], ids=["steps_at_cap", "records_at_cap"])
     def test_run_size_caps_admit_the_cap_itself(self, overrides):
         # the caps are inclusive, as in the scenario parser
-        sim = Simulation(dataclasses.replace(crossing_config(), **overrides))
+        sim = Simulation(replace(crossing_config(), **overrides))
         assert sim.now == 0.0
 
     @pytest.mark.parametrize("overrides,error,blamed", [
@@ -449,7 +450,7 @@ class TestRunScenario:
         # infinite step or speed, or a NaN request time, once ran a wrong
         # trace (no steps, a NaN position, requests that never arrive)
         with pytest.raises(error) as exc:
-            Simulation(dataclasses.replace(crossing_config(), **overrides))
+            Simulation(replace(crossing_config(), **overrides))
         assert exc.value.keys[:1] == (blamed,)
 
     def test_flash_must_hold_one_record(self):
@@ -458,7 +459,7 @@ class TestRunScenario:
         with pytest.raises(LayoutError, match="must hold one record"):
             Simulation(cfg)
         # a 16-byte payload and 16 bytes of record overhead fit exactly
-        run_scenario(dataclasses.replace(cfg, flash_capacity=32))
+        run_scenario(replace(cfg, flash_capacity=32))
 
     @pytest.mark.parametrize("overrides,message", [
         ({"ram_capacity": 0}, "ram_capacity: must be >= 1"),
@@ -469,7 +470,7 @@ class TestRunScenario:
     def test_ranges_once_held_by_the_parser_alone(self, overrides, message):
         # these ran, or failed later with a StoreError, when built in Python
         with pytest.raises(LayoutError) as exc:
-            Simulation(dataclasses.replace(crossing_config(), **overrides))
+            Simulation(replace(crossing_config(), **overrides))
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("kept,first", [(0, "c80_off"), (5, "c160_tx")])
@@ -477,7 +478,7 @@ class TestRunScenario:
         # refused up front, not on the first gap step that needs the current
         params = EnergyModelParams(current_table=dict.fromkeys(ALL_POWER_STATES[:kept], 0.1))
         with pytest.raises(ConfigError, match=f"no current configured for state {first}$"):
-            Simulation(dataclasses.replace(crossing_config(), params=params))
+            Simulation(replace(crossing_config(), params=params))
 
     def test_power_duality(self):
         result = run_scenario(crossing_config())
@@ -619,7 +620,7 @@ def test_stretches_match_plain_loop_on_shipped_scenarios(name, kind, controller)
     if kind is StrategyKind.SAVE_AND_PRINT_LATER and layout.dock_position is None:
         assert not layout.in_gap(0.0)  # every shipped track opens on a straight
         layout = TrackLayout(layout.segments, dock_position=0.0)
-    assert_same_run(dataclasses.replace(
+    assert_same_run(replace(
         cfg, strategy=kind, controller=controller, layout=layout))
 
 
@@ -659,7 +660,7 @@ def test_run_ending_inside_a_gap_keeps_the_stretch_minimum():
     # the run ends 10 ms into the first gap (0.13-0.15 s), after a quiet
     # stretch that leaves the lowest voltage to the run's last step, a
     # full step
-    sim = assert_same_run(dataclasses.replace(crossing_config(), duration=0.14))
+    sim = assert_same_run(replace(crossing_config(), duration=0.14))
     assert sim._metrics().max_drop_v == pytest.approx(0.81)
 
 
@@ -686,7 +687,7 @@ def test_pending_requests_leave_stretches_to_next_wake(kind, step_calls):
     cfg = load_scenario(
         importlib.resources.files("powergap") / "scenarios" / "reference_workload.scn"
     ).build()
-    cfg = dataclasses.replace(
+    cfg = replace(
         cfg, strategy=kind, schedule=HostRequestSchedule(times=tuple(map(float, range(1, 29, 3)))))
     sim = assert_same_run(cfg)
     assert sim.requests_arrived == 10
@@ -702,7 +703,7 @@ def test_gaps_reboots_and_gate_deferrals_run_in_stretches(name, controller, step
     # gap interiors, reboots on powered track and steps on which the gate
     # holds waiting work all run in quiet stretches
     cfg = load_scenario(importlib.resources.files("powergap") / "scenarios" / name).build()
-    cfg = dataclasses.replace(cfg, controller=controller)
+    cfg = replace(cfg, controller=controller)
     sim = assert_same_run(cfg)
     assert step_calls[sim] <= 0.05 * round(cfg.duration / cfg.dt)
 
@@ -792,7 +793,7 @@ def test_run_end_lies_between_the_last_two_steps(dt, n):
     # step is the first at or past its end, and no quiet stretch takes it;
     # the run lasts a quarter step short of n steps, as n * dt / dt may
     # exceed MAX_STEPS
-    cfg = dataclasses.replace(crossing_config(), dt=dt, duration=(n - 0.25) * dt)
+    cfg = replace(crossing_config(), dt=dt, duration=(n - 0.25) * dt)
     assert round(cfg.duration / cfg.dt) == n
     end = Simulation(cfg)._end
     assert _summed(dt, n - 1) < end <= _summed(dt, n)
@@ -852,7 +853,7 @@ def test_reference_ticks_run_in_stretches(kind, step_calls):
     # sends, drains and slot boundaries tick inside quiet stretches; what
     # still takes a full step is mostly gap edges and the steps in gaps
     # on which a record or a wake falls
-    cfg = dataclasses.replace(load_scenario(
+    cfg = replace(load_scenario(
         importlib.resources.files("powergap") / "scenarios" / "reference_workload.scn"
     ).build(), strategy=kind)
     sim = Simulation(cfg)
@@ -1252,8 +1253,8 @@ def test_trace_csv_splits_a_long_run(runs, dt):
 
 def test_events_csv_matches_csv_writer():
     # every kind, with the details the simulation writes, and an empty one
-    cfg = dataclasses.replace(crossing_config(state=C240_TX), duration=1.2,
-                              schedule=HostRequestSchedule(gap_aligned=True))
+    cfg = replace(crossing_config(state=C240_TX), duration=1.2,
+                  schedule=HostRequestSchedule(gap_aligned=True))
     events = run_scenario(cfg).events
     assert {ev.kind for ev in events} == set(EventKind)
     events += [Event(0.0, kind) for kind in EventKind]
@@ -1272,6 +1273,14 @@ def test_events_csv_of_no_events():
 
 C240_TX_REPR = "PowerState(clock=<ClockTier.C240: 240>, radio=<RadioMode.TRANSMITTING: 'tx'>)"
 STRAIGHT = Segment(SegmentKind.STRAIGHT, 0.3)
+STRAIGHT_REPR = ("Segment(kind=<SegmentKind.STRAIGHT: 'straight'>, length=0.3, gap_offsets=(), "
+                 "gap_length=0.06)")
+PARAMS = EnergyModelParams(2.0e-3, 9.5, 3.5, 0.025, {C240_TX: 0.25})
+PARAMS_REPR = ("EnergyModelParams(capacitance=0.002, nominal_voltage=9.5, brownout_drop=3.5, "
+               f"gap_duration=0.025, current_table={{{C240_TX_REPR}: 0.25}})")
+LINK = WirelessLinkParams(0.5, 0.04, 0.003, 0.02, 0.1)
+LINK_REPR = ("WirelessLinkParams(connect_latency=0.5, connect_extra_current=0.04, "
+             "per_frame_airtime=0.003, reply_airtime=0.02, loss_rate=0.1)")
 #: type -> (its arguments, another value for each, its repr); the first
 #: four are immutable values, the rest plain classes compared by value
 VALUE_SEMANTICS = {
@@ -1313,8 +1322,69 @@ VALUE_SEMANTICS = {
         {"kind": FrameKind.REPLY, "seq": 7, "payload": b"ok"},
         {"kind": FrameKind.LOG, "seq": 8, "payload": b""},
         "Frame(kind=<FrameKind.REPLY: 6>, seq=7, payload=b'ok')"),
+    EnergyModelParams: (
+        {"capacitance": 2.0e-3, "nominal_voltage": 9.5, "brownout_drop": 3.5,
+         "gap_duration": 0.025, "current_table": {C240_TX: 0.25}},
+        {"capacitance": 1.0e-3, "nominal_voltage": 9.0, "brownout_drop": 4.0,
+         "gap_duration": 0.02, "current_table": {C240_TX: 0.3}},
+        PARAMS_REPR),
+    WirelessLinkParams: (
+        {"connect_latency": 0.5, "connect_extra_current": 0.04, "per_frame_airtime": 0.003,
+         "reply_airtime": 0.02, "loss_rate": 0.1},
+        {"connect_latency": 1.5, "connect_extra_current": 0.05, "per_frame_airtime": 0.002,
+         "reply_airtime": 0.025, "loss_rate": 0.0},
+        LINK_REPR),
+    LogRecord: (
+        {"seq": 7, "timestamp": 1.5, "severity": Severity.WARN, "payload": b"log",
+         "crc": 0x1234},
+        {"seq": 8, "timestamp": 2.0, "severity": Severity.INFO, "payload": b"", "crc": 0},
+        "LogRecord(seq=7, timestamp=1.5, severity=<Severity.WARN: 2>, payload=b'log', "
+        "crc=4660)"),
+    DeliveryMetrics: (
+        {"appended_records": 40, "delivered_records": 30, "delivered_bytes": 960,
+         "mean_latency_s": 0.5, "median_latency_s": 0.25, "p95_latency_s": 1.5,
+         "brownout_count": 2, "max_drop_v": 3.25, "radio_on_s": 4.5,
+         "bytes_stored_peak": 512, "requests_arrived": 3, "requests_answered": 1,
+         "dropped_records": 4, "evicted_records": 5, "lost_unflushed": 6,
+         "backlog_growing": True},
+        {"appended_records": 41, "delivered_records": 31, "delivered_bytes": 992,
+         "mean_latency_s": 0.75, "median_latency_s": 0.5, "p95_latency_s": 2.0,
+         "brownout_count": 0, "max_drop_v": 1.0, "radio_on_s": 0.0,
+         "bytes_stored_peak": 0, "requests_arrived": 0, "requests_answered": 0,
+         "dropped_records": 0, "evicted_records": 0, "lost_unflushed": 0,
+         "backlog_growing": False},
+        "DeliveryMetrics(appended_records=40, delivered_records=30, delivered_bytes=960, "
+        "mean_latency_s=0.5, median_latency_s=0.25, p95_latency_s=1.5, brownout_count=2, "
+        "max_drop_v=3.25, radio_on_s=4.5, bytes_stored_peak=512, requests_arrived=3, "
+        "requests_answered=1, dropped_records=4, evicted_records=5, lost_unflushed=6, "
+        "backlog_growing=True)"),
+    ScenarioConfig: (
+        {"params": PARAMS, "layout": TrackLayout([STRAIGHT], 0.1), "speed": 2.0,
+         "dt": 0.001, "duration": 2.5, "seed": 7, "initial_state": C240_TX,
+         "strategy": StrategyKind.STOP_AND_RADIO, "controller": True,
+         "budget": EnergyBudget(2.5, 0.02), "wireless": LINK, "workload_rate": 40.0,
+         "workload_payload": 32, "schedule": HostRequestSchedule((1.0,)),
+         "drain_interval": 5.0, "wired_frame_time": 0.002, "reboot_dead_time": 0.25,
+         "ram_capacity": 64, "flash_capacity": 4096, "name": "probe"},
+        {"params": EnergyModelParams(), "layout": TrackLayout([STRAIGHT]), "speed": 3.0,
+         "dt": 5.0e-4, "duration": 1.0, "seed": 0, "initial_state": C80_OFF,
+         "strategy": None, "controller": False, "budget": EnergyBudget(),
+         "wireless": WirelessLinkParams(), "workload_rate": 0.0, "workload_payload": 16,
+         "schedule": HostRequestSchedule(), "drain_interval": 10.0,
+         "wired_frame_time": 0.001, "reboot_dead_time": 0.5, "ram_capacity": 256,
+         "flash_capacity": 65536, "name": "scenario"},
+        f"ScenarioConfig(params={PARAMS_REPR}, layout=TrackLayout(segments=[{STRAIGHT_REPR}], "
+        f"dock_position=0.1), speed=2.0, dt=0.001, duration=2.5, seed=7, "
+        f"initial_state={C240_TX_REPR}, strategy=<StrategyKind.STOP_AND_RADIO: "
+        f"'stop_and_radio'>, controller=True, budget=EnergyBudget(max_allowed_drop=2.5, "
+        f"lookahead=0.02), wireless={LINK_REPR}, workload_rate=40.0, workload_payload=32, "
+        f"schedule=HostRequestSchedule(times=(1.0,), gap_aligned=False), "
+        f"drain_interval=5.0, wired_frame_time=0.002, reboot_dead_time=0.25, "
+        f"ram_capacity=64, flash_capacity=4096, name='probe')"),
 }
 FROZEN = (PowerState, Segment, EnergyBudget, HostRequestSchedule)
+#: the classes that `dataclasses.replace` copied while they were dataclasses
+REPLACED = (EnergyModelParams, WirelessLinkParams, LogRecord, DeliveryMetrics, ScenarioConfig)
 
 
 @pytest.mark.parametrize("cls", VALUE_SEMANTICS, ids=lambda cls: cls.__name__)
@@ -1335,3 +1405,26 @@ def test_light_classes_keep_their_dataclass_semantics(cls):
                 setattr(value, name, other)
     if cls not in FROZEN:
         assert cls.__hash__ is None
+
+
+@pytest.mark.parametrize("cls", REPLACED, ids=lambda cls: cls.__name__)
+def test_replace_changes_one_field(cls):
+    """`replace` copies as `dataclasses.replace` did: the one field given
+    changes, every other keeps its value, and an unknown field is refused."""
+    args, others, _ = VALUE_SEMANTICS[cls]
+    value = cls(**args)
+    for name, other in others.items():
+        changed = replace(value, **{name: other})
+        assert changed == cls(**{**args, name: other}) and changed != value, name
+    same = replace(value)
+    assert same == value and same is not value
+    with pytest.raises(TypeError):
+        replace(value, no_such_field=1)
+
+
+def test_default_table_and_link_are_fresh_per_instance():
+    a, b = EnergyModelParams(), EnergyModelParams()
+    assert a.current_table == {} and a.current_table is not b.current_table
+    layout = TrackLayout([STRAIGHT])
+    c, d = ScenarioConfig(a, layout), ScenarioConfig(b, layout)
+    assert c.wireless == WirelessLinkParams() and c.wireless is not d.wireless
